@@ -2,19 +2,25 @@
 
 An expression denotes a binary relation on the nodes of a graph.  The
 evaluator keeps relations as single integers (bit (i*n + j) set means node i
-relates to node j) and memoizes per (graph, subexpression), which keeps bulk
-equivalence checking over thousands of instances cheap.
+relates to node j).  Expressions are first compiled into a plan: one
+instruction per distinct subterm, children before parents, found by a walk
+that visits each node object once and merges equal subterms by the
+operator and the slots of their children.  A plan is built once and run on
+any number of graphs, so the bounded oracles compile each pair of
+expressions once and run that plan on every instance.  Neither compiling
+nor running hashes, compares or recurses over expressions, so deep
+expressions evaluate as well as shallow ones.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    labels_used,
+    _distinct_nodes, labels_used,
 )
 from .graphs import Graph, instances
 
@@ -46,10 +52,56 @@ def _bits(mask: int):
         mask ^= low
 
 
+# ---------------------------------------------------------------------------
+# plans
+#
+# An instruction is (opcode, x, y): x and y are the slots of the operands,
+# the label name for _LABEL, and for _PROJECT x is the operand's slot and y
+# says which side is projected and whether the result is complemented.
+
+(_EMPTY, _IDENTITY, _DIVERSITY, _LABEL, _CONVERSE, _CLOSURE, _PROJECT,
+ _COMPOSE, _UNION, _INTERSECT, _DIFFERENCE) = range(11)
+
+_ATOM_OP = {Empty: _EMPTY, Identity: _IDENTITY, Diversity: _DIVERSITY}
+_UNARY_OP = {Converse: _CONVERSE, TransClosure: _CLOSURE}
+# (second, complement) for each (co)projection
+_PROJECTION = {Proj1: (False, False), Proj2: (True, False),
+               Coproj1: (False, True), Coproj2: (True, True)}
+_BINARY_OP = {Compose: _COMPOSE, Union: _UNION, Intersect: _INTERSECT,
+              Difference: _DIFFERENCE}
+
+
+def _compile(roots) -> tuple[list[tuple], list[int]]:
+    """The plan of `roots`: its instructions and the slot of each root."""
+    code: list[tuple] = []
+    slot_of_key: dict[tuple, int] = {}
+    slot_of_node: dict[int, int] = {}
+    for node in _distinct_nodes(*roots):
+        t = type(node)
+        if t is EdgeLabel:
+            key = (_LABEL, node.name, None)
+        elif t in _BINARY_OP:
+            key = (_BINARY_OP[t], slot_of_node[id(node.left)],
+                   slot_of_node[id(node.right)])
+        elif t in _PROJECTION:
+            key = (_PROJECT, slot_of_node[id(node.child)], _PROJECTION[t])
+        elif t in _UNARY_OP:
+            key = (_UNARY_OP[t], slot_of_node[id(node.child)], None)
+        elif t in _ATOM_OP:
+            key = (_ATOM_OP[t], None, None)
+        else:  # pragma: no cover - exhaustive over the syntax
+            raise TypeError(f"cannot evaluate {t.__name__}")
+        slot = slot_of_key.get(key)
+        if slot is None:
+            slot = slot_of_key[key] = len(code)
+            code.append(key)
+        slot_of_node[id(node)] = slot
+    return code, [slot_of_node[id(r)] for r in roots]
+
+
 class EvalContext:
     """Per-graph evaluation state: node indexing, label relations as bit
-    masks, and a structural memo shared by every expression evaluated on the
-    same graph."""
+    masks, and the relation algebra on masks that plans run on."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -61,13 +113,10 @@ class EvalContext:
         for i in range(n):
             self.identity_mask |= 1 << (i * n + i)
         self.full_mask = (1 << (n * n)) - 1 if n else 0
-        self.label_masks: dict[str, int] = {}
-        for lab, pairs in graph.edge_map.items():
-            m = 0
-            for s, t in pairs:
-                m |= 1 << (self.index[s] * n + self.index[t])
-            self.label_masks[lab] = m
-        self._memo: dict[Expr, int] = {}
+        index = self.index
+        self.label_masks: dict[str, int] = dict.fromkeys(graph.labels, 0)
+        for s, lab, t in graph.edges:
+            self.label_masks[lab] |= 1 << (index[s] * n + index[t])
         self._row_cache: dict[int, list[int]] = {}
 
     # --- relation algebra on masks -------------------------------------
@@ -81,15 +130,25 @@ class EvalContext:
         return rows
 
     def compose_masks(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        if a == self.identity_mask:
+            return b
+        if b == self.identity_mask:
+            return a
         n = self.n
+        window = (1 << n) - 1
         rows_b = self._rows(b)
         out = 0
         for i in range(n):
-            row = (a >> (i * n)) & ((1 << n) - 1)
-            acc = 0
-            for j in _bits(row):
-                acc |= rows_b[j]
-            out |= acc << (i * n)
+            row = (a >> (i * n)) & window
+            if row:
+                acc = 0
+                while row:
+                    low = row & -row
+                    acc |= rows_b[low.bit_length() - 1]
+                    row ^= low
+                out |= acc << (i * n)
         return out
 
     def transpose_mask(self, a: int) -> int:
@@ -109,69 +168,67 @@ class EvalContext:
                 return cur
             cur = nxt
 
-    def mask_of(self, e: Expr) -> int:
-        memo = self._memo
-        got = memo.get(e)
-        if got is not None:
-            return got
+    def _project(self, a: int, second: bool, complement: bool) -> int:
+        """The identity pairs on the nodes with an outgoing (or, for
+        `second`, incoming) pair in `a`, or on the other nodes when
+        `complement` is set."""
         n = self.n
-        if isinstance(e, Empty):
-            out = 0
-        elif isinstance(e, Identity):
-            out = self.identity_mask
-        elif isinstance(e, Diversity):
-            out = self.full_mask & ~self.identity_mask
-        elif isinstance(e, EdgeLabel):
-            try:
-                out = self.label_masks[e.name]
-            except KeyError:
-                raise UnknownLabelError(e.name) from None
-        elif isinstance(e, Converse):
-            out = self.transpose_mask(self.mask_of(e.child))
-        elif isinstance(e, TransClosure):
-            out = self.closure_mask(self.mask_of(e.child))
-        elif isinstance(e, Proj1):
-            m = self.mask_of(e.child)
-            out = 0
-            for i in range(n):
-                if (m >> (i * n)) & ((1 << n) - 1):
-                    out |= 1 << (i * n + i)
-        elif isinstance(e, Proj2):
-            t = self.transpose_mask(self.mask_of(e.child))
-            out = 0
-            for i in range(n):
-                if (t >> (i * n)) & ((1 << n) - 1):
-                    out |= 1 << (i * n + i)
-        elif isinstance(e, Coproj1):
-            m = self.mask_of(e.child)
-            out = 0
-            for i in range(n):
-                if not (m >> (i * n)) & ((1 << n) - 1):
-                    out |= 1 << (i * n + i)
-        elif isinstance(e, Coproj2):
-            t = self.transpose_mask(self.mask_of(e.child))
-            out = 0
-            for i in range(n):
-                if not (t >> (i * n)) & ((1 << n) - 1):
-                    out |= 1 << (i * n + i)
-        elif isinstance(e, Compose):
-            out = self.compose_masks(self.mask_of(e.left), self.mask_of(e.right))
-        elif isinstance(e, Union):
-            out = self.mask_of(e.left) | self.mask_of(e.right)
-        elif isinstance(e, Intersect):
-            out = self.mask_of(e.left) & self.mask_of(e.right)
-        elif isinstance(e, Difference):
-            out = self.mask_of(e.left) & ~self.mask_of(e.right)
-        else:  # pragma: no cover - exhaustive over the syntax
-            raise TypeError(f"cannot evaluate {type(e).__name__}")
-        memo[e] = out
+        window = (1 << n) - 1
+        nodes = 0
+        for i in range(n):
+            row = (a >> (i * n)) & window
+            if second:
+                nodes |= row
+            elif row:
+                nodes |= 1 << i
+        if complement:
+            nodes ^= window
+        out = 0
+        for i in _bits(nodes):
+            out |= 1 << (i * n + i)
         return out
 
+    def _run(self, code: list[tuple]) -> list[int]:
+        """The mask of every slot of a plan on this graph."""
+        masks: list[int] = []
+        push = masks.append
+        for op, x, y in code:   # most frequent opcodes first
+            if op == _COMPOSE:
+                push(self.compose_masks(masks[x], masks[y]))
+            elif op == _UNION:
+                push(masks[x] | masks[y])
+            elif op == _PROJECT:
+                push(self._project(masks[x], *y))
+            elif op == _LABEL:
+                try:
+                    push(self.label_masks[x])
+                except KeyError:
+                    raise UnknownLabelError(x) from None
+            elif op == _CLOSURE:
+                push(self.closure_mask(masks[x]))
+            elif op == _IDENTITY:
+                push(self.identity_mask)
+            elif op == _DIFFERENCE:
+                push(masks[x] & ~masks[y])
+            elif op == _INTERSECT:
+                push(masks[x] & masks[y])
+            elif op == _EMPTY:
+                push(0)
+            elif op == _DIVERSITY:
+                push(self.full_mask & ~self.identity_mask)
+            else:  # _CONVERSE
+                push(self.transpose_mask(masks[x]))
+        return masks
+
+    def mask_of(self, e: Expr) -> int:
+        code, (root,) = _compile((e,))
+        return self._run(code)[root]
+
     def decode(self, mask: int) -> frozenset[tuple[str, str]]:
-        n = self.n
         order = self.node_order
         return frozenset(
-            (order[idx // n], order[idx % n]) for idx in _bits(mask)
+            (order[i], order[j])
+            for i, row in enumerate(self._rows(mask)) for j in _bits(row)
         )
 
     def pairs_of(self, e: Expr) -> frozenset[tuple[str, str]]:
@@ -251,13 +308,18 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
             raise ValueError(
                 "expressions mention several labels; unlabeled classes carry one")
         names = tuple(sorted(used)) or ("a",)
+    if extra_random and graph_class == "labeled-graph":
+        raise ValueError("extra_random probes trees and chains; "
+                         "labeled-graph has no random stream")
     checked = 0
+    code, (r1, r2) = _compile((e1, e2))
+    boolean = semantics == "boolean"
 
     def differ(g: Graph) -> bool:
-        ctx = EvalContext(g)
-        if semantics == "boolean":
-            return evaluate_boolean(e1, g, ctx) != evaluate_boolean(e2, g, ctx)
-        return ctx.mask_of(e1) != ctx.mask_of(e2)
+        masks = EvalContext(g)._run(code)
+        if boolean:
+            return (masks[r1] != 0) != (masks[r2] != 0)
+        return masks[r1] != masks[r2]
 
     for g in instances(graph_class, max_nodes, names, seed=seed,
                        ceiling=ceiling):
@@ -265,7 +327,7 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
         if differ(g):
             return EquivVerdict(False, g, checked, graph_class, max_nodes,
                                 len(names), semantics)
-    if extra_random and graph_class != "labeled-graph":
+    if extra_random:
         rng = random.Random(seed)
         chains = graph_class.endswith("chain")
         for _ in range(extra_random):

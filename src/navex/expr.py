@@ -166,14 +166,43 @@ def label_union(labels) -> Expr:
     return EMPTY if out is None else out
 
 
+def _children(e: Expr) -> tuple:
+    t = type(e)
+    if t in _UNARY:
+        return (e.child,)
+    if t in _BINARY:
+        return (e.left, e.right)
+    return ()
+
+
+def _distinct_nodes(*roots: Expr) -> list[Expr]:
+    """Every node object reachable from `roots`, each once (by identity),
+    children before parents.  Iterative, so depth is bounded by memory, not
+    by the recursion limit; no node is hashed or compared."""
+    out: list[Expr] = []
+    seen: set[int] = set()
+    stack: list = [(r, False) for r in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            out.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(_children(node)))
+    return out
+
+
 def subexpressions(e: Expr):
     """Yield every node of the tree, parents after children."""
-    if isinstance(e, _UNARY):
-        yield from subexpressions(e.child)
-    elif isinstance(e, _BINARY):
-        yield from subexpressions(e.left)
-        yield from subexpressions(e.right)
-    yield e
+    stack: list = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(_children(node)))
 
 
 def size(e: Expr) -> int:
@@ -186,7 +215,7 @@ def size(e: Expr) -> int:
 
 
 def labels_used(e: Expr) -> frozenset[str]:
-    return frozenset(n.name for n in subexpressions(e) if isinstance(n, EdgeLabel))
+    return frozenset(n.name for n in _distinct_nodes(e) if type(n) is EdgeLabel)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +284,8 @@ class Fragment:
 
 
 def operators_used(e: Expr) -> Fragment:
-    found = set()
-    for node in subexpressions(e):
-        flag = _FLAG_OF.get(type(node))
-        if flag:
-            found.add(flag)
+    found = {_FLAG_OF.get(type(node)) for node in _distinct_nodes(e)}
+    found.discard(None)
     return Fragment(frozenset(found))
 
 
@@ -339,7 +365,7 @@ def simplify_empty(e: Expr) -> Expr:
 def is_downward(e: Expr) -> bool:
     """True when the expression can only relate a node to its descendants
     (syntactically: no diversity and no converse anywhere)."""
-    return not any(isinstance(n, (Diversity, Converse)) for n in subexpressions(e))
+    return not any(type(n) in (Diversity, Converse) for n in _distinct_nodes(e))
 
 
 def condition_depth(e: Expr) -> int:

@@ -43,7 +43,13 @@ class ResourceLimitError(RuntimeError):
 
 def default_ceiling() -> int:
     value = os.environ.get("NAVEX_MAX_INSTANCES")
-    return int(value) if value else 2_000_000
+    if not value:
+        return 2_000_000
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"NAVEX_MAX_INSTANCES must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -210,13 +216,15 @@ def chain_graph(n_nodes: int, labels="a") -> Graph:
     """
     if isinstance(labels, str):
         seq = [labels] * (n_nodes - 1)
+        alphabet = {labels}
     else:
         seq = list(labels)
         if len(seq) != n_nodes - 1:
             raise GraphError("need one label per edge")
+        alphabet = set(seq) or {"a"}
     nodes = [f"n{i}" for i in range(n_nodes)]
     edges = [(nodes[i], seq[i], nodes[i + 1]) for i in range(n_nodes - 1)]
-    return Graph.build(nodes, set(seq) or {"a"}, edges)
+    return Graph.build(nodes, alphabet, edges)
 
 
 def parallel_paths_graph(short: int, long: int, label: str = "a") -> Graph:

@@ -1,19 +1,22 @@
 """Evaluator semantics, checked clause by clause and against an independent
 reference implementation over plain pair sets."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from navex.evaluate import (
-    EvalContext, UnknownLabelError, boolean_equivalent, evaluate,
+    EvalContext, UnknownLabelError, _compile, boolean_equivalent, evaluate,
     evaluate_boolean, is_condition, path_equivalent,
 )
 from navex.expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, parse, power, simplify_empty,
+    EMPTY, IDENTITY, parse, power, simplify_empty, subexpressions,
 )
 from navex.graphs import Graph, chain_graph, enumerate_trees, parallel_paths_graph
+from navex.rewrite import run_pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +281,87 @@ def test_power_on_long_chain():
     assert evaluate(power(a, 21), g) == {("n0", "n21")}
     ctx = EvalContext(g)
     assert ctx.mask_of(parse("(a^3)+ & (a^7)+")) == ctx.mask_of(parse("(a^21)+"))
+
+
+def test_extra_random_is_rejected_on_general_graphs():
+    with pytest.raises(ValueError, match="extra_random"):
+        path_equivalent(a, a, "labeled-graph", 2, extra_random=50)
+
+
+def test_deep_expressions_evaluate_without_recursion_limits():
+    deep = power(a, 5000)
+    assert evaluate(deep, chain_graph(10)) == frozenset()
+    assert evaluate(Proj1(power(a, 9)), chain_graph(10)) == {("n0", "n0")}
+    assert path_equivalent(deep, power(a, 5000), "labeled-chain", 4).equivalent
+    assert path_equivalent(deep, EMPTY, "labeled-chain", 4).equivalent
+
+
+# ---------------------------------------------------------------------------
+# plans: one instruction per distinct subterm, shared by every root
+
+_SWAP = {
+    EdgeLabel: lambda e: EdgeLabel("b" if e.name == "a" else "a"),
+    Empty: lambda e: IDENTITY, Identity: lambda e: EMPTY,
+    Diversity: lambda e: EMPTY,
+    Converse: lambda e: TransClosure(e.child),
+    TransClosure: lambda e: Converse(e.child),
+    Proj1: lambda e: Proj2(e.child), Proj2: lambda e: Coproj1(e.child),
+    Coproj1: lambda e: Coproj2(e.child), Coproj2: lambda e: Proj1(e.child),
+    Compose: lambda e: Union(e.left, e.right),
+    Union: lambda e: Intersect(e.left, e.right),
+    Intersect: lambda e: Difference(e.left, e.right),
+    Difference: lambda e: Compose(e.left, e.right),
+}
+
+
+def _mutate(e, target):
+    """A copy of `e` whose subterm at position `target` (in subexpressions
+    order) has another label or operator; every other node is shared."""
+    position = 0
+
+    def walk(node):
+        nonlocal position
+        if isinstance(node, (Converse, TransClosure, Proj1, Proj2, Coproj1,
+                             Coproj2)):
+            child = walk(node.child)
+            node = node if child is node.child else type(node)(child)
+        elif isinstance(node, (Compose, Union, Intersect, Difference)):
+            left, right = walk(node.left), walk(node.right)
+            if left is not node.left or right is not node.right:
+                node = type(node)(left, right)
+        position += 1
+        return _SWAP[type(node)](node) if position - 1 == target else node
+
+    return walk(e)
+
+
+@st.composite
+def _plan_pairs(draw):
+    e = draw(_exprs)
+    kind = draw(st.sampled_from(["shared", "copy", "mutated"]))
+    if kind == "shared":
+        return e, Compose(Union(e, a), e)
+    if kind == "copy":
+        return e, copy.deepcopy(e)
+    target = draw(st.integers(0, sum(1 for _ in subexpressions(e)) - 1))
+    return e, _mutate(e, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_pairs(), _graphs)
+def test_plan_of_a_pair_matches_reference(pair, g):
+    code, roots = _compile(pair)
+    assert len(code) == len({s for e in pair for s in subexpressions(e)})
+    ctx = EvalContext(g)
+    masks = ctx._run(code)
+    for e, slot in zip(pair, roots):
+        assert ctx.decode(masks[slot]) == reference_eval(e, g)
+
+
+def test_plan_merges_equal_copies():
+    e = run_pipeline("tree-set-operations", parse("(a | b)+ \\ (a . b)+"),
+                     certify=False).result
+    code, (r1, r2) = _compile((e, copy.deepcopy(e)))
+    assert r1 == r2
+    assert len(code) == len(set(subexpressions(e)))
+    assert len(code) < sum(1 for _ in subexpressions(e))

@@ -10,7 +10,7 @@ from navex.expr import (
     EMPTY, IDENTITY, DIVERSITY,
     base_closure, condition_depth, is_downward, label_union, labels_used,
     operators_used, parse, power, render, simplify_empty, size, star,
-    subexpressions,
+    subexpressions, _distinct_nodes,
 )
 
 a, b, c, d = EdgeLabel("a"), EdgeLabel("b"), EdgeLabel("c"), EdgeLabel("d")
@@ -149,6 +149,31 @@ def test_size_counts_operator_applications(e):
         if not isinstance(s, (Empty, Identity, Diversity, EdgeLabel))
     )
     assert size(e) == ops
+
+
+def test_distinct_walk_visits_each_object_once_children_first():
+    x = Compose(a, b)
+    for _ in range(100):
+        x = Union(x, x)          # over 2^100 tree nodes, 103 objects
+    nodes = _distinct_nodes(x, Proj1(x))
+    assert len(nodes) == 104
+    assert len({id(n) for n in nodes}) == len(nodes)
+    position = {id(n): i for i, n in enumerate(nodes)}
+    for n in nodes:
+        for kid in (getattr(n, "child", None), getattr(n, "left", None),
+                    getattr(n, "right", None)):
+            if kid is not None:
+                assert position[id(kid)] < position[id(n)]
+    assert labels_used(x) == {"a", "b"}
+    assert operators_used(x) == Fragment.of()
+
+
+def test_walks_handle_deep_expressions():
+    deep = Proj1(power(TransClosure(a), 5000))
+    assert labels_used(deep) == {"a"}
+    assert operators_used(deep) == Fragment.of("tc", "pi1")
+    assert is_downward(deep)
+    assert sum(1 for _ in subexpressions(deep)) == 3 * 5000 + 2
 
 
 def test_size_and_labels():

@@ -103,6 +103,15 @@ def test_ceiling_env_override(monkeypatch):
         list(enumerate_trees(3, 1))
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", "1000000")
     assert len(list(enumerate_trees(3, 1))) == 4
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "lots")
+    with pytest.raises(ValueError, match="NAVEX_MAX_INSTANCES"):
+        list(enumerate_trees(3, 1))
+
+
+def test_chain_graph_alphabet_carries_its_label():
+    assert chain_graph(1, "b").labels == {"b"}
+    assert chain_graph(3, "b").labels == {"b"}
+    assert chain_graph(1, []).labels == {"a"}
 
 
 def test_enumerate_graphs_structured_families_come_first():

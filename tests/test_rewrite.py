@@ -496,6 +496,13 @@ def test_run_pipeline_certifies_and_reports():
     assert bool(r)
 
 
+def test_unlabeled_normal_form_over_another_label():
+    r = run_pipeline("unlabeled-normal-form", parse("(b^3)+ & (b^7)+"))
+    assert r.verdict is not None and bool(r.verdict)
+    assert r.result == parse("b^21")
+    assert "power 21" in " ".join(r.steps)
+
+
 def test_run_pipeline_rejects_unknown_names():
     with pytest.raises(RewriteError):
         run_pipeline("no-such-pipeline", parse("a"))
