@@ -14,15 +14,13 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .evaluate import EvalContext, is_condition
-from .expr import Compose, Expr, Fragment, IDENTITY, operators_used, parse, render
-from .graphs import Graph, enumerate_trees
+from .evaluate import EvalContext, _bits, is_condition
+from .expr import Compose, Expr, IDENTITY, parse, render
+from .graphs import Graph, classify, enumerate_trees
 
 __all__ = [
     "ID", "AutomatonError", "ConditionAutomaton", "state_key",
-    "state_condition_expr", "eval_automaton", "eval_automaton_boolean",
-    "AutomatonClassFlags", "flags", "Run", "run_is_valid", "find_runs",
-    "check_deterministic",
+    "state_condition_expr", "eval_automaton", "check_deterministic",
 ]
 
 ID = "id"  # transition label for identity steps; never a graph edge label
@@ -241,150 +239,14 @@ def eval_automaton(a: ConditionAutomaton, g: Graph,
             for lab, q2 in succ[q]:
                 nodes2 = (1 << i) if lab == ID else rows[lab][i]
                 nodes2 &= sat.nodes(q2)
-                for j in _node_bits(nodes2):
+                for j in _bits(nodes2):
                     cfg = (q2, j)
                     if cfg not in seen:
                         seen.add(cfg)
                         stack.append(cfg)
-        for j in _node_bits(targets):
+        for j in _bits(targets):
             accepted |= 1 << (m * n + j)
     return ctx.decode(accepted)
-
-
-def eval_automaton_boolean(a: ConditionAutomaton, g: Graph,
-                           ctx: EvalContext | None = None) -> bool:
-    return bool(eval_automaton(a, g, ctx))
-
-
-def _node_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-# ---------------------------------------------------------------------------
-# structural classification
-
-@dataclass(frozen=True)
-class AutomatonClassFlags:
-    f_free: Fragment
-    acyclic: bool
-    identity_free: bool
-
-
-def flags(a: ConditionAutomaton) -> AutomatonClassFlags:
-    """Which of {tc, pi, copi} the conditions avoid, whether the transition
-    graph is acyclic, and whether identity transitions are absent."""
-    used = Fragment.of()
-    for c in a.conditions:
-        used = used | operators_used(c)
-    tracked = Fragment.of("tc", "pi1", "pi2", "copi1", "copi2")
-    f_free = tracked - used
-
-    # cycle detection over the transition graph
-    succ = {q: [dst for _, dst in a.successors[q]] for q in a.states}
-    color: dict = {}
-    acyclic = True
-    for start in a.ordered_states:
-        if color.get(start) or not acyclic:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack and acyclic:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    acyclic = False
-                    break
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced and stack:
-                color[stack[-1][0]] = 2
-                stack.pop()
-    return AutomatonClassFlags(f_free, acyclic, a.identity_free)
-
-
-# ---------------------------------------------------------------------------
-# runs
-
-@dataclass(frozen=True)
-class Run:
-    states: tuple
-    nodes: tuple
-    labels: tuple
-
-
-def run_is_valid(a: ConditionAutomaton, g: Graph, run: Run,
-                 ctx: EvalContext | None = None) -> bool:
-    if len(run.states) != len(run.nodes) or len(run.labels) != len(run.states) - 1:
-        return False
-    if not run.states or run.states[0] not in a.initials:
-        return False
-    if run.states[-1] not in a.finals:
-        return False
-    if ctx is None:
-        ctx = EvalContext(g)
-    sat = _Satisfier(a, ctx)
-    for q, node in zip(run.states, run.nodes):
-        if node not in ctx.index or not sat.holds(q, ctx.index[node]):
-            return False
-    for j, lab in enumerate(run.labels):
-        if (run.states[j], lab, run.states[j + 1]) not in a.transitions:
-            return False
-        if lab == ID:
-            if run.nodes[j] != run.nodes[j + 1]:
-                return False
-        elif (run.nodes[j], lab, run.nodes[j + 1]) not in g.edges:
-            return False
-    return True
-
-
-def find_runs(a: ConditionAutomaton, g: Graph, source: str | None = None,
-              target: str | None = None, max_runs: int = 1000) -> list[Run]:
-    """Accepting runs by depth-first search.  A (state, node) configuration
-    is never repeated within one run, so runs through cycles are enumerated
-    only in their simple form; on trees with an identity-free automaton this
-    is every run."""
-    ctx = EvalContext(g)
-    sat = _Satisfier(a, ctx)
-    rows = {lab: ctx.successor_rows(lab) for lab in a.alphabet}
-    out: list[Run] = []
-    sources = [source] if source is not None else ctx.node_order
-
-    def dfs(q, i, states, nodes, labels, seen):
-        if len(out) >= max_runs:
-            return
-        if q in a.finals and (target is None or ctx.node_order[i] == target):
-            out.append(Run(tuple(states), tuple(nodes), tuple(labels)))
-        for lab, q2 in a.successors[q]:
-            nodes2 = (1 << i) if lab == ID else rows[lab][i]
-            nodes2 &= sat.nodes(q2)
-            for j in _node_bits(nodes2):
-                cfg = (q2, j)
-                if cfg in seen:
-                    continue
-                seen.add(cfg)
-                states.append(q2)
-                nodes.append(ctx.node_order[j])
-                labels.append(lab)
-                dfs(q2, j, states, nodes, labels, seen)
-                states.pop()
-                nodes.pop()
-                labels.pop()
-                seen.discard(cfg)
-
-    for m in sources:
-        i = ctx.index[m]
-        for q0 in sorted(a.initials, key=state_key):
-            if sat.holds(q0, i):
-                dfs(q0, i, [q0], [m], [], {(q0, i)})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +272,9 @@ def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6,
                 return False
             active.setdefault(i, set()).add(starts[0])
         # walk edges top-down so parent activity is complete before children
-        order = sorted(tree.edges,
-                       key=lambda e: (ctx.index[e[0]], e[1], ctx.index[e[2]]))
-        by_depth = sorted(order, key=lambda e: _depth_of(tree, e[0]))
-        for src, lab, dst in by_depth:
+        depth = classify(tree).node_depths
+        for src, lab, dst in sorted(tree.edges, key=lambda e: (
+                depth[e[0]], ctx.index[e[0]], e[1], ctx.index[e[2]])):
             i, j = ctx.index[src], ctx.index[dst]
             for q in sorted(active.get(i, ()), key=state_key):
                 followers = [q2 for lab2, q2 in a.successors[q]
@@ -422,13 +283,3 @@ def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6,
                     return False
                 active.setdefault(j, set()).add(followers[0])
     return True
-
-
-def _depth_of(tree: Graph, node: str) -> int:
-    depth = 0
-    current = node
-    parents = {t: s for s, _, t in tree.edges}
-    while current in parents:
-        current = parents[current]
-        depth += 1
-    return depth

@@ -15,7 +15,7 @@ from .expr import (
     Identity, Proj1, Proj2, TransClosure, Union,
     EMPTY, IDENTITY, labels_used, operators_used, render,
 )
-from .graphs import ResourceLimitError, default_ceiling
+from .graphs import ResourceLimitError, _subsets, default_ceiling
 
 __all__ = [
     "expr_to_automaton", "automaton_to_expr", "renumber_states",
@@ -339,13 +339,6 @@ def condition_complement(c: Expr) -> Expr:
         f"condition complement is defined for atomic conditions, got {render(c)}")
 
 
-def _subsets(items: tuple) -> list[frozenset]:
-    out = []
-    for bits in range(2 ** len(items)):
-        out.append(frozenset(items[i] for i in range(len(items)) if bits >> i & 1))
-    return out
-
-
 def determinize(a: ConditionAutomaton, max_states: int | None = None) -> ConditionAutomaton:
     """Subset construction refined by condition sets: states are pairs (Q, V)
     with Q original states and V the conditions assumed to hold at the
@@ -407,11 +400,10 @@ def determinize(a: ConditionAutomaton, max_states: int | None = None) -> Conditi
     )
 
 
-def downward_complement_automaton(a: ConditionAutomaton,
-                                  max_states: int | None = None) -> ConditionAutomaton:
+def downward_complement_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """On a tree, accepts exactly the descendant-or-self pairs the input does
     not accept: determinize, flip the finals, drop useless states."""
-    d = determinize(a, max_states)
+    d = determinize(a)
     flipped = ConditionAutomaton(
         states=d.states,
         alphabet=d.alphabet,
@@ -424,8 +416,7 @@ def downward_complement_automaton(a: ConditionAutomaton,
     return renumber_states(trim_automaton(flipped))
 
 
-def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton,
-                        max_states: int | None = None) -> ConditionAutomaton:
+def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
     """On trees: pairs accepted by a1 but not a2.  The second operand must
     range over every label a1 can step through, so the complement covers all
     of a1's paths."""
@@ -434,13 +425,13 @@ def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton,
         conditions=a2.conditions, initials=a2.initials, finals=a2.finals,
         transitions=a2.transitions, state_conditions=a2.state_conditions,
     )
-    return intersect_automata(a1, downward_complement_automaton(a2, max_states))
+    return intersect_automata(a1, downward_complement_automaton(a2))
 
 
-def trim_automaton(a: ConditionAutomaton, *, co: bool = True) -> ConditionAutomaton:
-    """Keep states reachable from an initial state (and, with co=True, able
-    to reach a final state).  Conditions no longer attached anywhere are
-    dropped from the declared set."""
+def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
+    """Keep the states reachable from an initial state and able to reach a
+    final state.  Conditions no longer attached anywhere are dropped from the
+    declared set."""
     forward = set(a.initials)
     stack = list(forward)
     while stack:
@@ -449,20 +440,18 @@ def trim_automaton(a: ConditionAutomaton, *, co: bool = True) -> ConditionAutoma
             if t not in forward:
                 forward.add(t)
                 stack.append(t)
-    keep = forward
-    if co:
-        predecessors: dict = {}
-        for s, _, t in a.transitions:
-            predecessors.setdefault(t, set()).add(s)
-        backward = set(a.finals)
-        stack = list(backward)
-        while stack:
-            q = stack.pop()
-            for s in predecessors.get(q, ()):
-                if s not in backward:
-                    backward.add(s)
-                    stack.append(s)
-        keep = forward & backward
+    predecessors: dict = {}
+    for s, _, t in a.transitions:
+        predecessors.setdefault(t, set()).add(s)
+    backward = set(a.finals)
+    stack = list(backward)
+    while stack:
+        q = stack.pop()
+        for s in predecessors.get(q, ()):
+            if s not in backward:
+                backward.add(s)
+                stack.append(s)
+    keep = forward & backward
     state_conditions = [(q, c) for q, c in a.state_conditions if q in keep]
     return ConditionAutomaton.build(
         states=keep,

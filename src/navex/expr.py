@@ -19,8 +19,7 @@ __all__ = [
     "power", "star", "label_union",
     "ParseError", "FragmentError", "parse", "render",
     "size", "labels_used", "subexpressions",
-    "Fragment", "FLAGS", "operators_used", "base_closure",
-    "simplify_empty", "is_downward", "condition_depth",
+    "Fragment", "FLAGS", "operators_used", "condition_depth",
 ]
 
 
@@ -206,12 +205,13 @@ def subexpressions(e: Expr):
 
 
 def size(e: Expr) -> int:
-    """Operator count: atoms are 0, every unary or binary node adds 1."""
-    if isinstance(e, _UNARY):
-        return 1 + size(e.child)
-    if isinstance(e, _BINARY):
-        return 1 + size(e.left) + size(e.right)
-    return 0
+    """Operator count: atoms are 0, every unary or binary node adds 1.
+    Shared subterms count once per occurrence."""
+    count: dict[int, int] = {}
+    for node in _distinct_nodes(e):
+        kids = _children(node)
+        count[id(node)] = 1 + sum(count[id(k)] for k in kids) if kids else 0
+    return count[id(e)]
 
 
 def labels_used(e: Expr) -> frozenset[str]:
@@ -248,22 +248,6 @@ class Fragment:
     def of(cls, *names: str) -> "Fragment":
         return cls(frozenset(names))
 
-    @classmethod
-    def from_string(cls, text: str) -> "Fragment":
-        """Parse a comma-separated flag list; 'pi' and 'copi' cover both indices."""
-        names: set[str] = set()
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if part == "pi":
-                names.update(("pi1", "pi2"))
-            elif part == "copi":
-                names.update(("copi1", "copi2"))
-            else:
-                names.add(part)
-        return cls(frozenset(names))
-
     def __contains__(self, flag: str) -> bool:
         return flag in self.flags
 
@@ -289,84 +273,8 @@ def operators_used(e: Expr) -> Fragment:
     return Fragment(frozenset(found))
 
 
-# Each rule: if the premise flags are present, the derived flag is expressible.
-_BASE_RULES: tuple[tuple[frozenset[str], str], ...] = (
-    (frozenset({"minus"}), "cap"),                # e1 & e2 == e1 \ (e1 \ e2)
-    (frozenset({"copi1"}), "pi1"),                # pi1(e) == copi1(copi1(e))
-    (frozenset({"copi2"}), "pi2"),
-    (frozenset({"conv", "cap"}), "pi1"),          # pi1(e) == e . conv(e) & id
-    (frozenset({"conv", "cap"}), "pi2"),
-    (frozenset({"di", "cap"}), "pi1"),            # pi1(e) == e . (id|di) & id
-    (frozenset({"di", "cap"}), "pi2"),
-    (frozenset({"pi2", "conv"}), "pi1"),          # pi1(e) == pi2(conv(e))
-    (frozenset({"pi1", "conv"}), "pi2"),
-    (frozenset({"minus", "pi1"}), "copi1"),       # copi1(e) == id \ pi1(e)
-    (frozenset({"minus", "pi2"}), "copi2"),
-    (frozenset({"copi2", "conv"}), "copi1"),      # copi1(e) == copi2(conv(e))
-    (frozenset({"copi1", "conv"}), "copi2"),
-)
-
-
-def base_closure(f: Fragment) -> Fragment:
-    """Close a flag set under interdefinability of the condition operators.
-
-    di, conv, and tc are never derivable; the closure only ever adds
-    projections, coprojections, cap, and never removes anything.
-    """
-    flags = set(f.flags)
-    changed = True
-    while changed:
-        changed = False
-        for premise, gain in _BASE_RULES:
-            if gain not in flags and premise <= flags:
-                flags.add(gain)
-                changed = True
-    return Fragment(frozenset(flags))
-
-
 # ---------------------------------------------------------------------------
-# structural rewrites and checks
-
-def simplify_empty(e: Expr) -> Expr:
-    """Remove 0 subterms: the result is 0 itself or contains no 0 at all."""
-    if isinstance(e, _UNARY):
-        c = simplify_empty(e.child)
-        if isinstance(c, Empty):
-            if isinstance(e, (Coproj1, Coproj2)):
-                return IDENTITY
-            return EMPTY
-        return e if c is e.child else type(e)(c)
-    if isinstance(e, _BINARY):
-        l = simplify_empty(e.left)
-        r = simplify_empty(e.right)
-        le, re_ = isinstance(l, Empty), isinstance(r, Empty)
-        if isinstance(e, Compose):
-            if le or re_:
-                return EMPTY
-        elif isinstance(e, Union):
-            if le:
-                return r
-            if re_:
-                return l
-        elif isinstance(e, Intersect):
-            if le or re_:
-                return EMPTY
-        else:  # Difference
-            if le:
-                return EMPTY
-            if re_:
-                return l
-        if l is e.left and r is e.right:
-            return e
-        return type(e)(l, r)
-    return e
-
-
-def is_downward(e: Expr) -> bool:
-    """True when the expression can only relate a node to its descendants
-    (syntactically: no diversity and no converse anywhere)."""
-    return not any(type(n) in (Diversity, Converse) for n in _distinct_nodes(e))
-
+# condition depth
 
 def condition_depth(e: Expr) -> int:
     """Projection nesting depth for expressions built from 0, id, labels,
@@ -535,8 +443,13 @@ class _Parser:
 
 def parse(text: str, alphabet=None) -> Expr:
     """Parse the concrete grammar.  `alphabet` (an iterable of labels) is only
-    needed when the text uses the E shorthand."""
-    return _Parser(text, alphabet).parse()
+    needed when the text uses the E shorthand.  Input nested deeper than the
+    interpreter's recursion limit allows raises ParseError."""
+    parser = _Parser(text, alphabet)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("nesting too deep", parser.peek()[2]) from None
 
 
 _PREC = {
@@ -546,32 +459,32 @@ _BIN_SYM = {Union: "|", Difference: "\\", Intersect: "&", Compose: "."}
 _FUN_SYM = {Converse: "conv", Proj1: "pi1", Proj2: "pi2", Coproj1: "copi1", Coproj2: "copi2"}
 
 
-def _prec(e: Expr) -> int:
-    return _PREC.get(type(e), 6)
+_ATOM_TEXT = {Empty: "0", Identity: "id", Diversity: "di"}
 
 
 def render(e: Expr) -> str:
-    """Produce concrete syntax that parses back to the same tree (no sugar)."""
-    t = type(e)
-    if t is Empty:
-        return "0"
-    if t is Identity:
-        return "id"
-    if t is Diversity:
-        return "di"
-    if t is EdgeLabel:
-        return e.name
-    if t in _FUN_SYM:
-        return f"{_FUN_SYM[t]}({render(e.child)})"
-    if t is TransClosure:
-        inner = render(e.child)
-        if _prec(e.child) < 5:
-            inner = f"({inner})"
-        return inner + "+"
-    p = _PREC[t]
-    left, right = render(e.left), render(e.right)
-    if _prec(e.left) < p:
-        left = f"({left})"
-    if _prec(e.right) <= p:
-        right = f"({right})"
-    return f"{left} {_BIN_SYM[t]} {right}"
+    """Produce concrete syntax that parses back to the same tree (no sugar).
+    Each distinct node object is rendered once, children first, so deep and
+    shared expressions render without recursion."""
+    text: dict[int, str] = {}
+    for node in _distinct_nodes(e):
+        t = type(node)
+        if t is EdgeLabel:
+            out = node.name
+        elif t in _BIN_SYM:
+            p = _PREC[t]
+            left, right = text[id(node.left)], text[id(node.right)]
+            if _PREC.get(type(node.left), 6) < p:
+                left = f"({left})"
+            if _PREC.get(type(node.right), 6) <= p:
+                right = f"({right})"
+            out = f"{left} {_BIN_SYM[t]} {right}"
+        elif t in _FUN_SYM:
+            out = f"{_FUN_SYM[t]}({text[id(node.child)]})"
+        elif t is TransClosure:
+            out = text[id(node.child)]
+            out = f"({out})+" if _PREC.get(type(node.child), 6) < 5 else out + "+"
+        else:
+            out = _ATOM_TEXT[t]
+        text[id(node)] = out
+    return text[id(e)]

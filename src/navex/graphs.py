@@ -1,4 +1,4 @@
-"""Edge-labeled graphs, shape classification, instance enumeration, homomorphisms.
+"""Edge-labeled graphs, shape classification, instance enumeration.
 
 Nodes are strings.  Edges are (source, label, target) triples; multiple labels
 between the same pair of nodes are allowed.  Trees here are rooted and
@@ -21,8 +21,7 @@ __all__ = [
     "classify", "validate_single_labeled",
     "chain_graph", "parallel_paths_graph",
     "count_trees", "enumerate_trees", "enumerate_graphs", "instances",
-    "GRAPH_CLASSES", "find_homomorphism", "is_homomorphism",
-    "default_ceiling",
+    "GRAPH_CLASSES", "default_ceiling",
 ]
 
 RESERVED_LABEL = "id"  # used by automata for identity steps, never a graph label
@@ -194,6 +193,12 @@ def validate_single_labeled(g: Graph) -> bool:
     return True
 
 
+def _subsets(items) -> list[frozenset]:
+    """Every subset of the sequence `items`, in binary-counting order."""
+    return [frozenset(x for i, x in enumerate(items) if bits >> i & 1)
+            for bits in range(2 ** len(items))]
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -288,23 +293,24 @@ def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False,
 
 
 def _structured_graphs(alphabet) -> list[Graph]:
-    lab = alphabet[0] if alphabet else "a"
-    out = [parallel_paths_graph(a, b, lab)
-           for a, b in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 7))]
-    loop = Graph.build(["n0"], alphabet, [("n0", lab, "n0")])
-    two_cycle = Graph.build(["n0", "n1"], alphabet,
-                            [("n0", lab, "n1"), ("n1", lab, "n0")])
-    out.extend([loop, two_cycle])
-    if len(alphabet) >= 1:
-        out = [Graph(g.nodes, frozenset(alphabet), g.edges) for g in out]
-    return out
+    """Parallel paths, a self-loop and a 2-cycle along the first label, each
+    over the whole alphabet; none when there are no labels."""
+    if not alphabet:
+        return []
+    lab = alphabet[0]
+    paths = [parallel_paths_graph(a, b, lab)
+             for a, b in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 7))]
+    shapes = [(g.nodes, g.edges) for g in paths]
+    shapes += [(["n0"], [("n0", lab, "n0")]),
+               (["n0", "n1"], [("n0", lab, "n1"), ("n1", lab, "n0")])]
+    return [Graph.build(nodes, alphabet, edges) for nodes, edges in shapes]
 
 
-def enumerate_graphs(max_nodes: int, labels=1, *, seed: int = 0,
-                     samples: int = 200, ceiling: int | None = None):
+def enumerate_graphs(max_nodes: int, labels=1, *, samples: int = 200,
+                     ceiling: int | None = None):
     """Yield small edge-labeled graphs: structured families first, then an
     exhaustive sweep where the space is tiny (|labels| * n^2 <= 9), then a
-    seeded random sample for the larger node/label combinations."""
+    fixed-seed random sample for the larger node/label combinations."""
     alphabet = _alphabet(labels)
     limit = ceiling if ceiling is not None else default_ceiling()
     exhaustive_total = 0
@@ -326,10 +332,9 @@ def enumerate_graphs(max_nodes: int, labels=1, *, seed: int = 0,
         names = [f"n{i}" for i in range(n)]
         cells = [(s, lab, t) for lab in alphabet for s in names for t in names]
         if len(cells) <= 9:
-            for bits in range(2 ** len(cells)):
-                edges = [cells[i] for i in range(len(cells)) if bits >> i & 1]
-                yield Graph(frozenset(names), label_set, frozenset(edges))
-    rng = random.Random(seed)
+            for edges in _subsets(cells):
+                yield Graph(frozenset(names), label_set, edges)
+    rng = random.Random(0)
     for n in sampled_combos:
         names = [f"n{i}" for i in range(n)]
         cells = [(s, lab, t) for lab in alphabet for s in names for t in names]
@@ -338,8 +343,8 @@ def enumerate_graphs(max_nodes: int, labels=1, *, seed: int = 0,
             yield Graph(frozenset(names), label_set, frozenset(edges))
 
 
-def instances(graph_class: str, max_nodes: int, labels=2, *, seed: int = 0,
-              samples: int = 200, ceiling: int | None = None):
+def instances(graph_class: str, max_nodes: int, labels=2, *,
+              ceiling: int | None = None):
     """The instance stream behind the equivalence oracles and the CLI."""
     if graph_class not in GRAPH_CLASSES:
         raise GraphError(f"unknown graph class {graph_class!r}")
@@ -347,52 +352,5 @@ def instances(graph_class: str, max_nodes: int, labels=2, *, seed: int = 0,
         labels = _alphabet(labels)[:1] or ("a",)
     chains = graph_class.endswith("chain")
     if graph_class == "labeled-graph":
-        return enumerate_graphs(max_nodes, labels, seed=seed, samples=samples,
-                                ceiling=ceiling)
+        return enumerate_graphs(max_nodes, labels, ceiling=ceiling)
     return enumerate_trees(max_nodes, labels, chains_only=chains, ceiling=ceiling)
-
-
-# ---------------------------------------------------------------------------
-# homomorphisms
-
-def is_homomorphism(g1: Graph, g2: Graph, mapping: dict, *, injective: bool = False) -> bool:
-    if set(mapping) != set(g1.nodes) or not set(mapping.values()) <= set(g2.nodes):
-        return False
-    if injective and len(set(mapping.values())) != len(mapping):
-        return False
-    return all((mapping[s], lab, mapping[t]) in g2.edges for s, lab, t in g1.edges)
-
-
-def find_homomorphism(g1: Graph, g2: Graph, *, injective: bool = False) -> dict | None:
-    """Backtracking search for an edge-preserving node mapping g1 -> g2."""
-    order = sorted(g1.nodes)
-    index = {n: i for i, n in enumerate(order)}
-    # edges whose endpoints are both assigned once node i is placed
-    checks: list[list[tuple[str, str, str]]] = [[] for _ in order]
-    for s, lab, t in g1.edges:
-        checks[max(index[s], index[t])].append((s, lab, t))
-    targets = sorted(g2.nodes)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def bt(i: int) -> bool:
-        if i == len(order):
-            return True
-        node = order[i]
-        for cand in targets:
-            if injective and cand in used:
-                continue
-            mapping[node] = cand
-            if all((mapping[s], lab, mapping[t]) in g2.edges for s, lab, t in checks[i]):
-                if injective:
-                    used.add(cand)
-                if bt(i + 1):
-                    return True
-                if injective:
-                    used.discard(cand)
-            del mapping[node]
-        return False
-
-    if bt(0):
-        return dict(mapping)
-    return None

@@ -34,13 +34,13 @@ from .expr import (
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     EMPTY, condition_depth, labels_used, operators_used, power, render,
 )
-from .graphs import chain_graph
+from .graphs import _subsets, chain_graph
 
 __all__ = [
     "RewriteError", "NotCollapsibleError", "RewriteReport", "NormalForm",
     "automaton_condition_depth", "automaton_condition_weight",
-    "remove_projection_step", "remove_projections_boolean_chain",
-    "remove_pi2_boolean_tree", "eliminate_intersect_difference",
+    "remove_projection_step", "remove_projections_boolean",
+    "eliminate_intersect_difference",
     "witness_span", "normalize_unlabeled_boolean",
     "PIPELINES", "run_pipeline",
 ]
@@ -78,24 +78,6 @@ def automaton_condition_weight(a: ConditionAutomaton) -> int:
     """Number of declared conditions at the maximum depth."""
     d = automaton_condition_depth(a)
     return sum(1 for c in a.conditions if condition_depth(c) == d)
-
-
-def _subsets_of(items) -> list[frozenset]:
-    items = sorted(items)
-    out = []
-    for bits in range(2 ** len(items)):
-        out.append(frozenset(items[i] for i in range(len(items)) if bits >> i & 1))
-    return out
-
-
-def _hitting_subsets(universe: list, requirements: list[frozenset]) -> list[frozenset]:
-    """All subsets of `universe` meeting every requirement set."""
-    out = []
-    for bits in range(2 ** len(universe)):
-        q = frozenset(universe[i] for i in range(len(universe)) if bits >> i & 1)
-        if all(q & r for r in requirements):
-            out.append(q)
-    return out
 
 
 _BOT = "below"  # tracking-only state used beyond the main run's extent
@@ -156,7 +138,7 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
             for qp in i_prime:
                 initials.add((q, frozenset({qp})))
     else:
-        spawnable = [r for r in _subsets_of(i_prime) if r]
+        spawnable = [r for r in _subsets(sorted(i_prime)) if r]
         for q in a.initials:
             for r in spawnable:
                 if q in s_cond:
@@ -176,16 +158,12 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
         forced = frozenset(s for s in tracked if not succ.get(s))
         if not forced <= may_retire:
             return
-        optional = sorted(may_retire - forced)
         seen = set()
-        for bits in range(2 ** len(optional)):
-            retired = forced | {optional[i] for i in range(len(optional))
-                                if bits >> i & 1}
-            moving = tracked - retired
-            reqs = [succ[s] for s in moving]
-            universe = sorted(frozenset().union(*reqs) if reqs else frozenset())
-            for q_set in _hitting_subsets(universe, reqs):
-                if q_set not in seen:
+        for optional in _subsets(sorted(may_retire - forced)):
+            reqs = [succ[s] for s in tracked - forced - optional]
+            universe = sorted(frozenset().union(*reqs))
+            for q_set in _subsets(universe):
+                if q_set not in seen and all(q_set & r for r in reqs):
                     seen.add(q_set)
                     yield q_set
 
@@ -193,7 +171,7 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     worklist = list(initials)
     transitions = set()
     i_singles = sorted(i_prime)
-    i_subsets = _subsets_of(i_prime)
+    i_subsets = _subsets(i_singles)
     while worklist:
         src = worklist.pop()
         p, tracked = src
@@ -285,7 +263,39 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     )
 
 
-def _projection_loop(a: ConditionAutomaton, steps: list[str]) -> ConditionAutomaton:
+# operators each graph class lets projection removal keep nonemptiness for
+_PROJECTION_OPERATORS = {
+    "labeled-chain": frozenset({"tc", "pi1", "pi2"}),
+    "labeled-tree": frozenset({"tc", "pi2"}),
+}
+
+
+def remove_projections_boolean(e: Expr, graph_class: str,
+                               steps: list[str] | None = None) -> Expr:
+    """A projection-free expression with the same nonemptiness as `e` on
+    every instance of `graph_class`.  `e` may use labels, id, 0, composition,
+    union, transitive closure and projections: both projections on labeled
+    chains, only second projections on labeled trees.  Second-projection
+    condition runs walk toward ancestors, and trees do not branch in that
+    direction; first projections look into subtrees, which may branch."""
+    allowed = _PROJECTION_OPERATORS.get(graph_class)
+    if allowed is None:
+        raise RewriteError(f"no projection removal on {graph_class!r}; choose "
+                           f"from {sorted(_PROJECTION_OPERATORS)}")
+    used = operators_used(e)
+    if "pi1" in used and "pi1" not in allowed:
+        raise RewriteError(
+            f"first projections cannot be removed on {graph_class}; "
+            "pi1(a) . pi1(b) separates branching from non-branching instances")
+    if not used.flags <= allowed:
+        raise RewriteError(f"projection removal on {graph_class} handles "
+                           f"{', '.join(sorted(allowed))} only, got {used}")
+    if steps is None:
+        steps = []
+    a = renumber_states(trim_automaton(remove_identity_transitions(
+        expr_to_automaton(e, alphabet=labels_used(e)))))
+    steps.append(f"translated to an automaton with {len(a.states)} states and "
+                 f"{len(a.conditions)} conditions")
     measure = (automaton_condition_depth(a), automaton_condition_weight(a))
     while automaton_condition_depth(a) > 0:
         a = renumber_states(trim_automaton(remove_projection_step(a)))
@@ -294,56 +304,13 @@ def _projection_loop(a: ConditionAutomaton, steps: list[str]) -> ConditionAutoma
         measure = now
         steps.append(f"condition removed; depth {now[0]}, weight {now[1]}, "
                      f"{len(a.states)} states")
-    return a
-
-
-def remove_projections_boolean_chain(e: Expr, steps: list[str] | None = None) -> Expr:
-    """A projection-free expression with the same nonemptiness as `e` on
-    every labeled chain.  `e` may use labels, id, 0, composition, union,
-    transitive closure, and both projections."""
-    used = operators_used(e)
-    if not used.flags <= {"tc", "pi1", "pi2"}:
-        raise RewriteError(
-            f"chain projection removal handles closure and projections only, got {used}")
-    if steps is None:
-        steps = []
-    a = renumber_states(trim_automaton(remove_identity_transitions(
-        expr_to_automaton(e, alphabet=labels_used(e)))))
-    steps.append(f"translated to an automaton with {len(a.states)} states and "
-                 f"{len(a.conditions)} conditions")
-    a = _projection_loop(a, steps)
-    return automaton_to_expr(a)
-
-
-def remove_pi2_boolean_tree(e: Expr, steps: list[str] | None = None) -> Expr:
-    """A projection-free expression with the same nonemptiness as `e` on
-    every labeled tree.  Only second projections are allowed: their condition
-    runs walk toward ancestors, and trees do not branch in that direction.
-    First projections look into subtrees, which may branch, so they are
-    rejected here."""
-    used = operators_used(e)
-    if "pi1" in used:
-        raise RewriteError(
-            "first projections cannot be removed on trees; "
-            "pi1(a) . pi1(b) separates branching from non-branching instances")
-    if not used.flags <= {"tc", "pi2"}:
-        raise RewriteError(
-            f"tree projection removal handles closure and pi2 only, got {used}")
-    if steps is None:
-        steps = []
-    a = renumber_states(trim_automaton(remove_identity_transitions(
-        expr_to_automaton(e, alphabet=labels_used(e)))))
-    steps.append(f"translated to an automaton with {len(a.states)} states and "
-                 f"{len(a.conditions)} conditions")
-    a = _projection_loop(a, steps)
     return automaton_to_expr(a)
 
 
 # ---------------------------------------------------------------------------
 # intersection and difference elimination on trees
 
-def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None,
-                                   max_states: int | None = None) -> Expr:
+def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> Expr:
     """An intersection- and difference-free expression path-equivalent to `e`
     on every tree.  Works bottom-up through condition automata: products for
     intersections, determinized complements for differences.  All automata
@@ -374,7 +341,7 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None,
             steps.append(f"intersection product: {len(prod.states)} states")
             return renumber_states(trim_automaton(prod))
         if isinstance(e, Difference):
-            diff = difference_automata(build(e.left), build(e.right), max_states)
+            diff = difference_automata(build(e.left), build(e.right))
             steps.append(f"difference via complement: {len(diff.states)} states")
             return renumber_states(trim_automaton(diff))
         raise RewriteError(f"no tree rewrite for {render(e)}")
@@ -472,18 +439,25 @@ class RewriteReport:
         return self.verdict is None or bool(self.verdict)
 
 
-def _certify_chain(e, out, max_nodes, ceiling):
-    return boolean_equivalent(e, out, "labeled-chain", max_nodes=max_nodes,
-                              ceiling=ceiling)
+def _normal_form(e: Expr, steps: list[str]) -> Expr:
+    form = normalize_unlabeled_boolean(e)
+    steps += [f"searched chains of 1..{form.searched} nodes",
+              f"normal form: {form}"]
+    return form.expr
 
 
 PIPELINES = {
-    # name: (rewrite, certification semantics, graph class, default max nodes)
-    "chain-projections": (remove_projections_boolean_chain, "boolean",
-                          "labeled-chain", 8),
-    "tree-pi2": (remove_pi2_boolean_tree, "boolean", "labeled-tree", 5),
+    # name: (rewrite(e, steps), certification semantics, graph class,
+    #        default max nodes)
+    "chain-projections": (
+        lambda e, steps: remove_projections_boolean(e, "labeled-chain", steps),
+        "boolean", "labeled-chain", 8),
+    "tree-pi2": (
+        lambda e, steps: remove_projections_boolean(e, "labeled-tree", steps),
+        "boolean", "labeled-tree", 5),
     "tree-set-operations": (eliminate_intersect_difference, "path",
                             "labeled-tree", 5),
+    "unlabeled-normal-form": (_normal_form, "boolean", "unlabeled-chain", 8),
 }
 
 
@@ -492,22 +466,9 @@ def run_pipeline(name: str, e: Expr, *, certify: bool = True,
                  ceiling: int | None = None) -> RewriteReport:
     """Apply a named rewrite and, unless disabled, certify the result against
     the original by exhaustive evaluation over bounded instances."""
-    if name == "unlabeled-normal-form":
-        form = normalize_unlabeled_boolean(e)
-        verdict = None
-        if certify:
-            verdict = boolean_equivalent(
-                e, form.expr, "unlabeled-chain",
-                max_nodes=max_nodes if max_nodes is not None else 8,
-                ceiling=ceiling)
-        return RewriteReport(name, e, form.expr,
-                             (f"searched chains of 1..{form.searched} nodes",
-                              f"normal form: {form}"),
-                             verdict)
     if name not in PIPELINES:
         raise RewriteError(
-            f"unknown pipeline {name!r}; choose from "
-            f"{sorted(PIPELINES) + ['unlabeled-normal-form']}")
+            f"unknown pipeline {name!r}; choose from {sorted(PIPELINES)}")
     rewrite, semantics, graph_class, default_nodes = PIPELINES[name]
     steps: list[str] = []
     out = rewrite(e, steps)

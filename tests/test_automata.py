@@ -1,14 +1,13 @@
-"""Condition automata: structure, evaluation, runs, determinism."""
+"""Condition automata: structure, evaluation, determinism."""
 
 import pytest
 
 from navex.automata import (
-    ID, AutomatonClassFlags, AutomatonError, ConditionAutomaton, Run,
-    check_deterministic, eval_automaton, find_runs, flags, run_is_valid,
-    state_condition_expr, state_key,
+    ID, AutomatonError, ConditionAutomaton, check_deterministic,
+    eval_automaton, state_condition_expr, state_key,
 )
 from navex.evaluate import EvalContext, evaluate
-from navex.expr import EdgeLabel, Fragment, IDENTITY, parse, render
+from navex.expr import EdgeLabel, IDENTITY, parse, render
 from navex.graphs import Graph, chain_graph, enumerate_trees
 
 
@@ -66,15 +65,6 @@ def test_state_key_orders_mixed_states():
     assert state_key(parse("pi1(a)")) == ("e", "pi1(a)")
 
 
-def test_flags_of_the_branchy_automaton(branchy):
-    got = flags(branchy)
-    assert got == AutomatonClassFlags(
-        f_free=Fragment.of("tc", "copi1", "copi2"),
-        acyclic=False,            # the l1 self-loop on q2
-        identity_free=True,
-    )
-
-
 def test_state_condition_expr(branchy, deep_tree):
     assert state_condition_expr(branchy, "q3") == IDENTITY
     assert state_condition_expr(branchy, "q1") == IDENTITY  # single id condition
@@ -103,26 +93,6 @@ def test_eval_on_every_small_tree_agrees_with_expression(branchy):
         assert eval_automaton(branchy, tree, ctx) == evaluate(equivalent, tree, ctx)
 
 
-def test_runs(branchy, deep_tree):
-    short = Run(states=("q1", "q4"), nodes=("r", "m"), labels=("l3",))
-    long = Run(states=("q1", "q2", "q2", "q3"),
-               nodes=("n1", "n2", "n3", "n4"), labels=("l1", "l1", "l2"))
-    assert run_is_valid(branchy, deep_tree, short)
-    assert run_is_valid(branchy, deep_tree, long)
-    # n1 does not satisfy pi2(l1^2): only one l1-edge enters it
-    bad = Run(states=("q1", "q2"), nodes=("r", "n1"), labels=("l1",))
-    assert not run_is_valid(branchy, deep_tree, bad)
-    assert not run_is_valid(branchy, deep_tree,
-                            Run(("q1",), ("r",), ()))  # q1 is not final
-
-    found = find_runs(branchy, deep_tree, source="r", target="m")
-    assert short in found
-    found = find_runs(branchy, deep_tree, source="n1", target="n4")
-    assert found == [long]
-    for run in find_runs(branchy, deep_tree)[:50]:
-        assert run_is_valid(branchy, deep_tree, run)
-
-
 def test_identity_transitions_in_runs():
     a = ConditionAutomaton.build(
         states={"u", "v"}, alphabet={"a"}, conditions={parse("pi1(a)")},
@@ -132,9 +102,6 @@ def test_identity_transitions_in_runs():
     )
     g = chain_graph(2)
     assert eval_automaton(a, g) == {("n0", "n0")}
-    run = Run(states=("u", "v"), nodes=("n0", "n0"), labels=(ID,))
-    assert run_is_valid(a, g, run)
-    assert not run_is_valid(a, g, Run(("u", "v"), ("n0", "n1"), (ID,)))
     assert not a.identity_free
 
 
@@ -198,6 +165,16 @@ def test_determinism_requires_identity_free():
                                  [("u", ID, "v")], [])
     with pytest.raises(AutomatonError):
         check_deterministic(a)
+
+
+def test_branching_two_steps_down_is_not_deterministic():
+    # every node starts in p alone; the choice between r1 and r2 comes only
+    # after one step, so edges must be walked from the root down to reach it
+    a = ConditionAutomaton.build(
+        {"p", "q", "r1", "r2"}, {"a"}, set(), {"p"}, {"r1", "r2"},
+        [("p", "a", "q"), ("q", "a", "r1"), ("q", "a", "r2")], [])
+    assert check_deterministic(a, max_nodes=2)
+    assert not check_deterministic(a, max_nodes=3)
 
 
 def _literal_deterministic(a: ConditionAutomaton, tree: Graph) -> bool:

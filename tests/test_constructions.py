@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from navex.automata import (
-    ID, ConditionAutomaton, check_deterministic, eval_automaton, flags,
+    ID, ConditionAutomaton, check_deterministic, eval_automaton,
 )
 from navex.constructions import (
     automaton_to_expr, compose_automata, condition_complement,

@@ -13,7 +13,7 @@ from navex.evaluate import (
 from navex.expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, parse, power, simplify_empty, subexpressions,
+    EMPTY, IDENTITY, parse, power, subexpressions,
 )
 from navex.graphs import Graph, chain_graph, enumerate_trees, parallel_paths_graph
 from navex.rewrite import run_pipeline
@@ -131,8 +131,9 @@ def test_boolean_and_holds_at(alt_chain):
     assert evaluate_boolean(parse("a . b"), alt_chain)
     assert not evaluate_boolean(parse("b . b"), alt_chain)
     ctx = EvalContext(alt_chain)
-    assert ctx.holds_at(parse("pi1(a)"), "n0")
-    assert not ctx.holds_at(parse("pi1(a)"), "n1")
+    has_a_edge = ctx.diagonal_nodes(parse("pi1(a)"))
+    assert has_a_edge >> ctx.index["n0"] & 1
+    assert not has_a_edge >> ctx.index["n1"] & 1
 
 
 def test_is_condition():
@@ -206,12 +207,6 @@ def test_bitmask_evaluator_matches_reference(e, g):
     assert evaluate(e, g) == reference_eval(e, g)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_exprs, _graphs)
-def test_simplify_empty_preserves_semantics(e, g):
-    assert evaluate(e, g) == evaluate(simplify_empty(e), g)
-
-
 @settings(max_examples=100, deadline=None)
 @given(_exprs, _graphs)
 def test_transitive_closure_is_a_fixpoint(e, g):
@@ -262,6 +257,12 @@ def test_intersection_of_labels_on_single_labeled_classes():
     assert not v.equivalent
 
 
+def test_oracle_on_general_graphs_without_labels():
+    v = path_equivalent(parse("id"), parse("id | 0"), "labeled-graph",
+                        max_nodes=2, labels=0)
+    assert v.equivalent and v.checked == 2
+
+
 def test_parallel_paths_separate_power_intersection():
     e = parse("a^3 & a^7")
     v = path_equivalent(e, parse("0"), "labeled-graph", 2)
@@ -281,11 +282,6 @@ def test_power_on_long_chain():
     assert evaluate(power(a, 21), g) == {("n0", "n21")}
     ctx = EvalContext(g)
     assert ctx.mask_of(parse("(a^3)+ & (a^7)+")) == ctx.mask_of(parse("(a^21)+"))
-
-
-def test_extra_random_is_rejected_on_general_graphs():
-    with pytest.raises(ValueError, match="extra_random"):
-        path_equivalent(a, a, "labeled-graph", 2, extra_random=50)
 
 
 def test_deep_expressions_evaluate_without_recursion_limits():

@@ -1,11 +1,11 @@
-"""Graph structure, classification, enumeration, and homomorphisms."""
+"""Graph structure, classification, and enumeration."""
 
 import pytest
 
 from navex.graphs import (
     Graph, GraphError, ResourceLimitError, chain_graph, classify, count_trees,
-    enumerate_graphs, enumerate_trees, find_homomorphism, instances,
-    is_homomorphism, parallel_paths_graph, validate_single_labeled,
+    enumerate_graphs, enumerate_trees, instances, parallel_paths_graph,
+    validate_single_labeled,
 )
 
 
@@ -123,6 +123,11 @@ def test_enumerate_graphs_structured_families_come_first():
     assert len(rest) == 6 + 2 + 16
 
 
+def test_enumerate_graphs_without_labels():
+    # no structured families: they need a label for their edges
+    assert len(list(enumerate_graphs(2, 0))) == 2
+
+
 def test_instances_class_policies():
     assert len(list(instances("unlabeled-chain", 3))) == 3
     assert len(list(instances("unlabeled-tree", 4))) == 1 + 1 + 2 + 6
@@ -136,34 +141,3 @@ def test_parallel_paths_shape():
     assert len(g.nodes) == 10
     assert len(g.edges) == 10
     assert classify(g).kind == "general"
-
-
-def test_find_homomorphism_chains():
-    h = find_homomorphism(chain_graph(3), chain_graph(5))
-    assert h is not None
-    assert is_homomorphism(chain_graph(3), chain_graph(5), h)
-    # a 5-chain cannot map into a 3-chain: edges force a walk of length 4
-    assert find_homomorphism(chain_graph(5), chain_graph(3)) is None
-
-
-def test_find_homomorphism_respects_labels():
-    g1 = chain_graph(3, ["a", "b"])
-    g2 = chain_graph(3, ["a", "a"])
-    assert find_homomorphism(g1, g2) is None
-    assert find_homomorphism(g1, g1) is not None
-
-
-def test_injective_homomorphism():
-    star = Graph.build(["r", "x", "y"], ["a"], [("r", "a", "x"), ("r", "a", "y")])
-    collapsed = chain_graph(2)
-    h = find_homomorphism(star, collapsed)
-    assert h is not None and h["x"] == h["y"]
-    assert find_homomorphism(star, collapsed, injective=True) is None
-    h = find_homomorphism(star, star, injective=True)
-    assert is_homomorphism(star, star, h, injective=True)
-
-
-def test_identity_is_a_homomorphism():
-    for g in enumerate_trees(4, 2):
-        ident = {n: n for n in g.nodes}
-        assert is_homomorphism(g, g, ident, injective=True)

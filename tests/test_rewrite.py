@@ -13,7 +13,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navex.automata import eval_automaton_boolean
+from navex.automata import eval_automaton
 from navex.constructions import (
     expr_to_automaton, remove_identity_transitions, renumber_states,
     trim_automaton,
@@ -28,8 +28,8 @@ from navex.rewrite import (
     _BOT, NotCollapsibleError, RewriteError, RewriteReport,
     automaton_condition_depth, automaton_condition_weight,
     eliminate_intersect_difference, normalize_unlabeled_boolean,
-    remove_pi2_boolean_tree, remove_projection_step,
-    remove_projections_boolean_chain, run_pipeline, witness_span,
+    remove_projection_step, remove_projections_boolean, run_pipeline,
+    witness_span,
 )
 
 
@@ -227,7 +227,7 @@ def test_projection_step_preserves_nonemptiness_on_chains(text):
             g = Graph.build(nodes, ("a", "b"),
                             [(nodes[i], labeling[i], nodes[i + 1])
                              for i in range(n - 1)])
-            assert eval_automaton_boolean(a, g) == eval_automaton_boolean(stepped, g)
+            assert bool(eval_automaton(a, g)) == bool(eval_automaton(stepped, g))
 
 
 def test_projection_step_requires_projection_conditions():
@@ -271,7 +271,7 @@ CHAIN_CORPUS = [
 @pytest.mark.parametrize("text", CHAIN_CORPUS)
 def test_chain_pipeline_removes_projections_and_preserves_nonemptiness(text):
     e = parse(text)
-    out = remove_projections_boolean_chain(e)
+    out = remove_projections_boolean(e, "labeled-chain")
     assert not operators_used(out).flags & {"pi1", "pi2"}
     verdict = boolean_equivalent(e, out, "labeled-chain", max_nodes=7)
     assert verdict, verdict.counterexample
@@ -283,7 +283,7 @@ def test_chain_pipeline_keeps_the_three_node_witness():
     # keep the short chain satisfiable.
     e = parse("pi1((a . a) | pi2(a . a)) . a . a . pi1((a . a) | pi2(a . a))")
     assert evaluate_boolean(e, chain_graph(3))
-    out = remove_projections_boolean_chain(e)
+    out = remove_projections_boolean(e, "labeled-chain")
     assert not operators_used(out).flags & {"pi1", "pi2"}
     assert evaluate_boolean(out, chain_graph(3))
     verdict = boolean_equivalent(e, out, "labeled-chain", max_nodes=8)
@@ -291,14 +291,14 @@ def test_chain_pipeline_keeps_the_three_node_witness():
 
 
 def test_chain_pipeline_stays_closure_free_on_closure_free_input():
-    out = remove_projections_boolean_chain(parse("pi1(a . b) . b"))
+    out = remove_projections_boolean(parse("pi1(a . b) . b"), "labeled-chain")
     assert "tc" not in operators_used(out)
 
 
 def test_chain_pipeline_rejects_foreign_operators():
     for text in ("a & b", "copi1(a)", "conv(a)", "di", "a \\ b"):
         with pytest.raises(RewriteError):
-            remove_projections_boolean_chain(parse(text))
+            remove_projections_boolean(parse(text), "labeled-chain")
 
 
 def _expr_strategy():
@@ -318,7 +318,7 @@ def _expr_strategy():
 @settings(max_examples=25, deadline=None)
 @given(_expr_strategy())
 def test_chain_pipeline_property(e):
-    out = remove_projections_boolean_chain(e)
+    out = remove_projections_boolean(e, "labeled-chain")
     assert not operators_used(out).flags & {"pi1", "pi2"}
     verdict = boolean_equivalent(e, out, "labeled-chain", max_nodes=6)
     assert verdict, (render(e), render(out), verdict.counterexample)
@@ -333,15 +333,17 @@ TREE_CORPUS = [
 @pytest.mark.parametrize("text", TREE_CORPUS)
 def test_tree_pipeline_removes_pi2_and_preserves_nonemptiness(text):
     e = parse(text)
-    out = remove_pi2_boolean_tree(e)
+    out = remove_projections_boolean(e, "labeled-tree")
     assert not operators_used(out).flags & {"pi1", "pi2"}
     verdict = boolean_equivalent(e, out, "labeled-tree", max_nodes=5)
     assert verdict, verdict.counterexample
 
 
 def test_tree_pipeline_rejects_first_projections():
-    with pytest.raises(RewriteError):
-        remove_pi2_boolean_tree(parse("pi1(a)"))
+    with pytest.raises(RewriteError, match="first projections"):
+        remove_projections_boolean(parse("pi1(a)"), "labeled-tree")
+    with pytest.raises(RewriteError, match="no projection removal"):
+        remove_projections_boolean(parse("pi2(a)"), "unlabeled-chain")
 
 
 def test_first_projections_are_chain_only():
@@ -350,7 +352,7 @@ def test_first_projections_are_chain_only():
     # rewrite is therefore allowed to produce the empty expression, which a
     # branching tree distinguishes from the original.
     e = parse("pi1(a) . pi1(b)")
-    out = remove_projections_boolean_chain(e)
+    out = remove_projections_boolean(e, "labeled-chain")
     verdict = boolean_equivalent(e, out, "labeled-chain", max_nodes=6)
     assert verdict
     branching = next(
@@ -504,8 +506,11 @@ def test_unlabeled_normal_form_over_another_label():
 
 
 def test_run_pipeline_rejects_unknown_names():
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError) as exc:
         run_pipeline("no-such-pipeline", parse("a"))
+    for name in ("chain-projections", "tree-pi2", "tree-set-operations",
+                 "unlabeled-normal-form"):
+        assert name in str(exc.value)
 
 
 def test_normal_form_str():
