@@ -10,10 +10,17 @@ any number of graphs, so the bounded oracles compile each pair of
 expressions once and run that plan on every instance.  Neither compiling
 nor running hashes, compares or recurses over expressions, so deep
 expressions evaluate as well as shallow ones.
+
+The oracles map a plan's label names onto the positional labels l0, l1,
+... of their instance streams, so expressions over different names share
+a stream.  A stream's evaluation contexts are built as they are first
+needed and, if the stream is short enough, kept for later calls.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .expr import (
@@ -21,7 +28,9 @@ from .expr import (
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     _distinct_nodes, labels_used,
 )
-from .graphs import Graph, instances
+from .graphs import (
+    Graph, ResourceLimitError, _instance_count, default_ceiling, instances,
+)
 
 __all__ = [
     "EvalContext", "UnknownLabelError", "evaluate", "evaluate_boolean",
@@ -37,11 +46,14 @@ def is_condition(e: Expr) -> bool:
     """Conditions are the node-test expressions allowed on automaton states:
     identity, empty, projections and coprojections, and compositions of
     conditions."""
-    if isinstance(e, (Identity, Empty, Proj1, Proj2, Coproj1, Coproj2)):
-        return True
-    if isinstance(e, Compose):
-        return is_condition(e.left) and is_condition(e.right)
-    return False
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Compose:
+            stack += (node.left, node.right)
+        elif not isinstance(node, (Identity, Empty, Proj1, Proj2, Coproj1, Coproj2)):
+            return False
+    return True
 
 
 def _bits(mask: int):
@@ -291,6 +303,56 @@ def _required_labels(exprs, labels):
     return tuple(sorted(names)), used
 
 
+# The most instance contexts kept over all cached streams.  A stream is
+# kept whole or not at all: a longer one is evaluated without being kept,
+# and a new one evicts the least recently used streams until it fits.
+_CACHE_SIZE = 4096
+
+# (graph class, max nodes, labels) -> (stream length, the contexts built so
+# far, the rest of the instance stream), least recently used first
+_STREAMS: dict[tuple, tuple[int, list[EvalContext], Iterator[Graph]]] = {}
+# guards _STREAMS and the growth of each stream's contexts across threads
+_STREAMS_LOCK = threading.Lock()
+
+
+def _contexts(graph_class: str, max_nodes: int, labels: tuple[str, ...],
+              limit: int) -> Iterator[EvalContext]:
+    """The contexts of an instance stream, built as they are consumed."""
+    key = (graph_class, max_nodes, labels)
+    with _STREAMS_LOCK:
+        entry = _STREAMS.get(key)
+        total = entry[0] if entry else _instance_count(graph_class, max_nodes, labels)
+        if total > limit:
+            raise ResourceLimitError(f"{total} instances exceeds the ceiling of {limit}")
+        if entry is None:
+            graphs = instances(graph_class, max_nodes, labels, ceiling=limit)
+            if total > _CACHE_SIZE:
+                return map(EvalContext, graphs)
+            while sum(t for t, _, _ in _STREAMS.values()) + total > _CACHE_SIZE:
+                del _STREAMS[next(iter(_STREAMS))]
+            entry = (total, [], graphs)
+        else:
+            del _STREAMS[key]
+        _STREAMS[key] = entry           # now the most recently used
+    return _resume(entry[1], entry[2])
+
+
+def _resume(contexts: list[EvalContext], graphs: Iterator[Graph]):
+    """Yield the contexts built so far, then build the rest of the stream
+    onto them."""
+    i = 0
+    while True:
+        if i == len(contexts):
+            with _STREAMS_LOCK:
+                if i == len(contexts):
+                    g = next(graphs, None)
+                    if g is None:
+                        return
+                    contexts.append(EvalContext(g))
+        yield contexts[i]
+        i += 1
+
+
 def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
            semantics: str, ceiling: int | None) -> EquivVerdict:
     names, used = _required_labels((e1, e2), labels)
@@ -299,15 +361,25 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
             raise ValueError(
                 "expressions mention several labels; unlabeled classes carry one")
         names = tuple(sorted(used)) or ("a",)
-    checked = 0
+    stream_labels = tuple(f"l{i}" for i in range(len(names)))
+    rename = dict(zip(names, stream_labels))
     code, (r1, r2) = _compile((e1, e2))
+    code = [(op, rename[x], y) if op == _LABEL else (op, x, y)
+            for op, x, y in code]
+    limit = ceiling if ceiling is not None else default_ceiling()
     boolean = semantics == "boolean"
-    for g in instances(graph_class, max_nodes, names, ceiling=ceiling):
+    checked = 0
+    for ctx in _contexts(graph_class, max_nodes, stream_labels, limit):
         checked += 1
-        masks = EvalContext(g)._run(code)
+        masks = ctx._run(code)
+        ctx._row_cache.clear()
         x, y = masks[r1], masks[r2]
         if bool(x) != bool(y) if boolean else x != y:
-            return EquivVerdict(False, g, checked, graph_class, max_nodes,
+            back = {v: k for k, v in rename.items()}
+            g = ctx.graph
+            witness = Graph(g.nodes, frozenset(back[lab] for lab in g.labels),
+                            frozenset((s, back[lab], t) for s, lab, t in g.edges))
+            return EquivVerdict(False, witness, checked, graph_class, max_nodes,
                                 len(names), semantics)
     return EquivVerdict(True, None, checked, graph_class, max_nodes, len(names),
                         semantics)

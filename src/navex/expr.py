@@ -37,18 +37,44 @@ class Expr:
     def __hash__(self) -> int:
         h = self.__dict__.get("_h")
         if h is None:
-            h = hash((type(self).__name__, self._fields()))
-            self.__dict__["_h"] = h
+            # Fill the missing hashes children first, without descending
+            # below a node that has one, so the tuple hash below only meets
+            # cached child hashes and never recurses.
+            stack: list = [(self, False)]
+            while stack:
+                node, expanded = stack.pop()
+                d = node.__dict__
+                if "_h" in d:
+                    continue
+                if expanded:
+                    d["_h"] = hash((type(node).__name__, node._fields()))
+                else:
+                    stack.append((node, True))
+                    stack.extend((kid, False) for kid in _children(node))
+            h = self.__dict__["_h"]
         return h
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(self) is not type(other):
+        if type(self) is not type(other) or hash(self) != hash(other):
             return False
-        if hash(self) != hash(other):
-            return False
-        return self._fields() == other._fields()  # type: ignore[union-attr]
+        stack = [(self, other)]
+        seen: set[tuple[int, int]] = set()
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(a._fields(), b._fields()):
+                if x is y:
+                    continue
+                if not isinstance(x, Expr):
+                    if x != y:
+                        return False
+                elif type(x) is not type(y) or hash(x) != hash(y):
+                    return False
+                elif (id(x), id(y)) not in seen:
+                    seen.add((id(x), id(y)))
+                    stack.append((x, y))
+        return True
 
     def __repr__(self) -> str:
         return f"<{render(self)}>"
@@ -279,15 +305,22 @@ def operators_used(e: Expr) -> Fragment:
 def condition_depth(e: Expr) -> int:
     """Projection nesting depth for expressions built from 0, id, labels,
     composition, union, transitive closure, and projections."""
-    if isinstance(e, (Empty, Identity, EdgeLabel)):
-        return 0
-    if isinstance(e, TransClosure):
-        return condition_depth(e.child)
-    if isinstance(e, (Proj1, Proj2)):
-        return 1 + condition_depth(e.child)
-    if isinstance(e, (Compose, Union)):
-        return max(condition_depth(e.left), condition_depth(e.right))
-    raise FragmentError(f"condition depth is defined on the tc/pi fragment, got {render(e)}")
+    depth: dict[int, int] = {}
+    for node in _distinct_nodes(e):
+        t = type(node)
+        if t in (Empty, Identity, EdgeLabel):
+            out = 0
+        elif t is TransClosure:
+            out = depth[id(node.child)]
+        elif t in (Proj1, Proj2):
+            out = 1 + depth[id(node.child)]
+        elif t in (Compose, Union):
+            out = max(depth[id(node.left)], depth[id(node.right)])
+        else:
+            raise FragmentError(
+                f"condition depth is defined on the tc/pi fragment, got {render(node)}")
+        depth[id(node)] = out
+    return depth[id(e)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -254,42 +253,86 @@ def parallel_paths_graph(short: int, long: int, label: str = "a") -> Graph:
 # enumeration
 
 def count_trees(max_nodes: int, labels=1, *, chains_only: bool = False) -> int:
-    alphabet = _alphabet(labels)
-    total = 0
+    """The length of the `enumerate_trees` stream with the same arguments.
+
+    A tree of n nodes is a root over a forest of n - 1 nodes, a multiset of
+    (label, subtree) children, so with k labels the forest counts are the
+    Euler transform of k times the tree counts:
+    m f(m) = sum over j of c(j) f(m - j), c(j) = k * sum over d | j of
+    d f(d - 1)."""
+    k = len(_alphabet(labels))
+    if chains_only:
+        return sum(k ** (n - 1) for n in range(1, max_nodes + 1))
+    forests, c = [1], [0]
+    for m in range(1, max_nodes):
+        c.append(k * sum(d * forests[d - 1] for d in range(1, m + 1) if m % d == 0))
+        forests.append(sum(c[j] * forests[m - j] for j in range(1, m + 1)) // m)
+    return sum(forests[:max_nodes])
+
+
+def _canonical_trees(max_nodes: int, n_labels: int):
+    """Yield one level sequence per edge-labeled rooted tree of 1..max_nodes
+    nodes up to isomorphism, by node count.
+
+    A level sequence lists the non-root nodes in preorder as (depth, label
+    index).  Children are (label, subtree) items, ordered by (subtree size,
+    label, subtree rank); each tree lists its children in non-increasing
+    item order, which picks one child order per multiset of children and so
+    one tree per isomorphism class (after Beyer & Hedetniemi, Constant time
+    generation of rooted trees, SIAM J. Comput. 1980)."""
+    items: list[tuple[int, tuple]] = []     # (size, level sequence below the parent)
+
+    def forests(total: int, bound: int):
+        """Non-increasing item sequences of `total` nodes, items < bound."""
+        if total == 0:
+            yield ()
+            return
+        for i in range(bound):
+            if items[i][0] > total:
+                break
+            for rest in forests(total - items[i][0], i + 1):
+                yield items[i][1] + rest
+
     for n in range(1, max_nodes + 1):
-        shapes = 1 if chains_only else math.factorial(n - 1)
-        total += shapes * len(alphabet) ** (n - 1) if n > 1 else 1
-    return total
+        trees = list(forests(n - 1, len(items)))
+        yield from trees
+        if n < max_nodes:
+            items += [(n, ((1, lab),) + tuple((d + 1, l) for d, l in seq))
+                      for lab in range(n_labels) for seq in trees]
 
 
 def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False,
                     ceiling: int | None = None):
-    """Yield every rooted edge-labeled tree (single-labeled by construction)
-    with at most max_nodes nodes, smallest first.
+    """Yield the rooted edge-labeled trees (single-labeled by construction)
+    with at most max_nodes nodes, smallest first, nodes named n0, n1, ... in
+    preorder from the root.
 
-    The order is: node count, then parent array (node i may attach to any
-    earlier node), then edge labeling, lexicographically.  Isomorphic
-    duplicates occur; coverage is what matters here.
+    With chains_only, every chain: one per word over the alphabet, in
+    lexicographic order.  Otherwise exactly one tree per isomorphism class;
+    the relations of navigational expressions are invariant under
+    isomorphism, so the other members of a class could not separate two
+    expressions that this one does not.
     """
     alphabet = _alphabet(labels)
     limit = ceiling if ceiling is not None else default_ceiling()
     total = count_trees(max_nodes, alphabet, chains_only=chains_only)
     if total > limit:
         raise ResourceLimitError(f"{total} trees exceeds the ceiling of {limit}")
+    if chains_only:
+        sequences = (tuple(enumerate(word, 1)) for n in range(1, max_nodes + 1)
+                     for word in itertools.product(range(len(alphabet)), repeat=n - 1))
+    else:
+        sequences = _canonical_trees(max_nodes, len(alphabet))
     label_set = frozenset(alphabet)
-    for n in range(1, max_nodes + 1):
-        names = [f"n{i}" for i in range(n)]
-        if chains_only:
-            parent_choices = [tuple(range(n - 1))] if n > 1 else [()]
-        else:
-            parent_choices = itertools.product(*(range(i) for i in range(1, n)))
-        for parents in parent_choices:
-            for labeling in itertools.product(alphabet, repeat=n - 1):
-                edges = [
-                    (names[parents[i - 1]], labeling[i - 1], names[i])
-                    for i in range(1, n)
-                ]
-                yield Graph(frozenset(names), label_set, frozenset(edges))
+    for seq in sequences:
+        names = [f"n{i}" for i in range(len(seq) + 1)]
+        path = names[:1]            # path[d]: the latest node at depth d
+        edges = []
+        for name, (depth, lab) in zip(names[1:], seq):
+            del path[depth:]
+            edges.append((path[-1], alphabet[lab], name))
+            path.append(name)
+        yield Graph(frozenset(names), label_set, frozenset(edges))
 
 
 def _structured_graphs(alphabet) -> list[Graph]:
@@ -306,23 +349,27 @@ def _structured_graphs(alphabet) -> list[Graph]:
     return [Graph.build(nodes, alphabet, edges) for nodes, edges in shapes]
 
 
-def enumerate_graphs(max_nodes: int, labels=1, *, samples: int = 200,
+# random graphs per node count where the exhaustive sweep is too large
+_SAMPLES = 200
+
+
+def _graph_count(max_nodes: int, alphabet, samples: int) -> int:
+    """The length of the `enumerate_graphs` stream."""
+    total = len(_structured_graphs(alphabet))
+    for n in range(1, max_nodes + 1):
+        cells = len(alphabet) * n * n
+        total += 2 ** cells if cells <= 9 else samples
+    return total
+
+
+def enumerate_graphs(max_nodes: int, labels=1, *, samples: int = _SAMPLES,
                      ceiling: int | None = None):
     """Yield small edge-labeled graphs: structured families first, then an
     exhaustive sweep where the space is tiny (|labels| * n^2 <= 9), then a
     fixed-seed random sample for the larger node/label combinations."""
     alphabet = _alphabet(labels)
     limit = ceiling if ceiling is not None else default_ceiling()
-    exhaustive_total = 0
-    sampled_combos = []
-    for n in range(1, max_nodes + 1):
-        cells = len(alphabet) * n * n
-        if cells <= 9:
-            exhaustive_total += 2 ** cells
-        else:
-            sampled_combos.append(n)
-    total = len(_structured_graphs(alphabet)) + exhaustive_total
-    total += samples * len(sampled_combos)
+    total = _graph_count(max_nodes, alphabet, samples)
     if total > limit:
         raise ResourceLimitError(f"{total} graphs exceeds the ceiling of {limit}")
 
@@ -335,22 +382,37 @@ def enumerate_graphs(max_nodes: int, labels=1, *, samples: int = 200,
             for edges in _subsets(cells):
                 yield Graph(frozenset(names), label_set, edges)
     rng = random.Random(0)
-    for n in sampled_combos:
+    for n in range(1, max_nodes + 1):
         names = [f"n{i}" for i in range(n)]
         cells = [(s, lab, t) for lab in alphabet for s in names for t in names]
+        if len(cells) <= 9:
+            continue
         for _ in range(samples):
             edges = [cell for cell in cells if rng.random() < 0.35]
             yield Graph(frozenset(names), label_set, frozenset(edges))
 
 
-def instances(graph_class: str, max_nodes: int, labels=2, *,
-              ceiling: int | None = None):
-    """The instance stream behind the equivalence oracles and the CLI."""
+def _class_labels(graph_class: str, labels):
     if graph_class not in GRAPH_CLASSES:
         raise GraphError(f"unknown graph class {graph_class!r}")
     if graph_class.startswith("unlabeled"):
-        labels = _alphabet(labels)[:1] or ("a",)
-    chains = graph_class.endswith("chain")
+        return _alphabet(labels)[:1] or ("a",)
+    return labels
+
+
+def instances(graph_class: str, max_nodes: int, labels=2, *,
+              ceiling: int | None = None):
+    """The instance stream behind the equivalence oracles and the CLI."""
+    labels = _class_labels(graph_class, labels)
     if graph_class == "labeled-graph":
         return enumerate_graphs(max_nodes, labels, ceiling=ceiling)
-    return enumerate_trees(max_nodes, labels, chains_only=chains, ceiling=ceiling)
+    return enumerate_trees(max_nodes, labels, chains_only=graph_class.endswith("chain"),
+                           ceiling=ceiling)
+
+
+def _instance_count(graph_class: str, max_nodes: int, labels=2) -> int:
+    """The length of the `instances` stream with the same arguments."""
+    labels = _class_labels(graph_class, labels)
+    if graph_class == "labeled-graph":
+        return _graph_count(max_nodes, _alphabet(labels), _SAMPLES)
+    return count_trees(max_nodes, labels, chains_only=graph_class.endswith("chain"))

@@ -32,7 +32,8 @@ from .evaluate import (
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, condition_depth, labels_used, operators_used, power, render,
+    EMPTY, _distinct_nodes, condition_depth, labels_used, operators_used,
+    power, render,
 )
 from .graphs import _subsets, chain_graph
 
@@ -363,20 +364,26 @@ def witness_span(e: Expr) -> int:
     first become nonempty.  Atoms span their endpoints; compositions add;
     intersections and differences multiply, covering the interleaving of the
     two operands' eventual periods."""
-    if isinstance(e, (Empty, Identity)):
-        return 1
-    if isinstance(e, (EdgeLabel, Diversity)):
-        return 2
-    if isinstance(e, (TransClosure, Converse, Proj1, Proj2)):
-        return witness_span(e.child)
-    if isinstance(e, Compose):
-        return witness_span(e.left) + witness_span(e.right)
-    if isinstance(e, Union):
-        return max(witness_span(e.left), witness_span(e.right))
-    if isinstance(e, (Intersect, Difference)):
-        a, b = witness_span(e.left), witness_span(e.right)
-        return a * b + a + b
-    raise RewriteError(f"no chain-span bound for {render(e)}")
+    span: dict[int, int] = {}
+    for node in _distinct_nodes(e):
+        t = type(node)
+        if t in (Empty, Identity):
+            out = 1
+        elif t in (EdgeLabel, Diversity):
+            out = 2
+        elif t in (TransClosure, Converse, Proj1, Proj2):
+            out = span[id(node.child)]
+        elif t is Compose:
+            out = span[id(node.left)] + span[id(node.right)]
+        elif t is Union:
+            out = max(span[id(node.left)], span[id(node.right)])
+        elif t in (Intersect, Difference):
+            a, b = span[id(node.left)], span[id(node.right)]
+            out = a * b + a + b
+        else:
+            raise RewriteError(f"no chain-span bound for {render(node)}")
+        span[id(node)] = out
+    return span[id(e)]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 reference implementation over plain pair sets."""
 
 import copy
+import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import navex.evaluate as ev
 from navex.evaluate import (
     EvalContext, UnknownLabelError, _compile, boolean_equivalent, evaluate,
     evaluate_boolean, is_condition, path_equivalent,
@@ -15,7 +19,9 @@ from navex.expr import (
     Empty, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     EMPTY, IDENTITY, parse, power, subexpressions,
 )
-from navex.graphs import Graph, chain_graph, enumerate_trees, parallel_paths_graph
+from navex.graphs import (
+    Graph, ResourceLimitError, chain_graph, enumerate_trees, parallel_paths_graph,
+)
 from navex.rewrite import run_pipeline
 
 
@@ -144,6 +150,9 @@ def test_is_condition():
     assert not is_condition(parse("a"))
     assert not is_condition(parse("pi1(a) | id"))
     assert not is_condition(parse("conv(pi1(a))"))
+    deep = power(Proj1(a), 5000)
+    assert is_condition(deep)
+    assert not is_condition(Compose(deep, a))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +233,7 @@ def test_path_equivalent_distribution_law():
     v = path_equivalent(parse("a . (b | a)"), parse("a . b | a . a"),
                         "labeled-tree", 4)
     assert v.equivalent
-    assert v.checked == 1 + 2 + 8 + 48
+    assert v.checked == 1 + 2 + 7 + 26
 
 
 def test_path_equivalent_finds_witness():
@@ -275,6 +284,146 @@ def test_parallel_paths_separate_power_intersection():
 def test_unlabeled_class_rejects_multi_label_expressions():
     with pytest.raises(ValueError):
         path_equivalent(parse("a"), parse("b"), "unlabeled-chain", 3)
+
+
+_ORACLE_CASES = [  # (e1, e2, graph class, semantics)
+    ("a . (b | a)", "a . b | a . a", "labeled-tree", "path"),
+    ("a . b", "b . a", "labeled-tree", "path"),
+    ("pi2(a) . b+", "a . b", "labeled-tree", "path"),
+    ("pi1(a . b)", "a . b", "labeled-tree", "boolean"),
+    ("pi2(b) . a+", "a+ . pi1(b)", "labeled-chain", "boolean"),
+    ("a & b", "0", "labeled-graph", "path"),
+    ("(a . a)+", "a+ \\ a", "unlabeled-tree", "path"),
+]
+
+
+def _renamed(text, names):
+    return parse(re.sub(r"\b[ab]\b", lambda m: names[m.group()], text))
+
+
+@pytest.mark.parametrize("e1,e2,graph_class,semantics", _ORACLE_CASES)
+def test_oracle_verdicts_do_not_depend_on_label_names(e1, e2, graph_class, semantics):
+    check = boolean_equivalent if semantics == "boolean" else path_equivalent
+    names = {"a": "b", "b": "f"}
+    plain = check(parse(e1), parse(e2), graph_class, 4)
+    renamed = check(_renamed(e1, names), _renamed(e2, names), graph_class, 4)
+    assert (renamed.equivalent, renamed.checked) == (plain.equivalent, plain.checked)
+    if plain.witness is not None:
+        w = plain.witness
+        labels = {lab: names.get(lab, lab) for lab in w.labels}
+        assert renamed.witness == Graph.build(
+            w.nodes, labels.values(), [(s, labels[lab], t) for s, lab, t in w.edges])
+
+
+def test_witness_is_over_the_callers_labels():
+    e1, e2 = parse("f . c"), parse("c . f")
+    v = path_equivalent(e1, e2, "labeled-tree", 4)
+    assert v.witness.labels == {"c", "f"}
+    assert evaluate(e1, v.witness) != evaluate(e2, v.witness)
+    e1, e2 = parse("z . z"), parse("z^3")
+    v = boolean_equivalent(e1, e2, "unlabeled-chain", 5)
+    assert v.witness.labels == {"z"}
+    assert evaluate_boolean(e1, v.witness) != evaluate_boolean(e2, v.witness)
+
+
+def _cached(graph_class, max_nodes):
+    """The contexts kept for the streams of a class and bound."""
+    return [contexts for (c, n, _), (_, contexts, _) in ev._STREAMS.items()
+            if (c, n) == (graph_class, max_nodes)]
+
+
+def test_cached_streams_keep_the_ceiling(monkeypatch):
+    e = parse("a . b")
+    assert path_equivalent(e, e, "labeled-tree", 5).checked == 143
+    with pytest.raises(ResourceLimitError):
+        path_equivalent(e, e, "labeled-tree", 5, ceiling=100)
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "100")
+    with pytest.raises(ResourceLimitError):
+        path_equivalent(e, e, "labeled-tree", 5)
+    assert path_equivalent(e, e, "labeled-tree", 5, ceiling=143).checked == 143
+    # the ceiling only admits a stream: one copy serves every ceiling
+    assert len(_cached("labeled-tree", 5)) == 1
+
+
+def test_oracle_leaves_no_row_cache_behind():
+    assert path_equivalent(parse("(a . b)+ . a"), parse("a . (b . a)+"),
+                           "labeled-tree", 5).equivalent
+    assert ev._STREAMS
+    assert not any(ctx._row_cache for _, contexts, _ in ev._STREAMS.values()
+                   for ctx in contexts)
+
+
+def test_streams_are_built_only_as_far_as_they_are_consumed(monkeypatch):
+    monkeypatch.setattr(ev, "_STREAMS", {})
+    a_b, b_a = parse("a . b"), parse("b . a")
+    early = path_equivalent(a_b, b_a, "labeled-tree", 5)
+    assert not early.equivalent and early.checked < 143
+    assert [len(c) for c in _cached("labeled-tree", 5)] == [early.checked]
+    # a later call resumes the stream and sees what an uncached one would
+    assert path_equivalent(a_b, a_b, "labeled-tree", 5).checked == 143
+    assert [len(c) for c in _cached("labeled-tree", 5)] == [143]
+    assert path_equivalent(a_b, b_a, "labeled-tree", 5) == early
+
+
+def test_a_stream_longer_than_the_cache_is_not_kept(monkeypatch):
+    monkeypatch.setattr(ev, "_STREAMS", {})
+    chains = 1 + 3 + 9 + 27 + 81 + 243 + 729 + 2187 + 6561
+    assert chains > ev._CACHE_SIZE
+    v = path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9)
+    assert not v.equivalent
+    assert ev._STREAMS == {}
+    with pytest.raises(ResourceLimitError):
+        path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9,
+                        ceiling=chains - 1)
+
+
+def test_cache_evicts_the_least_recently_used_streams(monkeypatch):
+    monkeypatch.setattr(ev, "_STREAMS", {})
+    monkeypatch.setattr(ev, "_CACHE_SIZE", 200)
+    e = parse("a . b")
+    path_equivalent(e, e, "labeled-tree", 5)            # 143 trees
+    path_equivalent(e, e, "labeled-tree", 4)            # 36 trees
+    path_equivalent(e, e, "labeled-tree", 5)            # a hit, most recent
+    path_equivalent(e, e, "labeled-chain", 4, 3)        # 40 chains: evicts 4
+    assert [(c, n) for c, n, _ in ev._STREAMS] == [
+        ("labeled-tree", 5), ("labeled-chain", 4)]
+    assert sum(len(c) for _, c, _ in ev._STREAMS.values()) <= 200
+
+
+def test_threads_share_a_stream_without_losing_instances(monkeypatch):
+    e = parse("(a . b)+")
+    trees = list(enumerate_trees(5, ("l0", "l1")))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):     # a race shows in some rounds, not in all
+            monkeypatch.setattr(ev, "_STREAMS", {})
+            results = []
+            threads = [threading.Thread(target=lambda: results.append(
+                path_equivalent(e, e, "labeled-tree", 5).checked)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [143] * 6
+            (contexts,) = _cached("labeled-tree", 5)
+            assert [ctx.graph for ctx in contexts] == trees
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_oracle_takes_more_labels_than_letters():
+    names = [f"x{i}" for i in range(28)]
+    every = EdgeLabel(names[0])
+    for name in names[1:]:
+        every = Union(every, EdgeLabel(name))
+    v = path_equivalent(every, Difference(every, EdgeLabel("x17")), "labeled-tree", 2)
+    # the one-edge trees follow the one-node tree in sorted label order
+    assert (v.equivalent, v.labels) == (False, 28)
+    assert v.checked == 1 + sorted(names).index("x17") + 1
+    assert v.witness.labels == set(names)
+    assert v.witness.edges == {("n0", "x17", "n1")}
 
 
 def test_power_on_long_chain():

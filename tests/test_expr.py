@@ -34,6 +34,32 @@ def test_expressions_usable_as_dict_keys():
     assert table[TransClosure(Proj2(a))] == 2
 
 
+def test_hash_is_the_tuple_of_type_name_and_fields():
+    # set and dict iteration order, and with it every rewrite output,
+    # depends on this formula
+    assert hash(a) == hash(("EdgeLabel", ("a",)))
+    assert hash(Compose(a, b)) == hash(("Compose", (a, b)))
+    assert hash(EMPTY) == hash(("Empty", ()))
+
+
+def test_equality_compares_structure_under_equal_hashes():
+    p, q = Proj1(a), Proj1(b)
+    q.__dict__["_h"] = hash(p)      # a collision, forced
+    assert hash(Compose(a, p)) == hash(Compose(a, q))
+    assert Compose(a, p) != Compose(a, q)
+    assert power(p, 300) != power(q, 300)
+
+
+def test_hash_and_equality_handle_deep_expressions():
+    deep, copy = power(a, 5000), power(EdgeLabel("a"), 5000)
+    assert hash(deep) == hash(copy)
+    assert deep == copy and deep in {copy}
+    assert deep != power(a, 4999)
+    assert deep != Compose(a, power(b, 4999))
+    # a node whose children already carry their hashes
+    assert hash(Proj1(copy)) == hash(("Proj1", (copy,)))
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -220,6 +246,13 @@ def test_condition_depth():
     assert condition_depth(parse("pi1(pi2(a) . b)")) == 2
     assert condition_depth(parse("pi1(a) . pi2(b)")) == 1
     assert condition_depth(parse("(pi1(a . pi1(b)))+")) == 2
+
+
+def test_condition_depth_handles_deep_expressions():
+    deep = a
+    for _ in range(5000):
+        deep = Proj1(Compose(deep, b))
+    assert condition_depth(deep) == 5000
 
 
 def test_condition_depth_rejects_other_operators():

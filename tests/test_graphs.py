@@ -3,7 +3,8 @@
 import pytest
 
 from navex.graphs import (
-    Graph, GraphError, ResourceLimitError, chain_graph, classify, count_trees,
+    GRAPH_CLASSES, Graph, GraphError, ResourceLimitError, _instance_count,
+    chain_graph, classify, count_trees,
     enumerate_graphs, enumerate_trees, instances, parallel_paths_graph,
     validate_single_labeled,
 )
@@ -66,11 +67,14 @@ def test_tree_counts_pinned():
     assert count_trees(1, 1) == 1
     assert count_trees(2, 1) == 2
     assert count_trees(3, 1) == 4
-    assert count_trees(6, 1) == 154
-    assert count_trees(6, 2) == 4283
+    assert count_trees(6, 1) == 1 + 1 + 2 + 4 + 9 + 20
+    assert count_trees(5, 2) == 143
+    assert count_trees(6, 2) == 601
+    assert count_trees(7, 2) == 2659
+    assert count_trees(5, 3) == 596
     assert count_trees(9, 2, chains_only=True) == 511
     assert len(list(enumerate_trees(3, 1))) == 4
-    assert len(list(enumerate_trees(6, 2))) == 4283
+    assert len(list(enumerate_trees(6, 2))) == 601
     assert len(list(enumerate_trees(9, 2, chains_only=True))) == 511
 
 
@@ -128,9 +132,16 @@ def test_enumerate_graphs_without_labels():
     assert len(list(enumerate_graphs(2, 0))) == 2
 
 
+@pytest.mark.parametrize("graph_class", GRAPH_CLASSES)
+def test_instance_count_is_the_stream_length(graph_class):
+    for max_nodes, labels in ((3, 1), (3, 2), (4, 3), (3, 0)):
+        assert _instance_count(graph_class, max_nodes, labels) == len(
+            list(instances(graph_class, max_nodes, labels)))
+
+
 def test_instances_class_policies():
     assert len(list(instances("unlabeled-chain", 3))) == 3
-    assert len(list(instances("unlabeled-tree", 4))) == 1 + 1 + 2 + 6
+    assert len(list(instances("unlabeled-tree", 4))) == 1 + 1 + 2 + 4
     assert len(list(instances("labeled-chain", 3, 2))) == 1 + 2 + 4
     with pytest.raises(GraphError):
         list(instances("mystery-class", 3))

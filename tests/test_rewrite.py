@@ -21,7 +21,7 @@ from navex.constructions import (
 from navex.evaluate import boolean_equivalent, evaluate_boolean, path_equivalent
 from navex.expr import (
     Compose, Intersect, Proj1, Proj2, TransClosure, Union,
-    condition_depth, operators_used, parse, render,
+    condition_depth, operators_used, parse, power, render,
 )
 from navex.graphs import Graph, chain_graph, enumerate_trees
 from navex.rewrite import (
@@ -474,6 +474,10 @@ def test_witness_span_bounds_first_nonemptiness(e):
         assert _first_nonempty_chain(e, 14) is None
     if first is not None:
         assert first <= bound
+
+
+def test_witness_span_handles_deep_expressions():
+    assert witness_span(power(parse("a"), 5000)) == 2 * 5000 + 1
 
 
 # --- the report driver ------------------------------------------------------
