@@ -16,14 +16,12 @@ from functools import cached_property
 
 from .evaluate import EvalContext, _bits, is_condition
 from .expr import Compose, Expr, IDENTITY, parse, render
-from .graphs import Graph, classify, enumerate_trees
+from .graphs import ID, Graph, classify, enumerate_trees
 
 __all__ = [
     "ID", "AutomatonError", "ConditionAutomaton", "state_key",
     "state_condition_expr", "eval_automaton", "check_deterministic",
 ]
-
-ID = "id"  # transition label for identity steps; never a graph edge label
 
 
 class AutomatonError(ValueError):

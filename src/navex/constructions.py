@@ -13,7 +13,7 @@ from .automata import ID, ConditionAutomaton, state_condition_expr, state_key
 from .expr import (
     Compose, Coproj1, Coproj2, EdgeLabel, Empty, Expr, FragmentError,
     Identity, Proj1, Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, labels_used, operators_used, render,
+    EMPTY, IDENTITY, _children, _fold, labels_used, operators_used, render,
 )
 from .graphs import ResourceLimitError, _subsets, default_ceiling
 
@@ -99,6 +99,7 @@ def plus_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
 
 
 _AUTOMATON_OPS = ("tc", "pi1", "pi2", "copi1", "copi2")
+_CONDITIONS = (Proj1, Proj2, Coproj1, Coproj2)
 
 
 def expr_to_automaton(e: Expr, alphabet=None) -> ConditionAutomaton:
@@ -121,24 +122,27 @@ def expr_to_automaton(e: Expr, alphabet=None) -> ConditionAutomaton:
         return ConditionAutomaton.build(
             {0}, sigma, {cond}, {0}, {0}, [], [(0, cond)])
 
-    def build(e):
-        if isinstance(e, Empty):
+    def translate(node, *kids):
+        t = type(node)
+        if t is Empty:
             return two_state([])
-        if isinstance(e, Identity):
+        if t is Identity:
             return two_state([(0, ID, 1)])
-        if isinstance(e, EdgeLabel):
-            return two_state([(0, e.name, 1)])
-        if isinstance(e, (Proj1, Proj2, Coproj1, Coproj2)):
-            return condition_state(e)
-        if isinstance(e, Compose):
-            return compose_automata(build(e.left), build(e.right))
-        if isinstance(e, Union):
-            return union_automata(build(e.left), build(e.right))
-        if isinstance(e, TransClosure):
-            return plus_automaton(build(e.child))
-        raise FragmentError(f"no automaton translation for {render(e)}")
+        if t is EdgeLabel:
+            return two_state([(0, node.name, 1)])
+        if t in _CONDITIONS:
+            return condition_state(node)
+        if t is Compose:
+            return compose_automata(*kids)
+        if t is Union:
+            return union_automata(*kids)
+        if t is TransClosure:
+            return plus_automaton(*kids)
+        raise FragmentError(f"no automaton translation for {render(node)}")
 
-    return build(e)
+    # a condition's body is not translated: it stays inside the condition
+    return _fold(e, translate,
+                 children=lambda node: () if type(node) in _CONDITIONS else _children(node))
 
 
 # ---------------------------------------------------------------------------

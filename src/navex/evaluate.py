@@ -3,13 +3,13 @@
 An expression denotes a binary relation on the nodes of a graph.  The
 evaluator keeps relations as single integers (bit (i*n + j) set means node i
 relates to node j).  Expressions are first compiled into a plan: one
-instruction per distinct subterm, children before parents, found by a walk
-that visits each node object once and merges equal subterms by the
-operator and the slots of their children.  A plan is built once and run on
-any number of graphs, so the bounded oracles compile each pair of
-expressions once and run that plan on every instance.  Neither compiling
-nor running hashes, compares or recurses over expressions, so deep
-expressions evaluate as well as shallow ones.
+instruction per distinct subterm, children before parents.  Expressions
+are hash-consed, so a walk that visits each node object once meets each
+distinct subterm once and the plan needs no merging of its own.  A plan
+is built once and run on any number of graphs, so the bounded oracles
+compile each pair of expressions once and run that plan on every
+instance.  Neither compiling nor running hashes, compares or recurses over
+expressions, so deep expressions evaluate as well as shallow ones.
 
 The oracles map a plan's label names onto the positional labels l0, l1,
 ... of their instance streams, so expressions over different names share
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    _distinct_nodes, labels_used,
+    _children, _distinct_nodes, labels_used,
 )
 from .graphs import (
     Graph, ResourceLimitError, _instance_count, default_ceiling, instances,
@@ -46,14 +46,9 @@ def is_condition(e: Expr) -> bool:
     """Conditions are the node-test expressions allowed on automaton states:
     identity, empty, projections and coprojections, and compositions of
     conditions."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if type(node) is Compose:
-            stack += (node.left, node.right)
-        elif not isinstance(node, (Identity, Empty, Proj1, Proj2, Coproj1, Coproj2)):
-            return False
-    return True
+    spine = _distinct_nodes(e, children=lambda n: _children(n) if type(n) is Compose else ())
+    return all(type(n) in (Compose, Identity, Empty, Proj1, Proj2, Coproj1, Coproj2)
+               for n in spine)
 
 
 def _bits(mask: int):
@@ -85,29 +80,23 @@ _BINARY_OP = {Compose: _COMPOSE, Union: _UNION, Intersect: _INTERSECT,
 def _compile(roots) -> tuple[list[tuple], list[int]]:
     """The plan of `roots`: its instructions and the slot of each root."""
     code: list[tuple] = []
-    slot_of_key: dict[tuple, int] = {}
-    slot_of_node: dict[int, int] = {}
+    slot: dict[int, int] = {}
     for node in _distinct_nodes(*roots):
         t = type(node)
         if t is EdgeLabel:
-            key = (_LABEL, node.name, None)
+            code.append((_LABEL, node.name, None))
         elif t in _BINARY_OP:
-            key = (_BINARY_OP[t], slot_of_node[id(node.left)],
-                   slot_of_node[id(node.right)])
+            code.append((_BINARY_OP[t], slot[id(node.left)], slot[id(node.right)]))
         elif t in _PROJECTION:
-            key = (_PROJECT, slot_of_node[id(node.child)], _PROJECTION[t])
+            code.append((_PROJECT, slot[id(node.child)], _PROJECTION[t]))
         elif t in _UNARY_OP:
-            key = (_UNARY_OP[t], slot_of_node[id(node.child)], None)
+            code.append((_UNARY_OP[t], slot[id(node.child)], None))
         elif t in _ATOM_OP:
-            key = (_ATOM_OP[t], None, None)
+            code.append((_ATOM_OP[t], None, None))
         else:  # pragma: no cover - exhaustive over the syntax
             raise TypeError(f"cannot evaluate {t.__name__}")
-        slot = slot_of_key.get(key)
-        if slot is None:
-            slot = slot_of_key[key] = len(code)
-            code.append(key)
-        slot_of_node[id(node)] = slot
-    return code, [slot_of_node[id(r)] for r in roots]
+        slot[id(node)] = len(code) - 1
+    return code, [slot[id(r)] for r in roots]
 
 
 class EvalContext:

@@ -4,12 +4,20 @@ An expression denotes a binary relation over the nodes of an edge-labeled
 graph.  The core syntax has fourteen constructors; the concrete grammar adds
 sugar (``*``, ``^k``, ``A``, ``E``) that is desugared at parse time and never
 stored in the tree.
+
+Expressions are hash-consed: every constructor call, parse, copy or unpickle
+returns the one live node for its expression, so equality is identity and a
+shared subterm is one object however often it occurs.  The walks here visit
+each distinct subterm once and never recurse.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import re
+import threading
+import weakref
 
 __all__ = [
     "Expr", "Empty", "Identity", "Diversity", "EdgeLabel", "Converse",
@@ -18,63 +26,55 @@ __all__ = [
     "EMPTY", "IDENTITY", "DIVERSITY",
     "power", "star", "label_union",
     "ParseError", "FragmentError", "parse", "render",
-    "size", "labels_used", "subexpressions",
+    "size", "labels_used",
     "Fragment", "FLAGS", "operators_used", "condition_depth",
 ]
 
 
-class Expr:
-    """Base class for expression nodes.  Instances are immutable and hashable.
+class _Interned(type):
+    """Builds each distinct expression once.  A constructor call returns the
+    live node with the same type and fields (children compared by identity)
+    if there is one; otherwise it builds the node, computes its hash, and
+    enters it in a table that holds nodes weakly, so dead nodes drop out."""
 
-    Hashes are cached per node so that deep trees and shared sub-DAGs can be
-    used as dictionary keys in O(1) after construction.
-    """
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        node = _TABLE.get(key)
+        if node is None:
+            with _TABLE_LOCK:           # no two threads build one expression
+                node = _TABLE.get(key)
+                if node is None:
+                    names = cls.__dataclass_fields__
+                    if len(fields) != len(names):
+                        raise TypeError(f"{cls.__name__} takes {len(names)} "
+                                        f"fields, got {len(fields)}")
+                    node = object.__new__(cls)
+                    d = node.__dict__
+                    d.update(zip(names, fields))
+                    d["_h"] = hash((cls.__name__, fields))
+                    _TABLE[key] = node
+        return node
 
-    def _fields(self) -> tuple:
-        d = self.__dict__
-        return tuple(d[name] for name in self.__dataclass_fields__)  # type: ignore[attr-defined]
+
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.Lock()
+
+
+class Expr(metaclass=_Interned):
+    """Base class for expression nodes.  Nodes are immutable and hash-consed:
+    each distinct expression is one object, so equality is identity.  The
+    hash, fixed at construction, is that of (type name, fields), on which set
+    and dict order, and with them every rewrite output, depend."""
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            # Fill the missing hashes children first, without descending
-            # below a node that has one, so the tuple hash below only meets
-            # cached child hashes and never recurses.
-            stack: list = [(self, False)]
-            while stack:
-                node, expanded = stack.pop()
-                d = node.__dict__
-                if "_h" in d:
-                    continue
-                if expanded:
-                    d["_h"] = hash((type(node).__name__, node._fields()))
-                else:
-                    stack.append((node, True))
-                    stack.extend((kid, False) for kid in _children(node))
-            h = self.__dict__["_h"]
-        return h
+        return self._h
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(self) is not type(other) or hash(self) != hash(other):
-            return False
-        stack = [(self, other)]
-        seen: set[tuple[int, int]] = set()
-        while stack:
-            a, b = stack.pop()
-            for x, y in zip(a._fields(), b._fields()):
-                if x is y:
-                    continue
-                if not isinstance(x, Expr):
-                    if x != y:
-                        return False
-                elif type(x) is not type(y) or hash(x) != hash(y):
-                    return False
-                elif (id(x), id(y)) not in seen:
-                    seen.add((id(x), id(y)))
-                    stack.append((x, y))
-        return True
+    def __reduce__(self):
+        names = self.__dataclass_fields__  # type: ignore[attr-defined]
+        return type(self), tuple(getattr(self, name) for name in names)
+
+    def __deepcopy__(self, memo):
+        return self     # its own deep copy; no walk, so deep nodes copy too
 
     def __repr__(self) -> str:
         return f"<{render(self)}>"
@@ -200,10 +200,10 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-def _distinct_nodes(*roots: Expr) -> list[Expr]:
-    """Every node object reachable from `roots`, each once (by identity),
-    children before parents.  Iterative, so depth is bounded by memory, not
-    by the recursion limit; no node is hashed or compared."""
+def _distinct_nodes(*roots: Expr, children=_children) -> list[Expr]:
+    """Every distinct subterm of `roots`, once each, children before parents.
+    `children` gives the subterms to descend into.  Iterative, so depth is
+    bounded by memory, not by the recursion limit."""
     out: list[Expr] = []
     seen: set[int] = set()
     stack: list = [(r, False) for r in reversed(roots)]
@@ -214,30 +214,32 @@ def _distinct_nodes(*roots: Expr) -> list[Expr]:
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
-            stack.extend((kid, False) for kid in reversed(_children(node)))
+            stack.extend((kid, False) for kid in reversed(children(node)))
     return out
 
 
-def subexpressions(e: Expr):
-    """Yield every node of the tree, parents after children."""
-    stack: list = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-        else:
-            stack.append((node, True))
-            stack.extend((kid, False) for kid in reversed(_children(node)))
+def _fold(e: Expr, f, children=_children):
+    """The value of `e`, where the value of a node is f(node, *the values of
+    its children).  Each distinct subterm is valued once, children first,
+    and its value is dropped once its last parent has used it, so large
+    values (automata, text) do not pile up along deep expressions."""
+    nodes = _distinct_nodes(e, children=children)
+    uses = Counter(id(k) for node in nodes for k in children(node))
+    value: dict[int, object] = {}
+    for node in nodes:
+        kids = children(node)
+        value[id(node)] = f(node, *[value[id(k)] for k in kids])
+        for k in kids:
+            uses[id(k)] -= 1
+            if not uses[id(k)]:
+                del value[id(k)]
+    return value[id(e)]
 
 
 def size(e: Expr) -> int:
     """Operator count: atoms are 0, every unary or binary node adds 1.
     Shared subterms count once per occurrence."""
-    count: dict[int, int] = {}
-    for node in _distinct_nodes(e):
-        kids = _children(node)
-        count[id(node)] = 1 + sum(count[id(k)] for k in kids) if kids else 0
-    return count[id(e)]
+    return _fold(e, lambda node, *kids: 1 + sum(kids) if kids else 0)
 
 
 def labels_used(e: Expr) -> frozenset[str]:
@@ -305,22 +307,17 @@ def operators_used(e: Expr) -> Fragment:
 def condition_depth(e: Expr) -> int:
     """Projection nesting depth for expressions built from 0, id, labels,
     composition, union, transitive closure, and projections."""
-    depth: dict[int, int] = {}
-    for node in _distinct_nodes(e):
+    def depth(node, *kids):
         t = type(node)
         if t in (Empty, Identity, EdgeLabel):
-            out = 0
-        elif t is TransClosure:
-            out = depth[id(node.child)]
-        elif t in (Proj1, Proj2):
-            out = 1 + depth[id(node.child)]
-        elif t in (Compose, Union):
-            out = max(depth[id(node.left)], depth[id(node.right)])
-        else:
-            raise FragmentError(
-                f"condition depth is defined on the tc/pi fragment, got {render(node)}")
-        depth[id(node)] = out
-    return depth[id(e)]
+            return 0
+        if t in (Proj1, Proj2):
+            return 1 + kids[0]
+        if t in (TransClosure, Compose, Union):
+            return max(kids)
+        raise FragmentError(
+            f"condition depth is defined on the tc/pi fragment, got {render(node)}")
+    return _fold(e, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +329,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-_KEYWORDS = {"id", "di", "E", "A", "conv", "pi1", "pi2", "copi1", "copi2"}
 _FUNCTIONAL = {
     "conv": Converse, "pi1": Proj1, "pi2": Proj2, "copi1": Coproj1, "copi2": Coproj2,
 }
@@ -367,128 +363,107 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.alphabet = alphabet
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_sym(self, sym: str):
-        kind, value, pos = self.take()
-        if kind != "sym" or value != sym:
-            raise ParseError(f"expected {sym!r}", pos)
-
-    def parse(self) -> Expr:
-        e = self.union()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", pos)
-        return e
-
-    def union(self) -> Expr:
-        e = self.difference()
-        while self.peek()[:2] == ("sym", "|"):
-            self.take()
-            e = Union(e, self.difference())
-        return e
-
-    def difference(self) -> Expr:
-        e = self.intersection()
-        while self.peek()[:2] == ("sym", "\\"):
-            self.take()
-            e = Difference(e, self.intersection())
-        return e
-
-    def intersection(self) -> Expr:
-        e = self.composition()
-        while self.peek()[:2] == ("sym", "&"):
-            self.take()
-            e = Intersect(e, self.composition())
-        return e
-
-    def composition(self) -> Expr:
-        e = self.postfix()
-        while self.peek()[:2] == ("sym", "."):
-            self.take()
-            e = Compose(e, self.postfix())
-        return e
-
-    def postfix(self) -> Expr:
-        e = self.atom()
-        while True:
-            kind, value, pos = self.peek()
-            if (kind, value) == ("sym", "+"):
-                self.take()
-                e = TransClosure(e)
-            elif (kind, value) == ("sym", "*"):
-                self.take()
-                e = star(e)
-            elif (kind, value) == ("sym", "^"):
-                self.take()
-                kind2, value2, pos2 = self.take()
-                if kind2 == "negint":
-                    raise ParseError("power sugar needs a non-negative exponent", pos2)
-                if kind2 != "int":
-                    raise ParseError("expected an exponent", pos2)
-                e = power(e, int(value2))
-            else:
-                return e
-
-    def atom(self) -> Expr:
-        kind, value, pos = self.take()
-        if kind == "int":
-            if value == "0":
-                return EMPTY
-            raise ParseError("the only numeric atom is 0", pos)
-        if kind == "sym" and value == "(":
-            e = self.union()
-            self.expect_sym(")")
-            return e
-        if kind == "name":
-            if value in _FUNCTIONAL:
-                self.expect_sym("(")
-                e = self.union()
-                self.expect_sym(")")
-                return _FUNCTIONAL[value](e)
-            if value == "id":
-                return IDENTITY
-            if value == "di":
-                return DIVERSITY
-            if value == "A":
-                return Union(IDENTITY, DIVERSITY)
-            if value == "E":
-                if self.alphabet is None:
-                    raise ParseError("E needs a declared alphabet", pos)
-                return label_union(self.alphabet)
-            if self.peek()[:2] == ("sym", "("):
-                raise ParseError(f"unknown keyword {value!r}", pos)
-            return EdgeLabel(value)
-        raise ParseError(f"expected an expression, got {value!r}" if value else "unexpected end of input", pos)
-
-
-def parse(text: str, alphabet=None) -> Expr:
-    """Parse the concrete grammar.  `alphabet` (an iterable of labels) is only
-    needed when the text uses the E shorthand.  Input nested deeper than the
-    interpreter's recursion limit allows raises ParseError."""
-    parser = _Parser(text, alphabet)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("nesting too deep", parser.peek()[2]) from None
-
-
+# operator precedence, loosest first; the binary operators associate left
 _PREC = {
     Union: 1, Difference: 2, Intersect: 3, Compose: 4, TransClosure: 5,
 }
 _BIN_SYM = {Union: "|", Difference: "\\", Intersect: "&", Compose: "."}
+_OF_SYM = {sym: t for t, sym in _BIN_SYM.items()}
+
+
+def _atom(tokens: list, i: int, alphabet) -> Expr:
+    """The atom that token i is, when it opens no group."""
+    kind, value, pos = tokens[i]
+    if kind == "int":
+        if value == "0":
+            return EMPTY
+        raise ParseError("the only numeric atom is 0", pos)
+    if kind == "name":
+        if value == "id":
+            return IDENTITY
+        if value == "di":
+            return DIVERSITY
+        if value == "A":
+            return Union(IDENTITY, DIVERSITY)
+        if value == "E":
+            if alphabet is None:
+                raise ParseError("E needs a declared alphabet", pos)
+            return label_union(alphabet)
+        if tokens[i + 1][:2] == ("sym", "("):
+            raise ParseError(f"unknown keyword {value!r}", pos)
+        return EdgeLabel(value)
+    raise ParseError(f"expected an expression, got {value!r}" if value else "unexpected end of input", pos)
+
+
+def parse(text: str, alphabet=None) -> Expr:
+    """Parse the concrete grammar.  `alphabet` (an iterable of labels) is only
+    needed when the text uses the E shorthand.  The parser keeps its own
+    stacks, so nesting depth is bounded by memory, not the recursion limit."""
+    tokens = _tokenize(text)
+    i = 0
+    operands: list[Expr] = []
+    # binary operators waiting for their right operand, as (precedence,
+    # constructor), and open groups, as (0, None) for "(" or (0, constructor)
+    # for a functional keyword
+    pending: list[tuple] = []
+
+    def combine(precedence: int) -> None:
+        while pending and pending[-1][0] >= precedence:
+            right = operands.pop()
+            operands[-1] = pending.pop()[1](operands[-1], right)
+
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if (kind, value) == ("sym", "("):
+            pending.append((0, None))
+            continue
+        if kind == "name" and value in _FUNCTIONAL:
+            if tokens[i][:2] != ("sym", "("):
+                raise ParseError("expected '('", tokens[i][2])
+            i += 1
+            pending.append((0, _FUNCTIONAL[value]))
+            continue
+        e = _atom(tokens, i - 1, alphabet)
+        while True:     # postfix operators, then a binary one or a group's end
+            kind, value, pos = tokens[i]
+            if (kind, value) == ("sym", "+"):
+                i += 1
+                e = TransClosure(e)
+            elif (kind, value) == ("sym", "*"):
+                i += 1
+                e = star(e)
+            elif (kind, value) == ("sym", "^"):
+                kind, value, pos = tokens[i + 1]
+                i += 2
+                if kind == "negint":
+                    raise ParseError("power sugar needs a non-negative exponent", pos)
+                if kind != "int":
+                    raise ParseError("expected an exponent", pos)
+                e = power(e, int(value))
+            elif kind == "sym" and value in _OF_SYM:
+                i += 1
+                constructor = _OF_SYM[value]
+                operands.append(e)
+                combine(_PREC[constructor])
+                pending.append((_PREC[constructor], constructor))
+                break
+            else:
+                operands.append(e)
+                combine(1)
+                e = operands.pop()
+                if not pending:
+                    if kind != "end":
+                        raise ParseError(f"unexpected {value!r}", pos)
+                    return e
+                i += 1
+                if (kind, value) != ("sym", ")"):
+                    raise ParseError("expected ')'", pos)
+                wrap = pending.pop()[1]
+                if wrap is not None:
+                    e = wrap(e)
+
+
 _FUN_SYM = {Converse: "conv", Proj1: "pi1", Proj2: "pi2", Coproj1: "copi1", Coproj2: "copi2"}
 
 
@@ -497,27 +472,23 @@ _ATOM_TEXT = {Empty: "0", Identity: "id", Diversity: "di"}
 
 def render(e: Expr) -> str:
     """Produce concrete syntax that parses back to the same tree (no sugar).
-    Each distinct node object is rendered once, children first, so deep and
+    Each distinct subterm is rendered once, children first, so deep and
     shared expressions render without recursion."""
-    text: dict[int, str] = {}
-    for node in _distinct_nodes(e):
+    def text(node, *kids):
         t = type(node)
         if t is EdgeLabel:
-            out = node.name
-        elif t in _BIN_SYM:
+            return node.name
+        if t in _BIN_SYM:
             p = _PREC[t]
-            left, right = text[id(node.left)], text[id(node.right)]
+            left, right = kids
             if _PREC.get(type(node.left), 6) < p:
                 left = f"({left})"
             if _PREC.get(type(node.right), 6) <= p:
                 right = f"({right})"
-            out = f"{left} {_BIN_SYM[t]} {right}"
-        elif t in _FUN_SYM:
-            out = f"{_FUN_SYM[t]}({text[id(node.child)]})"
-        elif t is TransClosure:
-            out = text[id(node.child)]
-            out = f"({out})+" if _PREC.get(type(node.child), 6) < 5 else out + "+"
-        else:
-            out = _ATOM_TEXT[t]
-        text[id(node)] = out
-    return text[id(e)]
+            return f"{left} {_BIN_SYM[t]} {right}"
+        if t in _FUN_SYM:
+            return f"{_FUN_SYM[t]}({kids[0]})"
+        if t is TransClosure:
+            return f"({kids[0]})+" if _PREC.get(type(node.child), 6) < 5 else kids[0] + "+"
+        return _ATOM_TEXT[t]
+    return _fold(e, text)

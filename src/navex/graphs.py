@@ -23,7 +23,7 @@ __all__ = [
     "GRAPH_CLASSES", "default_ceiling",
 ]
 
-RESERVED_LABEL = "id"  # used by automata for identity steps, never a graph label
+ID = "id"  # the label of identity steps in automata, so never a graph label
 
 GRAPH_CLASSES = (
     "labeled-tree", "unlabeled-tree", "labeled-chain", "unlabeled-chain",
@@ -57,8 +57,8 @@ class Graph:
     edges: frozenset[tuple[str, str, str]]
 
     def __post_init__(self):
-        if RESERVED_LABEL in self.labels:
-            raise GraphError(f"label {RESERVED_LABEL!r} is reserved")
+        if ID in self.labels:
+            raise GraphError(f"label {ID!r} is reserved")
         for src, lab, dst in self.edges:
             if src not in self.nodes or dst not in self.nodes:
                 raise GraphError(f"edge ({src},{lab},{dst}) has an endpoint outside nodes")

@@ -32,7 +32,7 @@ from .evaluate import (
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, _distinct_nodes, condition_depth, labels_used, operators_used,
+    EMPTY, _fold, condition_depth, labels_used, operators_used,
     power, render,
 )
 from .graphs import _subsets, chain_graph
@@ -325,29 +325,30 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
         steps = []
     sigma = labels_used(e)
 
-    def build(e) -> ConditionAutomaton:
-        if isinstance(e, (Empty, Identity, EdgeLabel)):
-            return expr_to_automaton(e, alphabet=sigma)
-        if isinstance(e, Compose):
-            return compose_automata(build(e.left), build(e.right))
-        if isinstance(e, Union):
-            return union_automata(build(e.left), build(e.right))
-        if isinstance(e, TransClosure):
-            return plus_automaton(build(e.child))
-        if isinstance(e, (Proj1, Proj2, Coproj1, Coproj2)):
-            child = automaton_to_expr(trim_automaton(build(e.child)))
-            return expr_to_automaton(type(e)(child), alphabet=sigma)
-        if isinstance(e, Intersect):
-            prod = intersect_automata(build(e.left), build(e.right))
+    def translate(node, *kids) -> ConditionAutomaton:
+        t = type(node)
+        if t in (Empty, Identity, EdgeLabel):
+            return expr_to_automaton(node, alphabet=sigma)
+        if t is Compose:
+            return compose_automata(*kids)
+        if t is Union:
+            return union_automata(*kids)
+        if t is TransClosure:
+            return plus_automaton(*kids)
+        if t in (Proj1, Proj2, Coproj1, Coproj2):
+            child = automaton_to_expr(trim_automaton(kids[0]))
+            return expr_to_automaton(t(child), alphabet=sigma)
+        if t is Intersect:
+            prod = intersect_automata(*kids)
             steps.append(f"intersection product: {len(prod.states)} states")
             return renumber_states(trim_automaton(prod))
-        if isinstance(e, Difference):
-            diff = difference_automata(build(e.left), build(e.right))
+        if t is Difference:
+            diff = difference_automata(*kids)
             steps.append(f"difference via complement: {len(diff.states)} states")
             return renumber_states(trim_automaton(diff))
-        raise RewriteError(f"no tree rewrite for {render(e)}")
+        raise RewriteError(f"no tree rewrite for {render(node)}")
 
-    out = automaton_to_expr(trim_automaton(build(e)))
+    out = automaton_to_expr(trim_automaton(_fold(e, translate)))
     assert not operators_used(out).flags & {"cap", "minus"}
     return out
 
@@ -364,26 +365,23 @@ def witness_span(e: Expr) -> int:
     first become nonempty.  Atoms span their endpoints; compositions add;
     intersections and differences multiply, covering the interleaving of the
     two operands' eventual periods."""
-    span: dict[int, int] = {}
-    for node in _distinct_nodes(e):
+    def span(node, *kids):
         t = type(node)
         if t in (Empty, Identity):
-            out = 1
-        elif t in (EdgeLabel, Diversity):
-            out = 2
-        elif t in (TransClosure, Converse, Proj1, Proj2):
-            out = span[id(node.child)]
-        elif t is Compose:
-            out = span[id(node.left)] + span[id(node.right)]
-        elif t is Union:
-            out = max(span[id(node.left)], span[id(node.right)])
-        elif t in (Intersect, Difference):
-            a, b = span[id(node.left)], span[id(node.right)]
-            out = a * b + a + b
-        else:
-            raise RewriteError(f"no chain-span bound for {render(node)}")
-        span[id(node)] = out
-    return span[id(e)]
+            return 1
+        if t in (EdgeLabel, Diversity):
+            return 2
+        if t in (TransClosure, Converse, Proj1, Proj2):
+            return kids[0]
+        if t is Compose:
+            return sum(kids)
+        if t is Union:
+            return max(kids)
+        if t in (Intersect, Difference):
+            a, b = kids
+            return a * b + a + b
+        raise RewriteError(f"no chain-span bound for {render(node)}")
+    return _fold(e, span)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from navex.evaluate import (
 from navex.expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, parse, power, subexpressions,
+    EMPTY, IDENTITY, _children, _distinct_nodes, parse, power,
 )
 from navex.graphs import (
     Graph, ResourceLimitError, chain_graph, enumerate_trees, parallel_paths_graph,
@@ -153,6 +153,11 @@ def test_is_condition():
     deep = power(Proj1(a), 5000)
     assert is_condition(deep)
     assert not is_condition(Compose(deep, a))
+    shared = Proj1(a)
+    for _ in range(60):
+        shared = Compose(shared, shared)    # 2^60 occurrences, 61 objects
+    assert is_condition(shared)
+    assert not is_condition(Compose(shared, a))
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +464,18 @@ _SWAP = {
 }
 
 
+def _tree(e):
+    """Every node of `e`, a shared subterm once per occurrence."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_children(node))
+
+
 def _mutate(e, target):
-    """A copy of `e` whose subterm at position `target` (in subexpressions
-    order) has another label or operator; every other node is shared."""
+    """A copy of `e` whose subterm at position `target` (in postorder) has
+    another label or operator; every other node is shared."""
     position = 0
 
     def walk(node):
@@ -488,7 +502,7 @@ def _plan_pairs(draw):
         return e, Compose(Union(e, a), e)
     if kind == "copy":
         return e, copy.deepcopy(e)
-    target = draw(st.integers(0, sum(1 for _ in subexpressions(e)) - 1))
+    target = draw(st.integers(0, sum(1 for _ in _tree(e)) - 1))
     return e, _mutate(e, target)
 
 
@@ -496,7 +510,8 @@ def _plan_pairs(draw):
 @given(_plan_pairs(), _graphs)
 def test_plan_of_a_pair_matches_reference(pair, g):
     code, roots = _compile(pair)
-    assert len(code) == len({s for e in pair for s in subexpressions(e)})
+    assert len(code) == len({s for e in pair for s in _tree(e)})
+    assert len(code) == len(_distinct_nodes(*pair))
     ctx = EvalContext(g)
     masks = ctx._run(code)
     for e, slot in zip(pair, roots):
@@ -508,5 +523,5 @@ def test_plan_merges_equal_copies():
                      certify=False).result
     code, (r1, r2) = _compile((e, copy.deepcopy(e)))
     assert r1 == r2
-    assert len(code) == len(set(subexpressions(e)))
-    assert len(code) < sum(1 for _ in subexpressions(e))
+    assert len(code) == len(set(_tree(e))) == len(_distinct_nodes(e))
+    assert len(code) < sum(1 for _ in _tree(e))

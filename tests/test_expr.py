@@ -1,27 +1,45 @@
 """Syntax layer: parsing, rendering, sugar, fragments, structural metrics."""
 
+import copy
+import dataclasses
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
+
+import navex.expr
 
 from navex.expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
     Empty, Fragment, FragmentError, Identity, Intersect, ParseError, Proj1,
     Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, DIVERSITY,
+    EMPTY, IDENTITY, DIVERSITY, Expr,
     condition_depth, label_union, labels_used, operators_used, parse, power,
     render, size, star,
-    subexpressions, _distinct_nodes,
+    _children, _distinct_nodes, _fold,
 )
 
 a, b, c, d = EdgeLabel("a"), EdgeLabel("b"), EdgeLabel("c"), EdgeLabel("d")
 
 
+def _tree(e):
+    """Every node of `e`, a shared subterm once per occurrence."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_children(node))
+
+
 # ---------------------------------------------------------------------------
-# structural equality and hashing
+# hash-consing: equal expressions are one object
 
 def test_equality_is_structural():
     assert parse("a . b") == parse("a . b")
-    assert parse("a . b") is not parse("a . b")
+    assert parse("a . b") is parse("a . b")
     assert hash(parse("a . b")) == hash(parse("a . b"))
     assert parse("a . b") != parse("b . a")
     assert Proj1(a) != Proj2(a)
@@ -43,7 +61,8 @@ def test_hash_is_the_tuple_of_type_name_and_fields():
 
 
 def test_equality_compares_structure_under_equal_hashes():
-    p, q = Proj1(a), Proj1(b)
+    # labels of this test only, so the forced hash dies with its nodes
+    p, q = Proj1(EdgeLabel("collision_p")), Proj1(EdgeLabel("collision_q"))
     q.__dict__["_h"] = hash(p)      # a collision, forced
     assert hash(Compose(a, p)) == hash(Compose(a, q))
     assert Compose(a, p) != Compose(a, q)
@@ -51,13 +70,71 @@ def test_equality_compares_structure_under_equal_hashes():
 
 
 def test_hash_and_equality_handle_deep_expressions():
-    deep, copy = power(a, 5000), power(EdgeLabel("a"), 5000)
-    assert hash(deep) == hash(copy)
-    assert deep == copy and deep in {copy}
+    deep, again = power(a, 5000), power(EdgeLabel("a"), 5000)
+    assert hash(deep) == hash(again)
+    assert deep == again and deep in {again}
     assert deep != power(a, 4999)
     assert deep != Compose(a, power(b, 4999))
-    # a node whose children already carry their hashes
-    assert hash(Proj1(copy)) == hash(("Proj1", (copy,)))
+    assert hash(Proj1(again)) == hash(("Proj1", (again,)))
+
+
+def test_equality_is_identity():
+    assert "__eq__" not in vars(Expr)
+    for text in ["(a . b) | (a . b)", "pi1(a+) & pi1(a+)", "a^3 . a^3"]:
+        assert parse(text) is parse(text)
+    shared = parse("(a . b) | (a . b)")
+    assert shared.left is shared.right
+    assert len(_distinct_nodes(shared)) == 4
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    for e in [a, EMPTY, parse("pi1(a . b)+ \\ (a & c)"), power(a, 5000)]:
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert copy.deepcopy([e, (e,)])[1][0] is e
+    e = parse("pi1(a . b)+ \\ (a & c)")
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_nodes_are_immutable_and_checked():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.name = "b"
+    with pytest.raises(TypeError):
+        Compose(a)
+
+
+def test_threads_building_the_same_expressions_get_one_object_each():
+    def build(out):
+        barrier.wait(timeout=30)
+        out.extend(Compose(EdgeLabel(f"race_{i}"), TransClosure(EdgeLabel(f"race_{i % 7}")))
+                   for i in range(1000))
+
+    barrier = threading.Barrier(8)
+    results: list[list] = [[] for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 1000 for out in results)
+    for built in zip(*results):
+        assert all(node is built[0] for node in built)
+
+
+def test_the_table_drops_dead_nodes():
+    gc.collect()
+    before = len(navex.expr._TABLE)
+    nodes = [Proj1(Compose(EdgeLabel(f"gone_{i}"), b)) for i in range(500)]
+    assert len(navex.expr._TABLE) == before + 3 * 500
+    del nodes
+    gc.collect()
+    assert len(navex.expr._TABLE) == before
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +245,16 @@ def test_render_parse_round_trip(e):
     assert parse(render(e)) == e
 
 
+@given(_exprs, _exprs)
+def test_equal_expressions_are_the_same_object(e1, e2):
+    assert (e1 == e2) == (e1 is e2) == (render(e1) == render(e2))
+    assert parse(render(e1)) is e1
+
+
 @given(_exprs)
 def test_size_counts_operator_applications(e):
     ops = sum(
-        1 for s in subexpressions(e)
+        1 for s in _tree(e)
         if not isinstance(s, (Empty, Identity, Diversity, EdgeLabel))
     )
     assert size(e) == ops
@@ -194,11 +277,28 @@ def test_distinct_walk_visits_each_object_once_children_first():
     assert operators_used(x) == Fragment.of()
 
 
+def test_fold_drops_each_value_after_its_last_parent():
+    live = peak = 0
+
+    class Value:
+        def __init__(self):
+            nonlocal live, peak
+            live += 1
+            peak = max(peak, live)
+
+        def __del__(self):
+            nonlocal live
+            live -= 1
+
+    _fold(power(a, 1000), lambda node, *kids: Value())
+    assert peak == 3        # a, the last power and the one being built
+
+
 def test_walks_handle_deep_expressions():
     deep = Proj1(power(TransClosure(a), 5000))
     assert labels_used(deep) == {"a"}
     assert operators_used(deep) == Fragment.of("tc", "pi1")
-    assert sum(1 for _ in subexpressions(deep)) == 3 * 5000 + 2
+    assert sum(1 for _ in _tree(deep)) == 3 * 5000 + 2
 
 
 def test_size_render_and_parse_handle_deep_input():
@@ -207,8 +307,8 @@ def test_size_render_and_parse_handle_deep_input():
     text = render(deep)
     assert text == "a . (" * 4999 + "a . id" + ")" * 4999
     assert repr(deep) == f"<{text}>"
-    with pytest.raises(ParseError, match="nesting too deep"):
-        parse("(" * 2000 + "a" + ")" * 2000)
+    assert parse(text) is deep
+    assert parse("(" * 2000 + "a" + ")" * 2000) is EdgeLabel("a")
 
 
 def test_size_and_labels():

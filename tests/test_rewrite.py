@@ -9,6 +9,7 @@ the incremental implementation builds.
 """
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from navex.constructions import (
 from navex.evaluate import boolean_equivalent, evaluate_boolean, path_equivalent
 from navex.expr import (
     Compose, Intersect, Proj1, Proj2, TransClosure, Union,
-    condition_depth, operators_used, parse, power, render,
+    condition_depth, label_union, operators_used, parse, power, render,
 )
 from navex.graphs import Graph, chain_graph, enumerate_trees
 from navex.rewrite import (
@@ -393,6 +394,29 @@ def test_setop_pipeline_rejects_converse_and_diversity():
     for text in ("conv(a) & b", "di \\ a"):
         with pytest.raises(RewriteError):
             eliminate_intersect_difference(parse(text))
+
+
+def test_translations_to_automata_do_not_recurse():
+    e = label_union(f"l{i:02}" for i in range(60))     # unions nested 59 deep
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        a = expr_to_automaton(e)
+        out = eliminate_intersect_difference(e)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(a.states) == 2 * 60
+    assert path_equivalent(e, out, "labeled-tree", max_nodes=2, labels=60)
+
+
+def test_a_shared_subterm_is_translated_once():
+    steps = []
+    out = eliminate_intersect_difference(parse("(a+ & b+) . (a+ & b+)"), steps)
+    assert len(steps) == 1 and steps[0].startswith("intersection product")
+    assert path_equivalent(parse("(a+ & b+) . (a+ & b+)"), out)
 
 
 # --- the unlabeled collapse -------------------------------------------------
