@@ -224,7 +224,7 @@ def eval_automaton(a: ConditionAutomaton, g: Graph,
     rows = {lab: ctx.successor_rows(lab) for lab in a.alphabet}
     succ = a.successors
     finals = a.finals
-    accepted = 0
+    accepted = [0] * n      # row m: the nodes reached from start node m
     for m in range(n):
         starts = [(q, m) for q in a.initials if sat.holds(q, m)]
         seen = set(starts)
@@ -242,9 +242,8 @@ def eval_automaton(a: ConditionAutomaton, g: Graph,
                     if cfg not in seen:
                         seen.add(cfg)
                         stack.append(cfg)
-        for j in _bits(targets):
-            accepted |= 1 << (m * n + j)
-    return ctx.decode(accepted)
+        accepted[m] = targets
+    return ctx.decode(ctx.join_rows(accepted))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,26 @@
 """Semantics of navigational expressions over edge-labeled graphs.
 
 An expression denotes a binary relation on the nodes of a graph.  The
-evaluator keeps relations as single integers (bit (i*n + j) set means node i
-relates to node j).  Expressions are first compiled into a plan: one
-instruction per distinct subterm, children before parents.  Expressions
-are hash-consed, so a walk that visits each node object once meets each
-distinct subterm once and the plan needs no merging of its own.  A plan
-is built once and run on any number of graphs, so the bounded oracles
-compile each pair of expressions once and run that plan on every
-instance.  Neither compiling nor running hashes, compares or recurses over
-expressions, so deep expressions evaluate as well as shallow ones.
+evaluator keeps a relation as one integer, a mask whose row i holds the
+successors of node i: bit i * stride + j is set when node i relates to node
+j.  The stride is the node count rounded up to whole bytes, so a mask's
+bytes cut into its rows and rows join back into a mask in one conversion
+each, without shifting the whole mask once per row; every operation works
+on rows that way.  Nodes are numbered in topological order, so a downward
+relation on a tree or chain only relates nodes to later ones, and its
+closure is one pass from the last row to the first.  A projection is one
+multiplication: the product of a node set and the mask with bit 0 of every
+row set copies the set into every row, and the identity mask keeps the
+diagonal.
+
+Expressions are first compiled into a plan: one instruction per distinct
+subterm, children before parents.  Expressions are hash-consed, so a walk
+that visits each node object once meets each distinct subterm once and the
+plan needs no merging of its own.  A plan is built once and run on any
+number of graphs, so the bounded oracles compile each pair of expressions
+once and run that plan on every instance.  Neither compiling nor running
+hashes, compares or recurses over expressions, so deep expressions evaluate
+as well as shallow ones.
 
 The oracles map a plan's label names onto the positional labels l0, l1,
 ... of their instance streams, so expressions over different names share
@@ -22,6 +33,10 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from heapq import heappop, heappush
+from itertools import compress
+from operator import itemgetter, or_
 
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
@@ -99,35 +114,84 @@ def _compile(roots) -> tuple[list[tuple], list[int]]:
     return code, [slot[id(r)] for r in roots]
 
 
+def _join(rows, widths, little) -> int:
+    return int.from_bytes(b"".join(map(int.to_bytes, rows, widths, little)), "little")
+
+
+@lru_cache(maxsize=64)
+def _layout(n: int) -> tuple:
+    """What the masks of every n-node context share: the byte length of a
+    mask, a getter cutting its bytes into rows, the arguments that turn n
+    rows to and from bytes, the singleton rows, and the identity, column
+    (bit 0 of every row), backward ((i, j) with j < i) and off-diagonal
+    masks."""
+    width = (n + 7) // 8      # bytes per row
+    # a trailing empty slice keeps the getter's result a tuple at n = 1;
+    # the n-long argument lists cut the split at n rows
+    slicer = itemgetter(*[slice(i * width, (i + 1) * width) for i in range(n)],
+                        slice(0, 0))
+    widths, little = [width] * n, ["little"] * n
+    singletons = [1 << i for i in range(n)]
+    identity = _join(singletons, widths, little)
+    column = _join([1] * n, widths, little)
+    full = _join([(1 << n) - 1] * n, widths, little)
+    return (n * width, slicer, widths, little, singletons,
+            identity, column, identity - column, full ^ identity)
+
+
 class EvalContext:
     """Per-graph evaluation state: node indexing, label relations as bit
-    masks, and the relation algebra on masks that plans run on."""
+    masks, and the relation algebra on masks that plans run on.
+
+    Nodes are indexed in topological order (every edge's source before its
+    target, ties by name), or in name order if the graph has a cycle other
+    than a self-loop.  Row i of a mask, node i's successor set, starts at
+    bit i * stride, where the stride is n rounded up to whole bytes, so a
+    mask splits into its rows with one `to_bytes` and rows join back with
+    one `from_bytes`.  Operations work on rows through that split and join,
+    except projections and products with a test, which multiply by the
+    column mask."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.node_order = sorted(graph.nodes)
-        self.index = {n: i for i, n in enumerate(self.node_order)}
-        n = len(self.node_order)
-        self.n = n
-        self.identity_mask = 0
-        for i in range(n):
-            self.identity_mask |= 1 << (i * n + i)
-        self.full_mask = (1 << (n * n)) - 1 if n else 0
+        self.node_order, self.index = _topological(graph)
+        self.n = n = len(self.node_order)
         index = self.index
-        self.label_masks: dict[str, int] = dict.fromkeys(graph.labels, 0)
+        (self._size, self._slicer, self._widths, self._little, self._singletons,
+         self.identity_mask, self._column, self._backward,
+         self._off_diagonal) = _layout(n)
+        rows = {lab: [0] * n for lab in graph.labels}
         for s, lab, t in graph.edges:
-            self.label_masks[lab] |= 1 << (index[s] * n + index[t])
+            rows[lab][index[s]] |= 1 << index[t]
+        self.label_masks = {lab: _join(r, self._widths, self._little)
+                            for lab, r in rows.items()}
+        # the rows of the masks every plan starts from, kept for good, and
+        # of the masks one plan run computes, which the oracles clear
+        self._fixed_rows = {self.label_masks[lab]: r for lab, r in rows.items()}
+        self._fixed_rows.update({0: [0] * n, self.identity_mask: self._singletons})
         self._row_cache: dict[int, list[int]] = {}
 
     # --- relation algebra on masks -------------------------------------
+    def _split(self, mask: int) -> list[int]:
+        """The rows of `mask`, a new list."""
+        return list(map(int.from_bytes,
+                        self._slicer(mask.to_bytes(self._size, "little")), self._little))
+
     def _rows(self, mask: int) -> list[int]:
+        """The rows of `mask`, shared: callers must not change them."""
         rows = self._row_cache.get(mask)
         if rows is None:
-            n = self.n
-            window = (1 << n) - 1
-            rows = [(mask >> (i * n)) & window for i in range(n)]
-            self._row_cache[mask] = rows
+            rows = self._fixed_rows.get(mask)
+            if rows is None:
+                rows = self._row_cache[mask] = self._split(mask)
         return rows
+
+    def join_rows(self, rows: list[int]) -> int:
+        """The mask whose row i is `rows[i]`, a node bitmask.  The rows are
+        kept for `_rows`, so the caller must not change them afterwards."""
+        mask = _join(rows, self._widths, self._little)
+        self._row_cache[mask] = rows
+        return mask
 
     def compose_masks(self, a: int, b: int) -> int:
         if not a or not b:
@@ -136,57 +200,71 @@ class EvalContext:
             return b
         if b == self.identity_mask:
             return a
-        n = self.n
-        window = (1 << n) - 1
         rows_b = self._rows(b)
-        out = 0
-        for i in range(n):
-            row = (a >> (i * n)) & window
-            if row:
-                acc = 0
-                while row:
-                    low = row & -row
-                    acc |= rows_b[low.bit_length() - 1]
-                    row ^= low
-                out |= acc << (i * n)
-        return out
+        if not b & self._off_diagonal:  # b is a test: keep a's columns on its nodes
+            return a & reduce(or_, rows_b) * self._column
+        rows_a = self._rows(a)
+        out = []
+        for row in rows_a:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= rows_b[low.bit_length() - 1]
+                row ^= low
+            out.append(acc)
+        # on small graphs a product is often empty or one of its operands
+        if out == rows_b:
+            return b
+        if out == rows_a:
+            return a
+        return self.join_rows(out) if any(out) else 0
 
     def transpose_mask(self, a: int) -> int:
-        n = self.n
-        out = 0
-        for i in range(n):
-            row = (a >> (i * n)) & ((1 << n) - 1)
-            for j in _bits(row):
-                out |= 1 << (j * n + i)
-        return out
+        out = [0] * self.n
+        for bit, row in zip(self._singletons, self._rows(a)):
+            while row:
+                low = row & -row
+                out[low.bit_length() - 1] |= bit
+                row ^= low
+        return self.join_rows(out)
 
     def closure_mask(self, a: int) -> int:
-        cur = a
-        while True:
-            nxt = cur | self.compose_masks(cur, cur)
-            if nxt == cur:
-                return cur
-            cur = nxt
+        """The transitive closure of `a`.  If `a` only relates nodes to
+        themselves or to later nodes, as a downward relation on a tree or
+        chain does, one pass from the last row to the first ORs into each
+        row the finished rows of its successors.  Otherwise `a` is squared
+        until a fixpoint."""
+        if a & self._backward:
+            cur = a
+            while True:
+                nxt = cur | self.compose_masks(cur, cur)
+                if nxt == cur:
+                    return cur
+                cur = nxt
+        given = self._rows(a)
+        rows = list(given)
+        for i in range(self.n - 1, -1, -1):
+            row = acc = rows[i]
+            while row:
+                low = row & -row
+                acc |= rows[low.bit_length() - 1]
+                row ^= low
+            rows[i] = acc
+        return a if rows == given else self.join_rows(rows)
 
     def _project(self, a: int, second: bool, complement: bool) -> int:
         """The identity pairs on the nodes with an outgoing (or, for
         `second`, incoming) pair in `a`, or on the other nodes when
         `complement` is set."""
-        n = self.n
-        window = (1 << n) - 1
-        nodes = 0
-        for i in range(n):
-            row = (a >> (i * n)) & window
-            if second:
-                nodes |= row
-            elif row:
-                nodes |= 1 << i
+        rows = self._rows(a)
+        if second:
+            nodes = reduce(or_, rows, 0)
+        else:
+            nodes = sum(compress(self._singletons, rows))
         if complement:
-            nodes ^= window
-        out = 0
-        for i in _bits(nodes):
-            out |= 1 << (i * n + i)
-        return out
+            nodes ^= (1 << self.n) - 1
+        # the product copies `nodes` into every row; no row carries over
+        return nodes * self._column & self.identity_mask
 
     def _run(self, code: list[tuple]) -> list[int]:
         """The mask of every slot of a plan on this graph."""
@@ -215,7 +293,7 @@ class EvalContext:
             elif op == _EMPTY:
                 push(0)
             elif op == _DIVERSITY:
-                push(self.full_mask & ~self.identity_mask)
+                push(self._off_diagonal)
             else:  # _CONVERSE
                 push(self.transpose_mask(masks[x]))
         return masks
@@ -236,17 +314,37 @@ class EvalContext:
 
     def diagonal_nodes(self, e: Expr) -> int:
         """Bitmask over node indices i with (i, i) in the relation of `e`."""
-        mask = self.mask_of(e)
-        n = self.n
-        out = 0
-        for i in range(n):
-            if mask >> (i * n + i) & 1:
-                out |= 1 << i
-        return out
+        return reduce(or_, self._split(self.mask_of(e) & self.identity_mask), 0)
 
     def successor_rows(self, label: str) -> list[int]:
         """Per-node successor sets along `label`, as node bitmasks."""
         return self._rows(self.label_masks.get(label, 0))
+
+
+def _topological(graph: Graph) -> tuple[list[str], dict[str, int]]:
+    """The nodes with every edge's source before its target, ties broken by
+    name (Kahn 1962), or by name if a cycle other than a self-loop leaves
+    some unplaced; and the index of each node in that order."""
+    by_name = sorted(graph.nodes)
+    rank = {v: i for i, v in enumerate(by_name)}
+    preds = [0] * len(by_name)
+    succs: list[list[int]] = [[] for _ in by_name]
+    for s, _, t in graph.edges:
+        if s != t:
+            succs[rank[s]].append(rank[t])
+            preds[rank[t]] += 1
+    ready = [i for i, count in enumerate(preds) if not count]   # sorted, so a heap
+    order = []
+    while ready:
+        i = heappop(ready)
+        order.append(by_name[i])
+        for j in succs[i]:
+            preds[j] -= 1
+            if not preds[j]:
+                heappush(ready, j)
+    if len(order) < len(by_name):
+        order = by_name
+    return order, {v: i for i, v in enumerate(order)}
 
 
 def evaluate(e: Expr, graph: Graph, ctx: EvalContext | None = None) -> frozenset:

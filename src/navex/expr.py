@@ -70,8 +70,15 @@ class Expr(metaclass=_Interned):
         return self._h
 
     def __reduce__(self):
-        names = self.__dataclass_fields__  # type: ignore[attr-defined]
-        return type(self), tuple(getattr(self, name) for name in names)
+        # every distinct subterm once, children first, each as its type and
+        # its label name or its children's positions in the list, so that
+        # pickling a deep expression does not recurse
+        nodes = _distinct_nodes(self)
+        slot = {id(node): i for i, node in enumerate(nodes)}
+        return _rebuild, ([
+            (EdgeLabel, node.name) if type(node) is EdgeLabel
+            else (type(node), *[slot[id(kid)] for kid in _children(node)])
+            for node in nodes],)
 
     def __deepcopy__(self, memo):
         return self     # its own deep copy; no walk, so deep nodes copy too
@@ -216,6 +223,14 @@ def _distinct_nodes(*roots: Expr, children=_children) -> list[Expr]:
             stack.append((node, True))
             stack.extend((kid, False) for kid in reversed(children(node)))
     return out
+
+
+def _rebuild(records) -> Expr:
+    """The expression `Expr.__reduce__` flattened into `records`."""
+    nodes: list[Expr] = []
+    for cls, *fields in records:
+        nodes.append(cls(*fields) if cls is EdgeLabel else cls(*[nodes[i] for i in fields]))
+    return nodes[-1]
 
 
 def _fold(e: Expr, f, children=_children):

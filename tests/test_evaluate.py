@@ -2,6 +2,7 @@
 reference implementation over plain pair sets."""
 
 import copy
+import random
 import re
 import sys
 import threading
@@ -28,6 +29,14 @@ from navex.rewrite import run_pipeline
 # ---------------------------------------------------------------------------
 # an independent reference evaluator over frozensets of pairs
 
+def _then(r1, r2) -> set:
+    """The pairs (m, q) with (m, n) in r1 and (n, q) in r2."""
+    successors: dict = {}
+    for p, q in r2:
+        successors.setdefault(p, set()).add(q)
+    return {(m, q) for m, n in r1 for q in successors.get(n, ())}
+
+
 def reference_eval(e, g: Graph) -> frozenset:
     nodes = g.nodes
     if isinstance(e, Empty):
@@ -47,7 +56,7 @@ def reference_eval(e, g: Graph) -> frozenset:
         total = set(r)
         frontier = set(r)
         while frontier:
-            step = {(m, q) for m, n in frontier for p, q in r if n == p}
+            step = _then(frontier, r)
             frontier = step - total
             total |= step
         return frozenset(total)
@@ -66,9 +75,7 @@ def reference_eval(e, g: Graph) -> frozenset:
         seconds = {n for _, n in r}
         return frozenset((n, n) for n in nodes if n not in seconds)
     if isinstance(e, Compose):
-        r1 = reference_eval(e.left, g)
-        r2 = reference_eval(e.right, g)
-        return frozenset((m, q) for m, n in r1 for p, q in r2 if n == p)
+        return frozenset(_then(reference_eval(e.left, g), reference_eval(e.right, g)))
     if isinstance(e, Union):
         return reference_eval(e.left, g) | reference_eval(e.right, g)
     if isinstance(e, Intersect):
@@ -229,6 +236,84 @@ def test_transitive_closure_is_a_fixpoint(e, g):
     composed = frozenset((m, q) for m, n in tc for p, q in r if n == p)
     assert r <= tc
     assert tc == r | composed
+
+
+# ---------------------------------------------------------------------------
+# the mask layout: rows a whole number of bytes apart, nodes in topological
+# order, and closure in one pass over relations that only point forward
+
+@st.composite
+def _sized_graphs(draw):
+    """Graphs of sizes either side of a byte boundary, with node names
+    shuffled so that name order is not topological.  Edges either point
+    anywhere (cycles, self-loops) or only forward in a hidden order."""
+    n = draw(st.sampled_from([1, 7, 8, 9, 16, 17, 64, 65]))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    forward = draw(st.booleans())
+    edges = set()
+    for s, lab, t in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from("ab"),
+                                             st.integers(0, n - 1)), max_size=2 * n)):
+        if forward:
+            s, t = min(s, t), max(s, t)
+        edges.add((names[s], lab, names[t]))
+    return Graph.build(names, ["a", "b"], edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs, _sized_graphs())
+def test_evaluator_matches_reference_across_byte_boundaries(e, g):
+    for x in (e, TransClosure(e), Compose(e, Proj2(e)), Coproj1(e), Converse(e)):
+        assert evaluate(x, g) == reference_eval(x, g)
+
+
+class _CountingContext(EvalContext):
+    """Counts the products taken, from outside, as a tracing subclass does."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.products = 0
+
+    def compose_masks(self, x, y):
+        self.products += 1
+        return super().compose_masks(x, y)
+
+
+def test_closure_of_a_downward_relation_takes_no_products():
+    downward = [a, b, Union(a, b), Compose(a, b), Compose(Proj2(a), b),
+                Union(IDENTITY, a), Compose(Union(a, b), Coproj1(b))]
+    squared = 0
+    for tree in enumerate_trees(5, 2):
+        ctx = _CountingContext(tree)
+        for e in downward:
+            mask = ctx.mask_of(e)
+            ctx.products = 0
+            closed = ctx.closure_mask(mask)
+            assert ctx.products == 0
+            assert ctx.decode(closed) == reference_eval(TransClosure(e), tree)
+        # a relation with a pair pointing back is squared instead
+        both = ctx.mask_of(Union(a, Converse(a)))
+        ctx.products = 0
+        assert ctx.decode(ctx.closure_mask(both)) == reference_eval(
+            TransClosure(Union(a, Converse(a))), tree)
+        squared += ctx.products > 0
+    assert squared
+
+
+def test_topological_order_puts_sources_first():
+    rng = random.Random(5)
+    for _ in range(5):
+        names = [f"x{i}" for i in range(400)]
+        rng.shuffle(names)
+        edges = {(names[rng.randrange(i)], rng.choice("ab"), names[i]) for i in range(1, 400)}
+        order, index = ev._topological(Graph.build(names, ["a", "b"], edges))
+        assert sorted(order) == sorted(names)
+        assert index == {v: i for i, v in enumerate(order)}
+        assert all(index[s] < index[t] for s, _, t in edges)
+    # ties go by name; a cycle (not a self-loop) leaves the order by name
+    fork = Graph.build("abcd", ["a"], {("d", "a", "a"), ("b", "a", "b")})
+    assert ev._topological(fork)[0] == ["b", "c", "d", "a"]
+    cycle = Graph.build("abc", ["a"], {("c", "a", "b"), ("b", "a", "c")})
+    assert ev._topological(cycle)[0] == ["a", "b", "c"]
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,17 @@ def test_copies_and_pickles_are_the_interned_node():
     assert pickle.loads(pickle.dumps(e)) is e
 
 
+def test_deep_and_shared_expressions_pickle_flat():
+    deep = power(a, 5000)
+    assert pickle.loads(pickle.dumps(deep)) is deep
+    shared = a
+    for _ in range(60):
+        shared = Compose(shared, shared)    # 2^60 occurrences, 61 objects
+    data = pickle.dumps(shared)
+    assert len(data) < 2000
+    assert pickle.loads(data) is shared
+
+
 def test_nodes_are_immutable_and_checked():
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.name = "b"
