@@ -343,7 +343,7 @@ def condition_complement(c: Expr) -> Expr:
         f"condition complement is defined for atomic conditions, got {render(c)}")
 
 
-def determinize(a: ConditionAutomaton, max_states: int | None = None) -> ConditionAutomaton:
+def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
     """Subset construction refined by condition sets: states are pairs (Q, V)
     with Q original states and V the conditions assumed to hold at the
     current node.  On trees every node satisfies exactly one V, making the
@@ -355,7 +355,7 @@ def determinize(a: ConditionAutomaton, max_states: int | None = None) -> Conditi
     subsets = _subsets(conds)
     gamma = a.gamma
     bound = (2 ** len(a.states)) * (2 ** len(conds))
-    cap = min(bound, max_states if max_states is not None else default_ceiling())
+    cap = min(bound, default_ceiling())
 
     initials = []
     for v in subsets:

@@ -39,7 +39,7 @@ from itertools import compress
 from operator import itemgetter, or_
 
 from .expr import (
-    Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
+    Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     _children, _distinct_nodes, labels_used,
 )
@@ -80,10 +80,10 @@ def _bits(mask: int):
 # the label name for _LABEL, and for _PROJECT x is the operand's slot and y
 # says which side is projected and whether the result is complemented.
 
-(_EMPTY, _IDENTITY, _DIVERSITY, _LABEL, _CONVERSE, _CLOSURE, _PROJECT,
- _COMPOSE, _UNION, _INTERSECT, _DIFFERENCE) = range(11)
+(_EMPTY, _IDENTITY, _LABEL, _CONVERSE, _CLOSURE, _PROJECT,
+ _COMPOSE, _UNION, _INTERSECT, _DIFFERENCE) = range(10)
 
-_ATOM_OP = {Empty: _EMPTY, Identity: _IDENTITY, Diversity: _DIVERSITY}
+_ATOM_OP = {Empty: _EMPTY, Identity: _IDENTITY}
 _UNARY_OP = {Converse: _CONVERSE, TransClosure: _CLOSURE}
 # (second, complement) for each (co)projection
 _PROJECTION = {Proj1: (False, False), Proj2: (True, False),
@@ -123,8 +123,7 @@ def _layout(n: int) -> tuple:
     """What the masks of every n-node context share: the byte length of a
     mask, a getter cutting its bytes into rows, the arguments that turn n
     rows to and from bytes, the singleton rows, and the identity, column
-    (bit 0 of every row), backward ((i, j) with j < i) and off-diagonal
-    masks."""
+    (bit 0 of every row) and backward ((i, j) with j < i) masks."""
     width = (n + 7) // 8      # bytes per row
     # a trailing empty slice keeps the getter's result a tuple at n = 1;
     # the n-long argument lists cut the split at n rows
@@ -134,9 +133,8 @@ def _layout(n: int) -> tuple:
     singletons = [1 << i for i in range(n)]
     identity = _join(singletons, widths, little)
     column = _join([1] * n, widths, little)
-    full = _join([(1 << n) - 1] * n, widths, little)
     return (n * width, slicer, widths, little, singletons,
-            identity, column, identity - column, full ^ identity)
+            identity, column, identity - column)
 
 
 class EvalContext:
@@ -158,8 +156,7 @@ class EvalContext:
         self.n = n = len(self.node_order)
         index = self.index
         (self._size, self._slicer, self._widths, self._little, self._singletons,
-         self.identity_mask, self._column, self._backward,
-         self._off_diagonal) = _layout(n)
+         self.identity_mask, self._column, self._backward) = _layout(n)
         rows = {lab: [0] * n for lab in graph.labels}
         for s, lab, t in graph.edges:
             rows[lab][index[s]] |= 1 << index[t]
@@ -201,7 +198,7 @@ class EvalContext:
         if b == self.identity_mask:
             return a
         rows_b = self._rows(b)
-        if not b & self._off_diagonal:  # b is a test: keep a's columns on its nodes
+        if b & self.identity_mask == b:  # b is a test: keep a's columns on its nodes
             return a & reduce(or_, rows_b) * self._column
         rows_a = self._rows(a)
         out = []
@@ -292,8 +289,6 @@ class EvalContext:
                 push(masks[x] & masks[y])
             elif op == _EMPTY:
                 push(0)
-            elif op == _DIVERSITY:
-                push(self._off_diagonal)
             else:  # _CONVERSE
                 push(self.transpose_mask(masks[x]))
         return masks

@@ -1,9 +1,9 @@
 """Navigational expressions: syntax tree, concrete grammar, and structural metrics.
 
 An expression denotes a binary relation over the nodes of an edge-labeled
-graph.  The core syntax has fourteen constructors; the concrete grammar adds
-sugar (``*``, ``^k``, ``A``, ``E``) that is desugared at parse time and never
-stored in the tree.
+graph.  The core syntax has thirteen constructors, those of the downward
+fragments and converse; the concrete grammar adds sugar (``*``, ``^k``,
+``E``) that is desugared at parse time and never stored in the tree.
 
 Expressions are hash-consed: every constructor call, parse, copy or unpickle
 returns the one live node for its expression, so equality is identity and a
@@ -20,10 +20,10 @@ import threading
 import weakref
 
 __all__ = [
-    "Expr", "Empty", "Identity", "Diversity", "EdgeLabel", "Converse",
+    "Expr", "Empty", "Identity", "EdgeLabel", "Converse",
     "TransClosure", "Proj1", "Proj2", "Coproj1", "Coproj2", "Compose",
     "Union", "Intersect", "Difference",
-    "EMPTY", "IDENTITY", "DIVERSITY",
+    "EMPTY", "IDENTITY",
     "power", "star", "label_union",
     "ParseError", "FragmentError", "parse", "render",
     "size", "labels_used",
@@ -98,11 +98,6 @@ class Identity(Expr):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Diversity(Expr):
-    """All pairs (m, n) with m != n."""
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class EdgeLabel(Expr):
     """All pairs connected by an edge with this label."""
     name: str
@@ -168,7 +163,6 @@ class Difference(Expr):
 
 EMPTY = Empty()
 IDENTITY = Identity()
-DIVERSITY = Diversity()
 
 _UNARY = (Converse, TransClosure, Proj1, Proj2, Coproj1, Coproj2)
 _BINARY = (Compose, Union, Intersect, Difference)
@@ -264,10 +258,10 @@ def labels_used(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # fragments
 
-FLAGS = ("di", "conv", "tc", "pi1", "pi2", "copi1", "copi2", "cap", "minus")
+FLAGS = ("conv", "tc", "pi1", "pi2", "copi1", "copi2", "cap", "minus")
 
 _FLAG_OF = {
-    Diversity: "di", Converse: "conv", TransClosure: "tc",
+    Converse: "conv", TransClosure: "tc",
     Proj1: "pi1", Proj2: "pi2", Coproj1: "copi1", Coproj2: "copi2",
     Intersect: "cap", Difference: "minus",
 }
@@ -347,6 +341,9 @@ class ParseError(ValueError):
 _FUNCTIONAL = {
     "conv": Converse, "pi1": Proj1, "pi2": Proj2, "copi1": Coproj1, "copi2": Coproj2,
 }
+# the diversity relation and its sugar A = id | di, which no downward
+# fragment has; without this check they would parse as edge labels
+_OUTSIDE = ("di", "A")
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|(-\d+)|([|\\&.+*^()]))")
 
 
@@ -396,10 +393,8 @@ def _atom(tokens: list, i: int, alphabet) -> Expr:
     if kind == "name":
         if value == "id":
             return IDENTITY
-        if value == "di":
-            return DIVERSITY
-        if value == "A":
-            return Union(IDENTITY, DIVERSITY)
+        if value in _OUTSIDE:
+            raise ParseError(f"{value!r} is outside the downward fragments", pos)
         if value == "E":
             if alphabet is None:
                 raise ParseError("E needs a declared alphabet", pos)
@@ -482,7 +477,7 @@ def parse(text: str, alphabet=None) -> Expr:
 _FUN_SYM = {Converse: "conv", Proj1: "pi1", Proj2: "pi2", Coproj1: "copi1", Coproj2: "copi2"}
 
 
-_ATOM_TEXT = {Empty: "0", Identity: "id", Diversity: "di"}
+_ATOM_TEXT = {Empty: "0", Identity: "id"}
 
 
 def render(e: Expr) -> str:

@@ -11,15 +11,13 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
     "Graph", "GraphError", "ResourceLimitError", "TreeCertificate",
-    "classify", "validate_single_labeled",
-    "chain_graph", "parallel_paths_graph",
-    "count_trees", "enumerate_trees", "enumerate_graphs", "instances",
+    "classify", "chain_graph",
+    "count_trees", "enumerate_trees", "instances",
     "GRAPH_CLASSES", "default_ceiling",
 ]
 
@@ -27,7 +25,6 @@ ID = "id"  # the label of identity steps in automata, so never a graph label
 
 GRAPH_CLASSES = (
     "labeled-tree", "unlabeled-tree", "labeled-chain", "unlabeled-chain",
-    "labeled-graph",
 )
 
 
@@ -69,16 +66,6 @@ class Graph:
     def build(cls, nodes, labels, edges) -> "Graph":
         return cls(frozenset(nodes), frozenset(labels),
                    frozenset((s, l, t) for (s, l, t) in edges))
-
-    @cached_property
-    def edge_map(self) -> dict[str, frozenset[tuple[str, str]]]:
-        out: dict[str, set] = {lab: set() for lab in self.labels}
-        for src, lab, dst in self.edges:
-            out[lab].add((src, dst))
-        return {lab: frozenset(pairs) for lab, pairs in out.items()}
-
-    def edge_relation(self, label: str) -> frozenset[tuple[str, str]]:
-        return self.edge_map.get(label, frozenset())
 
     @cached_property
     def union_pairs(self) -> frozenset[tuple[str, str]]:
@@ -182,16 +169,6 @@ def classify(g: Graph) -> TreeCertificate:
     return TreeCertificate(kind, root, max(depths.values()), depths)
 
 
-def validate_single_labeled(g: Graph) -> bool:
-    """True when no node pair is connected by edges with two different labels."""
-    seen: dict[tuple[str, str], str] = {}
-    for s, lab, t in g.edges:
-        prev = seen.setdefault((s, t), lab)
-        if prev != lab:
-            return False
-    return True
-
-
 def _subsets(items) -> list[frozenset]:
     """Every subset of the sequence `items`, in binary-counting order."""
     return [frozenset(x for i, x in enumerate(items) if bits >> i & 1)
@@ -229,24 +206,6 @@ def chain_graph(n_nodes: int, labels="a") -> Graph:
     nodes = [f"n{i}" for i in range(n_nodes)]
     edges = [(nodes[i], seq[i], nodes[i + 1]) for i in range(n_nodes - 1)]
     return Graph.build(nodes, alphabet, edges)
-
-
-def parallel_paths_graph(short: int, long: int, label: str = "a") -> Graph:
-    """A DAG with two label-`label` paths of the given edge counts sharing
-    both endpoints.  Not a tree: the target has in-degree 2."""
-    if short < 1 or long < 1:
-        raise GraphError("path lengths must be positive")
-    nodes = ["src", "tgt"]
-    edges = []
-    for length, prefix in ((short, "p"), (long, "q")):
-        prev = "src"
-        for i in range(length - 1):
-            node = f"{prefix}{i}"
-            nodes.append(node)
-            edges.append((prev, label, node))
-            prev = node
-        edges.append((prev, label, "tgt"))
-    return Graph.build(nodes, {label}, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -335,66 +294,10 @@ def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False,
         yield Graph(frozenset(names), label_set, frozenset(edges))
 
 
-def _structured_graphs(alphabet) -> list[Graph]:
-    """Parallel paths, a self-loop and a 2-cycle along the first label, each
-    over the whole alphabet; none when there are no labels."""
-    if not alphabet:
-        return []
-    lab = alphabet[0]
-    paths = [parallel_paths_graph(a, b, lab)
-             for a, b in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 7))]
-    shapes = [(g.nodes, g.edges) for g in paths]
-    shapes += [(["n0"], [("n0", lab, "n0")]),
-               (["n0", "n1"], [("n0", lab, "n1"), ("n1", lab, "n0")])]
-    return [Graph.build(nodes, alphabet, edges) for nodes, edges in shapes]
-
-
-# random graphs per node count where the exhaustive sweep is too large
-_SAMPLES = 200
-
-
-def _graph_count(max_nodes: int, alphabet, samples: int) -> int:
-    """The length of the `enumerate_graphs` stream."""
-    total = len(_structured_graphs(alphabet))
-    for n in range(1, max_nodes + 1):
-        cells = len(alphabet) * n * n
-        total += 2 ** cells if cells <= 9 else samples
-    return total
-
-
-def enumerate_graphs(max_nodes: int, labels=1, *, samples: int = _SAMPLES,
-                     ceiling: int | None = None):
-    """Yield small edge-labeled graphs: structured families first, then an
-    exhaustive sweep where the space is tiny (|labels| * n^2 <= 9), then a
-    fixed-seed random sample for the larger node/label combinations."""
-    alphabet = _alphabet(labels)
-    limit = ceiling if ceiling is not None else default_ceiling()
-    total = _graph_count(max_nodes, alphabet, samples)
-    if total > limit:
-        raise ResourceLimitError(f"{total} graphs exceeds the ceiling of {limit}")
-
-    yield from _structured_graphs(alphabet)
-    label_set = frozenset(alphabet)
-    for n in range(1, max_nodes + 1):
-        names = [f"n{i}" for i in range(n)]
-        cells = [(s, lab, t) for lab in alphabet for s in names for t in names]
-        if len(cells) <= 9:
-            for edges in _subsets(cells):
-                yield Graph(frozenset(names), label_set, edges)
-    rng = random.Random(0)
-    for n in range(1, max_nodes + 1):
-        names = [f"n{i}" for i in range(n)]
-        cells = [(s, lab, t) for lab in alphabet for s in names for t in names]
-        if len(cells) <= 9:
-            continue
-        for _ in range(samples):
-            edges = [cell for cell in cells if rng.random() < 0.35]
-            yield Graph(frozenset(names), label_set, frozenset(edges))
-
-
 def _class_labels(graph_class: str, labels):
     if graph_class not in GRAPH_CLASSES:
-        raise GraphError(f"unknown graph class {graph_class!r}")
+        raise GraphError(f"unknown graph class {graph_class!r}; "
+                         f"choose from {', '.join(GRAPH_CLASSES)}")
     if graph_class.startswith("unlabeled"):
         return _alphabet(labels)[:1] or ("a",)
     return labels
@@ -402,10 +305,8 @@ def _class_labels(graph_class: str, labels):
 
 def instances(graph_class: str, max_nodes: int, labels=2, *,
               ceiling: int | None = None):
-    """The instance stream behind the equivalence oracles and the CLI."""
+    """The instance stream behind the equivalence oracles."""
     labels = _class_labels(graph_class, labels)
-    if graph_class == "labeled-graph":
-        return enumerate_graphs(max_nodes, labels, ceiling=ceiling)
     return enumerate_trees(max_nodes, labels, chains_only=graph_class.endswith("chain"),
                            ceiling=ceiling)
 
@@ -413,6 +314,4 @@ def instances(graph_class: str, max_nodes: int, labels=2, *,
 def _instance_count(graph_class: str, max_nodes: int, labels=2) -> int:
     """The length of the `instances` stream with the same arguments."""
     labels = _class_labels(graph_class, labels)
-    if graph_class == "labeled-graph":
-        return _graph_count(max_nodes, _alphabet(labels), _SAMPLES)
     return count_trees(max_nodes, labels, chains_only=graph_class.endswith("chain"))

@@ -30,7 +30,7 @@ from .evaluate import (
     EquivVerdict, boolean_equivalent, evaluate_boolean, path_equivalent,
 )
 from .expr import (
-    Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
+    Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     EMPTY, _fold, condition_depth, labels_used, operators_used,
     power, render,
@@ -356,7 +356,7 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
 # ---------------------------------------------------------------------------
 # the unlabeled collapse
 
-_HOMOMORPHISM_SAFE = frozenset({"di", "conv", "tc", "pi1", "pi2", "cap"})
+_HOMOMORPHISM_SAFE = frozenset({"conv", "tc", "pi1", "pi2", "cap"})
 _DISTANCE_SAFE = frozenset({"tc", "cap", "minus"})
 
 
@@ -369,7 +369,7 @@ def witness_span(e: Expr) -> int:
         t = type(node)
         if t in (Empty, Identity):
             return 1
-        if t in (EdgeLabel, Diversity):
+        if t is EdgeLabel:
             return 2
         if t in (TransClosure, Converse, Proj1, Proj2):
             return kids[0]
@@ -403,16 +403,14 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
     chains or trees: `e` is either never nonempty, or nonempty exactly on
     instances of depth at least k, matching a k-step reachability query.
 
-    Applies to fragments closed under homomorphisms (diversity only on
-    chains) and to the pure distance-set fragment with difference.  Mixing
-    projection with difference can express coprojection, which breaks the
-    collapse, and is rejected."""
+    Applies to fragments closed under homomorphisms and to the pure
+    distance-set fragment with difference.  Mixing projection with
+    difference can express coprojection, which breaks the collapse, and is
+    rejected."""
     if graph_class not in ("unlabeled-chain", "unlabeled-tree"):
         raise RewriteError(f"no unlabeled normal form on {graph_class!r}")
     used = operators_used(e)
-    homo_safe = _HOMOMORPHISM_SAFE if graph_class == "unlabeled-chain" \
-        else _HOMOMORPHISM_SAFE - {"di"}
-    if not (used.flags <= homo_safe or used.flags <= _DISTANCE_SAFE):
+    if not (used.flags <= _HOMOMORPHISM_SAFE or used.flags <= _DISTANCE_SAFE):
         raise NotCollapsibleError(
             f"operators [{used}] have no empty-or-power collapse on {graph_class}")
     labels = labels_used(e)
@@ -438,7 +436,6 @@ class RewriteReport:
     result: Expr
     steps: tuple[str, ...]
     verdict: EquivVerdict | None
-    note: str = ""
 
     def __bool__(self):
         return self.verdict is None or bool(self.verdict)

@@ -13,10 +13,10 @@ from hypothesis import given, strategies as st
 import navex.expr
 
 from navex.expr import (
-    Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
+    Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Empty, Fragment, FragmentError, Identity, Intersect, ParseError, Proj1,
     Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, DIVERSITY, Expr,
+    EMPTY, IDENTITY, Expr,
     condition_depth, label_union, labels_used, operators_used, parse, power,
     render, size, star,
     _children, _distinct_nodes, _fold,
@@ -154,8 +154,6 @@ def test_the_table_drops_dead_nodes():
 def test_parse_atoms():
     assert parse("0") == EMPTY
     assert parse("id") == IDENTITY
-    assert parse("di") == DIVERSITY
-    assert parse("A") == Union(IDENTITY, DIVERSITY)
     assert parse("a") == a
     assert parse("idx") == EdgeLabel("idx")  # keywords only match whole names
 
@@ -222,9 +220,19 @@ def test_parse_errors_carry_positions():
         parse("a b")
 
 
+def test_parse_rejects_diversity_and_its_sugar():
+    # di and A = id | di are outside the downward fragments; they must not
+    # silently parse as edge labels
+    for text, position in (("di", 0), ("a | A", 4), ("(b . di)+", 5)):
+        with pytest.raises(ParseError, match="outside the downward fragments") as exc:
+            parse(text)
+        assert exc.value.position == position
+    assert parse("dia") == EdgeLabel("dia")     # only whole names are rejected
+
+
 def test_render_round_trips_hand_picked():
     for text in [
-        "a", "0", "id", "di", "a . b | c", "(a | b) . c", "a+", "(a . b)+",
+        "a", "0", "id", "a . b | c", "(a | b) . c", "a+", "(a . b)+",
         "pi1(a . b) . copi2(a)", "a \\ (b & c)", "a \\ b & c", "conv(a)+",
         "a . (b . c)", "(a \\ b) \\ c", "a \\ (b \\ c)",
     ]:
@@ -232,7 +240,7 @@ def test_render_round_trips_hand_picked():
         assert parse(render(e)) == e
 
 
-_atoms = st.sampled_from([EMPTY, IDENTITY, DIVERSITY, a, b, EdgeLabel("lbl_1")])
+_atoms = st.sampled_from([EMPTY, IDENTITY, a, b, EdgeLabel("lbl_1")])
 _exprs = st.recursive(
     _atoms,
     lambda inner: st.one_of(
@@ -266,7 +274,7 @@ def test_equal_expressions_are_the_same_object(e1, e2):
 def test_size_counts_operator_applications(e):
     ops = sum(
         1 for s in _tree(e)
-        if not isinstance(s, (Empty, Identity, Diversity, EdgeLabel))
+        if not isinstance(s, (Empty, Identity, EdgeLabel))
     )
     assert size(e) == ops
 
@@ -327,7 +335,7 @@ def test_size_and_labels():
     assert size(parse("pi1(a . b)")) == 2
     assert size(parse("a | a")) == 1
     assert labels_used(parse("pi1(a . b) \\ c")) == {"a", "b", "c"}
-    assert labels_used(parse("id | di")) == set()
+    assert labels_used(parse("id | 0")) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +347,14 @@ def test_fragment_construction():
     assert Fragment.of("tc") <= Fragment.of("tc", "cap")
     with pytest.raises(FragmentError):
         Fragment.of("bogus")
+    with pytest.raises(FragmentError):
+        Fragment.of("di")       # diversity is outside the downward fragments
 
 
 def test_operators_used():
     assert operators_used(parse("pi1(a) & b")) == Fragment.of("pi1", "cap")
     assert operators_used(parse("a . b")) == Fragment.of()
-    assert operators_used(parse("conv(di)+")) == Fragment.of("conv", "di", "tc")
+    assert operators_used(parse("conv(id)+")) == Fragment.of("conv", "tc")
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +377,6 @@ def test_condition_depth_handles_deep_expressions():
 
 
 def test_condition_depth_rejects_other_operators():
-    for text in ["a & b", "a \\ b", "conv(a)", "di", "copi1(a)"]:
+    for text in ["a & b", "a \\ b", "conv(a)", "copi1(a)"]:
         with pytest.raises(FragmentError):
             condition_depth(parse(text))

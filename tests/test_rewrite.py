@@ -21,7 +21,7 @@ from navex.constructions import (
 )
 from navex.evaluate import boolean_equivalent, evaluate_boolean, path_equivalent
 from navex.expr import (
-    Compose, Intersect, Proj1, Proj2, TransClosure, Union,
+    Compose, Intersect, ParseError, Proj1, Proj2, TransClosure, Union,
     condition_depth, label_union, operators_used, parse, power, render,
 )
 from navex.graphs import Graph, chain_graph, enumerate_trees
@@ -275,7 +275,7 @@ def test_chain_pipeline_removes_projections_and_preserves_nonemptiness(text):
     out = remove_projections_boolean(e, "labeled-chain")
     assert not operators_used(out).flags & {"pi1", "pi2"}
     verdict = boolean_equivalent(e, out, "labeled-chain", max_nodes=7)
-    assert verdict, verdict.counterexample
+    assert verdict, verdict.witness
 
 
 def test_chain_pipeline_keeps_the_three_node_witness():
@@ -288,7 +288,7 @@ def test_chain_pipeline_keeps_the_three_node_witness():
     assert not operators_used(out).flags & {"pi1", "pi2"}
     assert evaluate_boolean(out, chain_graph(3))
     verdict = boolean_equivalent(e, out, "labeled-chain", max_nodes=8)
-    assert verdict, verdict.counterexample
+    assert verdict, verdict.witness
 
 
 def test_chain_pipeline_stays_closure_free_on_closure_free_input():
@@ -297,7 +297,7 @@ def test_chain_pipeline_stays_closure_free_on_closure_free_input():
 
 
 def test_chain_pipeline_rejects_foreign_operators():
-    for text in ("a & b", "copi1(a)", "conv(a)", "di", "a \\ b"):
+    for text in ("a & b", "copi1(a)", "conv(a)", "a \\ b"):
         with pytest.raises(RewriteError):
             remove_projections_boolean(parse(text), "labeled-chain")
 
@@ -322,7 +322,7 @@ def test_chain_pipeline_property(e):
     out = remove_projections_boolean(e, "labeled-chain")
     assert not operators_used(out).flags & {"pi1", "pi2"}
     verdict = boolean_equivalent(e, out, "labeled-chain", max_nodes=6)
-    assert verdict, (render(e), render(out), verdict.counterexample)
+    assert verdict, (render(e), render(out), verdict.witness)
 
 
 TREE_CORPUS = [
@@ -337,7 +337,7 @@ def test_tree_pipeline_removes_pi2_and_preserves_nonemptiness(text):
     out = remove_projections_boolean(e, "labeled-tree")
     assert not operators_used(out).flags & {"pi1", "pi2"}
     verdict = boolean_equivalent(e, out, "labeled-tree", max_nodes=5)
-    assert verdict, verdict.counterexample
+    assert verdict, verdict.witness
 
 
 def test_tree_pipeline_rejects_first_projections():
@@ -377,7 +377,7 @@ def test_setop_pipeline_is_path_equivalent_on_trees(text):
     out = eliminate_intersect_difference(e)
     assert not operators_used(out).flags & {"cap", "minus"}
     verdict = path_equivalent(e, out, "labeled-tree", max_nodes=5)
-    assert verdict, (render(out), verdict.counterexample)
+    assert verdict, (render(out), verdict.witness)
 
 
 def test_setop_pipeline_handles_the_period_intersection():
@@ -391,9 +391,10 @@ def test_setop_pipeline_handles_the_period_intersection():
 
 
 def test_setop_pipeline_rejects_converse_and_diversity():
-    for text in ("conv(a) & b", "di \\ a"):
-        with pytest.raises(RewriteError):
-            eliminate_intersect_difference(parse(text))
+    with pytest.raises(RewriteError):
+        eliminate_intersect_difference(parse("conv(a) & b"))
+    with pytest.raises(ParseError, match="outside the downward fragments"):
+        parse("di \\ a")        # diversity never reaches the rewrite
 
 
 def test_translations_to_automata_do_not_recurse():
@@ -432,7 +433,7 @@ COLLAPSE_CORPUS = [
     ("id", 0), ("a", 1), ("a . a", 2), ("a+", 1), ("(a . a)+", 2),
     ("pi1(a . a)", 2), ("a & a+", 1), ("(a^2)+ & (a^3)+", 6),
     ("(a^3)+ & (a^7)+", 21), ("a & a . a", None), ("0", None),
-    ("conv(a)", 1), ("conv(a) . a", 1), ("di", 1), ("pi2(a) . a", 2),
+    ("conv(a)", 1), ("conv(a) . a", 1), ("pi2(a) . a", 2),
     ("(a^3)+ \\ (a^7)+", 3), ("a+ \\ a", 2), ("a \\ a", None),
     ("pi1(a+) . pi1(a . a)", 2),
 ]
@@ -451,7 +452,7 @@ def test_normalize_matches_brute_force_on_chains(text, k):
         assert form.k == k
         assert brute == k + 1
     verdict = boolean_equivalent(e, form.expr, "unlabeled-chain", max_nodes=8)
-    assert verdict, verdict.counterexample
+    assert verdict, verdict.witness
 
 
 def test_normalize_tree_lane_matches_trees():
@@ -469,8 +470,6 @@ def test_normalize_rejects_uncollapsible_fragments():
         normalize_unlabeled_boolean(parse("id \\ pi1(a)"))
     with pytest.raises(NotCollapsibleError):
         normalize_unlabeled_boolean(parse("copi1(a)"))
-    with pytest.raises(NotCollapsibleError):
-        normalize_unlabeled_boolean(parse("di"), "unlabeled-tree")
     with pytest.raises(NotCollapsibleError):
         normalize_unlabeled_boolean(parse("a | b"))
     with pytest.raises(RewriteError):

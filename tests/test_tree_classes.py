@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from navex.evaluate import EvalContext, _compile, path_equivalent, boolean_equivalent
 from navex.expr import (
-    Compose, Converse, Coproj1, Coproj2, Difference, Diversity, EdgeLabel,
+    Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Intersect, Proj1, Proj2, TransClosure, Union, EMPTY, IDENTITY,
 )
 from navex.graphs import Graph, classify, count_trees, enumerate_trees
@@ -72,7 +72,7 @@ def test_trees_are_named_in_preorder():
             assert node + size[node] <= p + size[p]
 
 
-_atoms = st.sampled_from([EMPTY, IDENTITY, Diversity(), EdgeLabel("a"), EdgeLabel("b")])
+_atoms = st.sampled_from([EMPTY, IDENTITY, EdgeLabel("a"), EdgeLabel("b")])
 _exprs = st.recursive(
     _atoms,
     lambda inner: st.one_of(
