@@ -92,11 +92,12 @@ class ConditionAutomaton:
 
     @cached_property
     def successors(self) -> dict:
+        """Each state's outgoing (label, target) pairs, in no specified
+        order: every reader collects them into a set or counts them."""
         out: dict = {q: [] for q in self.states}
         for src, lab, dst in self.transitions:
             out[src].append((lab, dst))
-        return {q: tuple(sorted(pairs, key=lambda p: (p[0], state_key(p[1]))))
-                for q, pairs in out.items()}
+        return {q: tuple(pairs) for q, pairs in out.items()}
 
     @cached_property
     def ordered_states(self) -> tuple:
@@ -273,7 +274,7 @@ def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6,
         for src, lab, dst in sorted(tree.edges, key=lambda e: (
                 depth[e[0]], ctx.index[e[0]], e[1], ctx.index[e[2]])):
             i, j = ctx.index[src], ctx.index[dst]
-            for q in sorted(active.get(i, ()), key=state_key):
+            for q in active.get(i, ()):
                 followers = [q2 for lab2, q2 in a.successors[q]
                              if lab2 == lab and sat.holds(q2, j)]
                 if len(followers) != 1:

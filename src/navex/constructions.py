@@ -2,9 +2,13 @@
 the automaton constructions that eliminate identity transitions, build
 intersections, determinize, and take downward complements on trees.
 
-State names are rebuilt as small integers after every public construction;
-the exception is remove_identity_transitions, whose states are the identity
-pairs themselves, since their structure is the point of the construction.
+compose_automata, union_automata and plus_automaton number their states
+0..n-1: the first operand keeps its numbers, the second is placed after it,
+and the fresh endpoints of `+` come last.  That is the numbering
+renumber_states gives the tagged disjoint union, so an operand is renumbered
+only when its states are not already 0..n-1.  remove_identity_transitions
+keeps the identity pairs themselves as states, since their structure is the
+point of the construction.
 """
 
 from __future__ import annotations
@@ -40,62 +44,70 @@ def renumber_states(a: ConditionAutomaton) -> ConditionAutomaton:
     )
 
 
-def _tagged(a: ConditionAutomaton, tag: int):
-    return {
-        "states": {(tag, s) for s in a.states},
-        "initials": {(tag, s) for s in a.initials},
-        "finals": {(tag, s) for s in a.finals},
-        "transitions": {((tag, s), lab, (tag, t)) for s, lab, t in a.transitions},
-        "state_conditions": {((tag, q), c) for q, c in a.state_conditions},
-    }
+def _numbered(a: ConditionAutomaton) -> ConditionAutomaton:
+    """`a` with states 0..n-1 in canonical order; returned as it is when its
+    states are those ints already."""
+    if (a.states == frozenset(range(len(a.states)))
+            and set(map(type, a.states)) <= {int}):
+        return a
+    return renumber_states(a)
+
+
+def _shifted(a: ConditionAutomaton, k: int) -> tuple:
+    """States, initials, finals, transitions and state conditions of a
+    numbered automaton, with every state moved up by k."""
+    return ({q + k for q in a.states}, {q + k for q in a.initials},
+            {q + k for q in a.finals},
+            {(s + k, lab, t + k) for s, lab, t in a.transitions},
+            {(q + k, c) for q, c in a.state_conditions})
 
 
 def compose_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
     """Accepts (m, n) when a1 accepts (m, x) and a2 accepts (x, n): identity
     transitions bridge every final of a1 to every initial of a2."""
-    t1, t2 = _tagged(a1, 0), _tagged(a2, 1)
-    bridges = {(f, ID, i) for f in t1["finals"] for i in t2["initials"]}
-    return renumber_states(ConditionAutomaton.build(
-        states=t1["states"] | t2["states"],
+    a1, a2 = _numbered(a1), _numbered(a2)
+    states2, initials2, finals2, transitions2, conds2 = _shifted(a2, len(a1.states))
+    return ConditionAutomaton.build(
+        states=a1.states | states2,
         alphabet=a1.alphabet | a2.alphabet,
         conditions=a1.conditions | a2.conditions,
-        initials=t1["initials"],
-        finals=t2["finals"],
-        transitions=t1["transitions"] | t2["transitions"] | bridges,
-        state_conditions=t1["state_conditions"] | t2["state_conditions"],
-    ))
+        initials=a1.initials,
+        finals=finals2,
+        transitions=(a1.transitions | transitions2
+                     | {(f, ID, i) for f in a1.finals for i in initials2}),
+        state_conditions=a1.state_conditions | conds2,
+    )
 
 
 def union_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
-    t1, t2 = _tagged(a1, 0), _tagged(a2, 1)
-    return renumber_states(ConditionAutomaton.build(
-        states=t1["states"] | t2["states"],
+    a1, a2 = _numbered(a1), _numbered(a2)
+    states2, initials2, finals2, transitions2, conds2 = _shifted(a2, len(a1.states))
+    return ConditionAutomaton.build(
+        states=a1.states | states2,
         alphabet=a1.alphabet | a2.alphabet,
         conditions=a1.conditions | a2.conditions,
-        initials=t1["initials"] | t2["initials"],
-        finals=t1["finals"] | t2["finals"],
-        transitions=t1["transitions"] | t2["transitions"],
-        state_conditions=t1["state_conditions"] | t2["state_conditions"],
-    ))
+        initials=a1.initials | initials2,
+        finals=a1.finals | finals2,
+        transitions=a1.transitions | transitions2,
+        state_conditions=a1.state_conditions | conds2,
+    )
 
 
 def plus_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """One or more a-steps: fresh endpoints wired by identity transitions,
     with a back edge allowing repetition."""
-    t = _tagged(a, 0)
-    v, w = (1, 0), (1, 1)
-    extra = ({(v, ID, q) for q in t["initials"]}
-             | {(q, ID, w) for q in t["finals"]}
-             | {(w, ID, v)})
-    return renumber_states(ConditionAutomaton.build(
-        states=t["states"] | {v, w},
+    a = _numbered(a)
+    v, w = len(a.states), len(a.states) + 1
+    return ConditionAutomaton.build(
+        states=a.states | {v, w},
         alphabet=a.alphabet,
         conditions=a.conditions,
         initials={v},
         finals={w},
-        transitions=t["transitions"] | extra,
-        state_conditions=t["state_conditions"],
-    ))
+        transitions=(a.transitions | {(v, ID, q) for q in a.initials}
+                     | {(q, ID, w) for q in a.finals} | {(w, ID, v)}),
+        state_conditions=a.state_conditions,
+    )
 
 
 _AUTOMATON_OPS = ("tc", "pi1", "pi2", "copi1", "copi2")
@@ -181,49 +193,59 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     initial and final states by identity steps; states are eliminated
     cheapest-degree first; the entry between source and sink is the result.
     Empty entries vanish eagerly, but compositions with the identity are kept
-    as written."""
-    src, snk = _Endpoint("source"), _Endpoint("sink")
-    chat = {q: state_condition_expr(a, q) for q in a.states}
-    chat[src] = IDENTITY
-    chat[snk] = IDENTITY
+    as written.
 
-    entries: dict[tuple, Expr] = {}
+    The entries live in adjacency maps, `out[p][r]` and `inn[r][p]` for the
+    entry from p to r, updated as entries are added and removed; a state's
+    degree (its entries to and from other states) is read off their sizes
+    and re-ranked only when a neighbour is eliminated.  The order is that of
+    a full rescan: least (degree, state_key) first, with in- and out-entries
+    taken in state_key order and unions built left to right."""
+    src, snk = _Endpoint("source"), _Endpoint("sink")
+    keys = {q: state_key(q) for q in a.states}
+    keys[src], keys[snk] = state_key(src), state_key(snk)
+    chat = {q: state_condition_expr(a, q) for q in a.states}
+    chat[src] = chat[snk] = IDENTITY
+    out: dict = {q: {} for q in keys}
+    inn: dict = {q: {} for q in keys}
 
     def add(p, r, term):
         if isinstance(term, Empty):
             return
-        entries[(p, r)] = _union_expr(entries.get((p, r), EMPTY), term)
+        out[p][r] = inn[r][p] = _union_expr(out[p].get(r, EMPTY), term)
 
     all_transitions = sorted(
-        [(s, lab, t) for s, lab, t in a.transitions],
-        key=lambda tr: (state_key(tr[0]), tr[1], state_key(tr[2])))
-    all_transitions += [(src, ID, q) for q in sorted(a.initials, key=state_key)]
-    all_transitions += [(q, ID, snk) for q in sorted(a.finals, key=state_key)]
+        a.transitions, key=lambda tr: (keys[tr[0]], tr[1], keys[tr[2]]))
+    all_transitions += [(src, ID, q) for q in sorted(a.initials, key=keys.get)]
+    all_transitions += [(q, ID, snk) for q in sorted(a.finals, key=keys.get)]
     for s, lab, t in all_transitions:
         atom = IDENTITY if lab == ID else EdgeLabel(lab)
         add(s, t, _compose_expr(chat[s], _compose_expr(atom, chat[t])))
 
+    def rank(q):
+        return len(out[q]) + len(inn[q]) - 2 * (q in out[q]), keys[q]
+
+    ranks = {q: rank(q) for q in a.states}
     active = set(a.states)
-
-    def degree(q):
-        return sum(1 for (p, r) in entries if (p == q) != (r == q))
-
     while active:
-        q = min(active, key=lambda s: (degree(s), state_key(s)))
+        q = min(active, key=ranks.get)
         active.remove(q)
-        loop = entries.pop((q, q), EMPTY)
-        mid = _star_expr(loop)
-        ins = sorted(((p, x) for (p, r), x in entries.items() if r == q),
-                     key=lambda t: state_key(t[0]))
-        outs = sorted(((r, x) for (p, r), x in entries.items() if p == q),
-                      key=lambda t: state_key(t[0]))
+        mid = _star_expr(out[q].pop(q, EMPTY))
+        inn[q].pop(q, None)
+        ins = sorted(inn.pop(q).items(), key=lambda t: keys[t[0]])
+        outs = sorted(out.pop(q).items(), key=lambda t: keys[t[0]])
         for p, ein in ins:
             for r, eout in outs:
                 add(p, r, _compose_expr(ein, _compose_expr(mid, eout)))
-        for key in [k for k in entries if q in k]:
-            del entries[key]
+        for p, _ in ins:
+            del out[p][q]
+        for r, _ in outs:
+            del inn[r][q]
+        for s in {p for p, _ in ins} | {r for r, _ in outs}:
+            if s in active:
+                ranks[s] = rank(s)
 
-    return entries.get((src, snk), EMPTY)
+    return out[src].get(snk, EMPTY)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +254,8 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
 def identity_pairs(a: ConditionAutomaton) -> frozenset:
     """All pairs (q, V): V is the exact set of states visited by some walk of
     identity transitions starting at q."""
-    id_succ = {q: sorted((t for s, lab, t in a.transitions
-                          if s == q and lab == ID), key=state_key)
-               for q in a.states}
+    id_succ = {q: [t for lab, t in pairs if lab == ID]
+               for q, pairs in a.successors.items()}
     out = set()
     for q in a.states:
         start = (q, frozenset({q}))

@@ -1,10 +1,14 @@
 """Tests for expression/automaton translations and automaton constructions."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from navex import constructions
 from navex.automata import (
     ID, ConditionAutomaton, check_deterministic, eval_automaton,
+    state_condition_expr, state_key,
 )
 from navex.constructions import (
     automaton_to_expr, compose_automata, condition_complement,
@@ -15,12 +19,13 @@ from navex.constructions import (
 )
 from navex.evaluate import evaluate, path_equivalent
 from navex.expr import (
-    Compose, EdgeLabel, FragmentError, TransClosure, Union,
-    EMPTY, IDENTITY, parse, power, render, size, star,
+    Compose, EdgeLabel, Empty, FragmentError, TransClosure, Union,
+    EMPTY, IDENTITY, labels_used, parse, power, render, size, star,
 )
 from navex.graphs import (
     Graph, ResourceLimitError, chain_graph, enumerate_trees,
 )
+from navex.rewrite import eliminate_intersect_difference
 
 
 def small_trees(max_nodes=4, labels=2):
@@ -84,9 +89,14 @@ def test_alphabet_parameter_widens_but_never_drops_labels():
 def test_closure_constructions_renumber_states_to_ints():
     a1 = expr_to_automaton(parse("a"))
     a2 = expr_to_automaton(parse("b"))
+    pairs = remove_identity_transitions(expr_to_automaton(parse("pi1(b) . a* . b")))
+    assert all(isinstance(q, tuple) for q in pairs.states)
     for built in (compose_automata(a1, a2), union_automata(a1, a2),
-                  plus_automaton(a1)):
+                  plus_automaton(a1), compose_automata(pairs, a1),
+                  compose_automata(a1, pairs), union_automata(pairs, a2),
+                  union_automata(a2, pairs), plus_automaton(pairs)):
         assert built.states == frozenset(range(len(built.states)))
+        assert all(type(q) is int for q in built.states)
 
 
 def test_translation_agrees_with_direct_evaluation_on_corpus():
@@ -523,3 +533,185 @@ def test_difference_property_on_small_trees(e1, e2):
                             expr_to_automaton(e2, alphabet={"a", "b"}))
     for g in small_trees(3):
         assert eval_automaton(d, g) == evaluate(e1, g) - evaluate(e2, g)
+
+
+# ---------------------------------------------------------------------------
+# references: the rescanning constructions these replaced
+
+class _RefEndpoint:
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return f"<{self.name}>"
+
+
+def _ref_union_expr(x, y):
+    if isinstance(x, Empty):
+        return y
+    if isinstance(y, Empty):
+        return x
+    return Union(x, y)
+
+
+def _ref_compose_expr(x, y):
+    if isinstance(x, Empty) or isinstance(y, Empty):
+        return EMPTY
+    return Compose(x, y)
+
+
+def _ref_star_expr(x):
+    return IDENTITY if isinstance(x, Empty) else Union(IDENTITY, TransClosure(x))
+
+
+def reference_automaton_to_expr(a):
+    """State elimination recounting every degree over all entries."""
+    src, snk = _RefEndpoint("source"), _RefEndpoint("sink")
+    chat = {q: state_condition_expr(a, q) for q in a.states}
+    chat[src] = chat[snk] = IDENTITY
+    entries = {}
+
+    def add(p, r, term):
+        if not isinstance(term, Empty):
+            entries[(p, r)] = _ref_union_expr(entries.get((p, r), EMPTY), term)
+
+    all_transitions = sorted(
+        a.transitions, key=lambda tr: (state_key(tr[0]), tr[1], state_key(tr[2])))
+    all_transitions += [(src, ID, q) for q in sorted(a.initials, key=state_key)]
+    all_transitions += [(q, ID, snk) for q in sorted(a.finals, key=state_key)]
+    for s, lab, t in all_transitions:
+        atom = IDENTITY if lab == ID else EdgeLabel(lab)
+        add(s, t, _ref_compose_expr(chat[s], _ref_compose_expr(atom, chat[t])))
+
+    def degree(q):
+        return sum(1 for (p, r) in entries if (p == q) != (r == q))
+
+    active = set(a.states)
+    while active:
+        q = min(active, key=lambda s: (degree(s), state_key(s)))
+        active.remove(q)
+        mid = _ref_star_expr(entries.pop((q, q), EMPTY))
+        ins = sorted(((p, x) for (p, r), x in entries.items() if r == q),
+                     key=lambda t: state_key(t[0]))
+        outs = sorted(((r, x) for (p, r), x in entries.items() if p == q),
+                      key=lambda t: state_key(t[0]))
+        for p, ein in ins:
+            for r, eout in outs:
+                add(p, r, _ref_compose_expr(ein, _ref_compose_expr(mid, eout)))
+        for key in [k for k in entries if q in k]:
+            del entries[key]
+    return entries.get((src, snk), EMPTY)
+
+
+def _tagged(a, tag):
+    return ({(tag, s) for s in a.states}, {(tag, s) for s in a.initials},
+            {(tag, s) for s in a.finals},
+            {((tag, s), lab, (tag, t)) for s, lab, t in a.transitions},
+            {((tag, q), c) for q, c in a.state_conditions})
+
+
+def reference_compose(a1, a2):
+    """The tagged disjoint union with bridges, renumbered afresh."""
+    s1, i1, f1, t1, c1 = _tagged(a1, 0)
+    s2, i2, f2, t2, c2 = _tagged(a2, 1)
+    return renumber_states(ConditionAutomaton.build(
+        s1 | s2, a1.alphabet | a2.alphabet, a1.conditions | a2.conditions,
+        i1, f2, t1 | t2 | {(f, ID, i) for f in f1 for i in i2}, c1 | c2))
+
+
+def reference_union(a1, a2):
+    s1, i1, f1, t1, c1 = _tagged(a1, 0)
+    s2, i2, f2, t2, c2 = _tagged(a2, 1)
+    return renumber_states(ConditionAutomaton.build(
+        s1 | s2, a1.alphabet | a2.alphabet, a1.conditions | a2.conditions,
+        i1 | i2, f1 | f2, t1 | t2, c1 | c2))
+
+
+def reference_plus(a):
+    s, i, f, t, c = _tagged(a, 0)
+    v, w = (1, 0), (1, 1)
+    return renumber_states(ConditionAutomaton.build(
+        s | {v, w}, a.alphabet, a.conditions, {v}, {w},
+        t | {(v, ID, q) for q in i} | {(q, ID, w) for q in f} | {(w, ID, v)}, c))
+
+
+_STATE_KINDS = {
+    "numbered": None,
+    "ints with gaps": st.integers(0, 40),
+    "tuples": st.tuples(st.integers(0, 3), st.sampled_from("xy")),
+    "frozensets": st.frozensets(st.integers(0, 4), max_size=3),
+    "strings": st.text(alphabet="pqrs", min_size=1, max_size=3),
+}
+_STATE_KINDS["mixed"] = st.one_of(*(k for k in _STATE_KINDS.values() if k is not None))
+_REF_CONDITIONS = [parse("pi1(a)"), parse("pi2(b)"), parse("copi1(a . b)")]
+
+
+@st.composite
+def random_automata(draw):
+    n = draw(st.integers(1, 6))
+    kind = _STATE_KINDS[draw(st.sampled_from(sorted(_STATE_KINDS)))]
+    states = (list(range(n)) if kind is None
+              else draw(st.lists(kind, min_size=n, max_size=n, unique=True)))
+    state = st.sampled_from(states)
+    transitions = draw(st.lists(
+        st.tuples(state, st.sampled_from([ID, "a", "b"]), state), max_size=10))
+    state_conditions = draw(st.lists(
+        st.tuples(state, st.sampled_from(_REF_CONDITIONS)), max_size=4))
+    return ConditionAutomaton.build(
+        states, {"a", "b"}, {c for _, c in state_conditions},
+        draw(st.lists(state, min_size=1, max_size=3)),
+        draw(st.lists(state, min_size=1, max_size=3)),
+        transitions, state_conditions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata(), random_automata())
+def test_constructions_match_the_rescanning_references(a1, a2):
+    pairs = remove_identity_transitions(a1)
+    for a in (a1, a2, pairs, trim_automaton(a2)):
+        assert automaton_to_expr(a) is reference_automaton_to_expr(a)
+    for x, y in ((a1, a2), (a2, a1), (pairs, a2), (a1, a1)):
+        composed, united = compose_automata(x, y), union_automata(x, y)
+        assert composed == reference_compose(x, y)
+        assert united == reference_union(x, y)
+        assert automaton_to_expr(composed) is reference_automaton_to_expr(composed)
+        assert automaton_to_expr(united) is reference_automaton_to_expr(united)
+    for x in (a1, pairs):
+        looped = plus_automaton(x)
+        assert looped == reference_plus(x)
+        assert automaton_to_expr(looped) is reference_automaton_to_expr(looped)
+
+
+def test_state_elimination_matches_the_reference_on_translations():
+    for text in ["(a|b)+ . copi1(b)", "a . pi2(a . a) . b", "(a . pi1(b))* . b",
+                 "pi1(b) . (a | b . a)+ . (b | id)"]:
+        a = expr_to_automaton(parse(text))
+        for built in (a, trim_automaton(remove_identity_transitions(a))):
+            assert automaton_to_expr(built) is reference_automaton_to_expr(built)
+
+
+# ---------------------------------------------------------------------------
+# operation counts on wide unions
+
+def _wide_union(n):
+    return reduce(Union, [EdgeLabel(f"l{i}") for i in range(n)])
+
+
+def test_translating_a_wide_union_never_renumbers(monkeypatch):
+    calls = []
+    renumber = constructions.renumber_states
+
+    def counted(a):
+        calls.append(len(a.states))
+        return renumber(a)
+    monkeypatch.setattr(constructions, "renumber_states", counted)
+    a = expr_to_automaton(_wide_union(200))
+    assert calls == []
+    assert a.states == frozenset(range(400))
+    union_automata(remove_identity_transitions(expr_to_automaton(parse("a*"))), a)
+    assert len(calls) == 1, "an operand not numbered 0..n-1 is renumbered"
+
+
+def test_eliminating_set_operations_from_a_wide_union_keeps_every_label():
+    e = _wide_union(600)
+    assert labels_used(eliminate_intersect_difference(e)) == labels_used(e)
