@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .evaluate import EvalContext, _bits, is_condition
 from .expr import Compose, Expr, IDENTITY, parse, render
-from .graphs import ID, Graph, classify, enumerate_trees
+from .graphs import ID, Graph, _reach, classify, enumerate_trees
 
 __all__ = [
     "ID", "AutomatonError", "ConditionAutomaton", "state_key",
@@ -98,6 +99,15 @@ class ConditionAutomaton:
         for src, lab, dst in self.transitions:
             out[src].append((lab, dst))
         return {q: tuple(pairs) for q, pairs in out.items()}
+
+    @cached_property
+    def moves(self) -> dict:
+        """{(state, label): targets} over the transitions; a pair without
+        transitions is absent."""
+        out: dict = {}
+        for src, lab, dst in self.transitions:
+            out.setdefault((src, lab), set()).add(dst)
+        return {key: frozenset(targets) for key, targets in out.items()}
 
     @cached_property
     def ordered_states(self) -> tuple:
@@ -191,81 +201,56 @@ def state_condition_expr(a: ConditionAutomaton, q) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-class _Satisfier:
-    """Lazily computes, per state, the bitmask of graph nodes satisfying all
-    of the state's conditions."""
-
-    def __init__(self, a: ConditionAutomaton, ctx: EvalContext):
-        self.a = a
-        self.ctx = ctx
-        self.all_nodes = (1 << ctx.n) - 1
-        self._cache: dict = {}
-
-    def nodes(self, q) -> int:
-        got = self._cache.get(q)
-        if got is None:
-            got = self.all_nodes
-            for c in self.a.gamma[q]:
-                got &= self.ctx.diagonal_nodes(c)
-            self._cache[q] = got
-        return got
-
-    def holds(self, q, i: int) -> bool:
-        return bool(self.nodes(q) >> i & 1)
+def _satisfying_nodes(a: ConditionAutomaton, ctx: EvalContext) -> dict:
+    """{state: bitmask of the graph nodes satisfying all of the state's
+    conditions}, evaluating each declared condition once."""
+    holds = {c: ctx.diagonal_nodes(c) for c in a.conditions}
+    every = (1 << ctx.n) - 1
+    out = {}
+    for q, cs in a.gamma.items():
+        out[q] = every
+        for c in cs:
+            out[q] &= holds[c]
+    return out
 
 
-def eval_automaton(a: ConditionAutomaton, g: Graph,
-                   ctx: EvalContext | None = None) -> frozenset:
+def eval_automaton(a: ConditionAutomaton, g: Graph) -> frozenset:
     """All node pairs the automaton accepts on the graph, by reachability
     over (state, node) configurations."""
-    if ctx is None:
-        ctx = EvalContext(g)
-    n = ctx.n
-    sat = _Satisfier(a, ctx)
+    ctx = EvalContext(g)
+    sat = _satisfying_nodes(a, ctx)
     rows = {lab: ctx.successor_rows(lab) for lab in a.alphabet}
-    succ = a.successors
-    finals = a.finals
-    accepted = [0] * n      # row m: the nodes reached from start node m
-    for m in range(n):
-        starts = [(q, m) for q in a.initials if sat.holds(q, m)]
-        seen = set(starts)
-        stack = list(starts)
-        targets = 0
-        while stack:
-            q, i = stack.pop()
-            if q in finals:
-                targets |= 1 << i
-            for lab, q2 in succ[q]:
-                nodes2 = (1 << i) if lab == ID else rows[lab][i]
-                nodes2 &= sat.nodes(q2)
-                for j in _bits(nodes2):
-                    cfg = (q2, j)
-                    if cfg not in seen:
-                        seen.add(cfg)
-                        stack.append(cfg)
-        accepted[m] = targets
+
+    def step(cfg):
+        q, i = cfg
+        for lab, q2 in a.successors[q]:
+            nodes = (1 << i) if lab == ID else rows[lab][i]
+            for j in _bits(nodes & sat[q2]):
+                yield q2, j
+
+    accepted = []           # row m: the nodes reached from start node m
+    for m in range(ctx.n):
+        reached = _reach([(q, m) for q in a.initials if sat[q] >> m & 1], step)
+        accepted.append(reduce(or_, (1 << i for q, i in reached if q in a.finals), 0))
     return ctx.decode(ctx.join_rows(accepted))
 
 
 # ---------------------------------------------------------------------------
 # determinism
 
-def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6,
-                        labels=None) -> bool:
+def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6) -> bool:
     """Bounded check that the automaton is deterministic on trees: on every
     tree over its alphabet, every node satisfies exactly one initial state,
     and every reached (state, node) configuration extends in exactly one way
     along each outgoing edge."""
     if not a.identity_free:
         raise AutomatonError("determinism is defined for identity-free automata")
-    if labels is None:
-        labels = sorted(a.alphabet)
-    for tree in enumerate_trees(max_nodes, labels):
+    for tree in enumerate_trees(max_nodes, sorted(a.alphabet)):
         ctx = EvalContext(tree)
-        sat = _Satisfier(a, ctx)
+        sat = _satisfying_nodes(a, ctx)
         active: dict[int, set] = {}
         for i in range(ctx.n):
-            starts = [q for q in a.initials if sat.holds(q, i)]
+            starts = [q for q in a.initials if sat[q] >> i & 1]
             if len(starts) != 1:
                 return False
             active.setdefault(i, set()).add(starts[0])
@@ -275,8 +260,7 @@ def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6,
                 depth[e[0]], ctx.index[e[0]], e[1], ctx.index[e[2]])):
             i, j = ctx.index[src], ctx.index[dst]
             for q in active.get(i, ()):
-                followers = [q2 for lab2, q2 in a.successors[q]
-                             if lab2 == lab and sat.holds(q2, j)]
+                followers = [q2 for q2 in a.moves.get((q, lab), ()) if sat[q2] >> j & 1]
                 if len(followers) != 1:
                     return False
                 active.setdefault(j, set()).add(followers[0])

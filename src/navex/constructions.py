@@ -13,13 +13,15 @@ point of the construction.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .automata import ID, ConditionAutomaton, state_condition_expr, state_key
 from .expr import (
     Compose, Coproj1, Coproj2, EdgeLabel, Empty, Expr, FragmentError,
     Identity, Proj1, Proj2, TransClosure, Union,
     EMPTY, IDENTITY, _children, _fold, labels_used, operators_used, render,
 )
-from .graphs import ResourceLimitError, _subsets, default_ceiling
+from .graphs import _reach, _subsets
 
 __all__ = [
     "expr_to_automaton", "automaton_to_expr", "renumber_states",
@@ -199,8 +201,9 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     entry from p to r, updated as entries are added and removed; a state's
     degree (its entries to and from other states) is read off their sizes
     and re-ranked only when a neighbour is eliminated.  The order is that of
-    a full rescan: least (degree, state_key) first, with in- and out-entries
-    taken in state_key order and unions built left to right."""
+    a full rescan: least (degree, state_key) first.  Eliminating a state adds
+    at most one term to each entry, so the order in which its in- and
+    out-entries are combined cannot reach the result."""
     src, snk = _Endpoint("source"), _Endpoint("sink")
     keys = {q: state_key(q) for q in a.states}
     keys[src], keys[snk] = state_key(src), state_key(snk)
@@ -232,16 +235,15 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
         active.remove(q)
         mid = _star_expr(out[q].pop(q, EMPTY))
         inn[q].pop(q, None)
-        ins = sorted(inn.pop(q).items(), key=lambda t: keys[t[0]])
-        outs = sorted(out.pop(q).items(), key=lambda t: keys[t[0]])
-        for p, ein in ins:
-            for r, eout in outs:
+        ins, outs = inn.pop(q), out.pop(q)
+        for p, ein in ins.items():
+            for r, eout in outs.items():
                 add(p, r, _compose_expr(ein, _compose_expr(mid, eout)))
-        for p, _ in ins:
+        for p in ins:
             del out[p][q]
-        for r, _ in outs:
+        for r in outs:
             del inn[r][q]
-        for s in {p for p, _ in ins} | {r for r, _ in outs}:
+        for s in ins.keys() | outs.keys():
             if s in active:
                 ranks[s] = rank(s)
 
@@ -254,22 +256,12 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
 def identity_pairs(a: ConditionAutomaton) -> frozenset:
     """All pairs (q, V): V is the exact set of states visited by some walk of
     identity transitions starting at q."""
-    id_succ = {q: [t for lab, t in pairs if lab == ID]
-               for q, pairs in a.successors.items()}
-    out = set()
-    for q in a.states:
-        start = (q, frozenset({q}))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cursor, visited = stack.pop()
-            for t in id_succ[cursor]:
-                cfg = (t, visited | {t})
-                if cfg not in seen:
-                    seen.add(cfg)
-                    stack.append(cfg)
-        out.update((q, visited) for _, visited in seen)
-    return frozenset(out)
+    def step(cfg):
+        cursor, visited = cfg
+        return ((t, visited | {t}) for t in a.moves.get((cursor, ID), ()))
+
+    return frozenset((q, visited) for q in a.states
+                     for _, visited in _reach([(q, frozenset({q}))], step))
 
 
 def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
@@ -314,31 +306,33 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
 # intersection (sound on trees)
 
 def intersect_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
-    """Synchronized product.  Evaluated on trees this is the intersection of
-    the two automata; on graphs with parallel paths it can undershoot.
-    Identity transitions are removed from both operands first."""
+    """The part of the synchronized product reachable from the pairs of
+    initial states: a pair (p, q) steps along a label when both p and q do,
+    and carries the conditions of both.  Evaluated on trees this is the
+    intersection of the two automata; on graphs with parallel paths it can
+    undershoot.  Identity transitions are removed from both operands first."""
     a1 = remove_identity_transitions(a1)
     a2 = remove_identity_transitions(a2)
-    by_label1: dict = {}
-    for s, lab, t in a1.transitions:
-        by_label1.setdefault(lab, []).append((s, t))
     transitions = set()
-    for s2, lab, t2 in a2.transitions:
-        for s1, t1 in by_label1.get(lab, ()):
-            transitions.add(((s1, s2), lab, (t1, t2)))
-    states = {(p, q) for p in a1.states for q in a2.states}
-    state_conditions = (
-        [((p, q), c) for p, c in a1.state_conditions for q in a2.states]
-        + [((p, q), c) for q, c in a2.state_conditions for p in a1.states]
-    )
+
+    def step(pair):
+        p, q = pair
+        for lab, p2 in a1.successors[p]:
+            for q2 in a2.moves.get((q, lab), ()):
+                transitions.add((pair, lab, (p2, q2)))
+                yield p2, q2
+
+    initials = {(p, q) for p in a1.initials for q in a2.initials}
+    states = _reach(initials, step)
     return ConditionAutomaton.build(
         states=states,
         alphabet=a1.alphabet | a2.alphabet,
         conditions=a1.conditions | a2.conditions,
-        initials={(p, q) for p in a1.initials for q in a2.initials},
-        finals={(p, q) for p in a1.finals for q in a2.finals},
+        initials=initials,
+        finals={(p, q) for p, q in states if p in a1.finals and q in a2.finals},
         transitions=transitions,
-        state_conditions=state_conditions,
+        state_conditions=[((p, q), c) for p, q in states
+                          for c in a1.gamma[p] | a2.gamma[q]],
     )
 
 
@@ -368,47 +362,30 @@ def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
     """Subset construction refined by condition sets: states are pairs (Q, V)
     with Q original states and V the conditions assumed to hold at the
     current node.  On trees every node satisfies exactly one V, making the
-    result deterministic.  Output size is bounded by 2^|S| * 2^|C|."""
+    result deterministic.  Only the states reachable from the initial ones
+    are built; there are at most 2^|S| * 2^|C| of them, and more than the
+    instance ceiling raises ResourceLimitError, as every reachability walk
+    does."""
     a = renumber_states(remove_identity_transitions(a))
     conds = tuple(sorted(a.conditions, key=render))
     for c in conds:
         condition_complement(c)  # fail early on non-atomic conditions
     subsets = _subsets(conds)
     gamma = a.gamma
-    bound = (2 ** len(a.states)) * (2 ** len(conds))
-    cap = min(bound, default_ceiling())
-
-    initials = []
-    for v in subsets:
-        q = frozenset(q for q in a.initials if gamma[q] <= v)
-        initials.append((q, v))
-    states = set(initials)
-    if len(states) > cap:
-        raise ResourceLimitError(f"{len(states)} determinized states exceeds {cap}")
-    worklist = list(initials)
     transitions = set()
-    by_label = {lab: {} for lab in a.alphabet}
-    for s, lab, t in a.transitions:
-        by_label[lab].setdefault(s, set()).add(t)
-    while worklist:
-        state = worklist.pop()
+
+    def step(state):
         q_set, _ = state
-        for lab in sorted(a.alphabet):
-            succ = by_label[lab]
-            p = set()
-            for q in q_set:
-                p |= succ.get(q, set())
+        for lab in a.alphabet:
+            p = set().union(*(a.moves.get((q, lab), ()) for q in q_set))
             for w in subsets:
-                p_prime = frozenset(x for x in p if gamma[x] <= w)
-                target = (p_prime, w)
-                if target not in states:
-                    states.add(target)
-                    if len(states) > cap:
-                        raise ResourceLimitError(
-                            f"more than {cap} determinized states")
-                    worklist.append(target)
+                target = (frozenset(x for x in p if gamma[x] <= w), w)
                 transitions.add((state, lab, target))
-    assert len(states) <= bound
+                yield target
+
+    initials = [(frozenset(q for q in a.initials if gamma[q] <= v), v) for v in subsets]
+    states = _reach(initials, step)
+    assert len(states) <= 2 ** len(a.states) * 2 ** len(conds)
     cond_pool = set(conds) | {condition_complement(c) for c in conds}
     state_conditions = []
     for q_set, v in states:
@@ -429,27 +406,14 @@ def downward_complement_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """On a tree, accepts exactly the descendant-or-self pairs the input does
     not accept: determinize, flip the finals, drop useless states."""
     d = determinize(a)
-    flipped = ConditionAutomaton(
-        states=d.states,
-        alphabet=d.alphabet,
-        conditions=d.conditions,
-        initials=d.initials,
-        finals=d.states - d.finals,
-        transitions=d.transitions,
-        state_conditions=d.state_conditions,
-    )
-    return renumber_states(trim_automaton(flipped))
+    return renumber_states(trim_automaton(replace(d, finals=d.states - d.finals)))
 
 
 def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
     """On trees: pairs accepted by a1 but not a2.  The second operand must
     range over every label a1 can step through, so the complement covers all
     of a1's paths."""
-    a2 = ConditionAutomaton(
-        states=a2.states, alphabet=a2.alphabet | a1.alphabet,
-        conditions=a2.conditions, initials=a2.initials, finals=a2.finals,
-        transitions=a2.transitions, state_conditions=a2.state_conditions,
-    )
+    a2 = replace(a2, alphabet=a2.alphabet | a1.alphabet)
     return intersect_automata(a1, downward_complement_automaton(a2))
 
 
@@ -457,26 +421,11 @@ def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """Keep the states reachable from an initial state and able to reach a
     final state.  Conditions no longer attached anywhere are dropped from the
     declared set."""
-    forward = set(a.initials)
-    stack = list(forward)
-    while stack:
-        q = stack.pop()
-        for _, t in a.successors[q]:
-            if t not in forward:
-                forward.add(t)
-                stack.append(t)
     predecessors: dict = {}
     for s, _, t in a.transitions:
-        predecessors.setdefault(t, set()).add(s)
-    backward = set(a.finals)
-    stack = list(backward)
-    while stack:
-        q = stack.pop()
-        for s in predecessors.get(q, ()):
-            if s not in backward:
-                backward.add(s)
-                stack.append(s)
-    keep = forward & backward
+        predecessors.setdefault(t, []).append(s)
+    keep = (_reach(a.initials, lambda q: (t for _, t in a.successors[q]))
+            & _reach(a.finals, lambda q: predecessors.get(q, ())))
     state_conditions = [(q, c) for q, c in a.state_conditions if q in keep]
     return ConditionAutomaton.build(
         states=keep,

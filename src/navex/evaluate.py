@@ -342,18 +342,14 @@ def _topological(graph: Graph) -> tuple[list[str], dict[str, int]]:
     return order, {v: i for i, v in enumerate(order)}
 
 
-def evaluate(e: Expr, graph: Graph, ctx: EvalContext | None = None) -> frozenset:
+def evaluate(e: Expr, graph: Graph) -> frozenset:
     """The relation denoted by `e` on `graph`, as a frozenset of node pairs."""
-    if ctx is None:
-        ctx = EvalContext(graph)
-    return ctx.pairs_of(e)
+    return EvalContext(graph).pairs_of(e)
 
 
-def evaluate_boolean(e: Expr, graph: Graph, ctx: EvalContext | None = None) -> bool:
+def evaluate_boolean(e: Expr, graph: Graph) -> bool:
     """Nonemptiness of the denoted relation."""
-    if ctx is None:
-        ctx = EvalContext(graph)
-    return ctx.mask_of(e) != 0
+    return EvalContext(graph).mask_of(e) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ class GraphError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured instance ceiling."""
+    """An enumeration or a reachability walk would exceed the configured
+    instance ceiling."""
 
 
 def default_ceiling() -> int:
@@ -173,6 +174,25 @@ def _subsets(items) -> list[frozenset]:
     """Every subset of the sequence `items`, in binary-counting order."""
     return [frozenset(x for i, x in enumerate(items) if bits >> i & 1)
             for bits in range(2 ** len(items))]
+
+
+def _reach(starts, step) -> set:
+    """Every item reachable from `starts`, the starts included, where
+    `step(x)` yields the successors of x.  Raises ResourceLimitError once
+    more items than the instance ceiling are reached, naming `step`, which
+    is the walk's stage."""
+    cap = default_ceiling()
+    seen = set(starts)
+    stack = list(seen)
+    while len(seen) <= cap and stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) > cap:
+        raise ResourceLimitError(
+            f"{step.__qualname__}: more than {cap} reachable states (NAVEX_MAX_INSTANCES)")
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .expr import (
     EMPTY, _fold, condition_depth, labels_used, operators_used,
     power, render,
 )
-from .graphs import _subsets, chain_graph
+from .graphs import _reach, _subsets, chain_graph
 
 __all__ = [
     "RewriteError", "NotCollapsibleError", "RewriteReport", "NormalForm",
@@ -106,21 +106,11 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
 
     inner = renumber_states(trim_automaton(remove_identity_transitions(
         expr_to_automaton(body, alphabet=a.alphabet | labels_used(body)))))
-    s_prime = inner.states
     i_prime = inner.initials
     f_prime = inner.finals
     gamma_prime = inner.gamma
-    step_prime: dict = {lab: {} for lab in inner.alphabet}
-    for s, lab, t in inner.transitions:
-        step_prime[lab].setdefault(s, frozenset())
-        step_prime[lab][s] = step_prime[lab][s] | {t}
-
     gamma = a.gamma
     s_cond = frozenset(q for q in a.states if cond in gamma[q])
-    step_main: dict = {lab: {} for lab in a.alphabet}
-    for s, lab, t in a.transitions:
-        step_main[lab].setdefault(s, set()).add(t)
-
     anchor = i_prime if side == 1 else f_prime
 
     def member(q, tracked: frozenset) -> bool:
@@ -155,73 +145,57 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
         """Target sets for the tracked runs: states in `may_retire` may stop,
         everything else advances along an edge of the body automaton; each
         advanced-to state needs a predecessor among the advancing ones."""
-        succ = step_prime.get(lab, {})
-        forced = frozenset(s for s in tracked if not succ.get(s))
+        forced = frozenset(s for s in tracked if (s, lab) not in inner.moves)
         if not forced <= may_retire:
             return
         seen = set()
         for optional in _subsets(sorted(may_retire - forced)):
-            reqs = [succ[s] for s in tracked - forced - optional]
+            reqs = [inner.moves[s, lab] for s in tracked - forced - optional]
             universe = sorted(frozenset().union(*reqs))
             for q_set in _subsets(universe):
                 if q_set not in seen and all(q_set & r for r in reqs):
                     seen.add(q_set)
                     yield q_set
 
-    states = set(initials)
-    worklist = list(initials)
-    transitions = set()
     i_singles = sorted(i_prime)
     i_subsets = _subsets(i_singles)
-    while worklist:
-        src = worklist.pop()
-        p, tracked = src
 
-        def push(lab, q, r2):
-            tgt = (q, r2)
-            if not member(q, r2):
-                return
-            transitions.add((src, lab, tgt))
-            if tgt not in states:
-                states.add(tgt)
-                worklist.append(tgt)
-
-        for lab in sorted(a.alphabet):
+    def moves(p, tracked: frozenset):
+        """The (label, target) steps out of (p, tracked), members or not."""
+        for lab in a.alphabet:
+            main = () if p is _BOT else a.moves.get((p, lab), ())
             if side == 1:
                 plain = list(continuations(tracked, lab, tracked & f_prime))
-                main = sorted(step_main[lab].get(p, ())) if p is not _BOT else []
                 for q in main:
                     for r2 in plain:
-                        push(lab, q, r2)
-                    if q in s_cond:
-                        for r2 in plain:
+                        yield lab, (q, r2)
+                        if q in s_cond:
                             for qp in i_singles:
-                                push(lab, q, r2 | {qp})
+                                yield lab, (q, r2 | {qp})
                 if p is _BOT or p in a.finals:
                     for r2 in plain:
-                        push(lab, _BOT, r2)
+                        yield lab, (_BOT, r2)
             else:
-                plain = list(continuations(tracked, lab, frozenset()))
-                retired = []
-                if p is not _BOT and p in s_cond:
-                    for pp in sorted(tracked & f_prime):
-                        retired.extend(continuations(tracked - {pp}, lab, frozenset()))
+                q_sets = list(continuations(tracked, lab, frozenset()))
                 if p is _BOT:
-                    main, extra = [], sorted(a.initials) + [_BOT]
-                else:
-                    main, extra = sorted(step_main[lab].get(p, ())), []
-                for q_set in plain:
+                    main = [*a.initials, _BOT]
+                elif p in s_cond:
+                    for pp in tracked & f_prime:
+                        q_sets.extend(continuations(tracked - {pp}, lab, frozenset()))
+                for q_set in q_sets:
                     for spawn in i_subsets:
-                        r2 = q_set | spawn
                         for q in main:
-                            push(lab, q, r2)
-                        for q in extra:
-                            push(lab, q, r2)
-                for q_set in retired:
-                    for spawn in i_subsets:
-                        r2 = q_set | spawn
-                        for q in main:
-                            push(lab, q, r2)
+                            yield lab, (q, q_set | spawn)
+
+    transitions = set()
+
+    def step(src):
+        for lab, tgt in moves(*src):
+            if member(*tgt):
+                transitions.add((src, lab, tgt))
+                yield tgt
+
+    states = _reach(initials, step)
 
     finals = set()
     for st in states:

@@ -89,8 +89,7 @@ def test_eval_on_every_small_tree_agrees_with_expression(branchy):
     step = "l1 . pi2(l1^2) . pi1(l2^3)"
     equivalent = parse(f"{step} . ({step})* . l2 | l3 | id")
     for tree in enumerate_trees(4, ["l1", "l2", "l3"]):
-        ctx = EvalContext(tree)
-        assert eval_automaton(branchy, tree, ctx) == evaluate(equivalent, tree, ctx)
+        assert eval_automaton(branchy, tree) == evaluate(equivalent, tree)
 
 
 def test_identity_transitions_in_runs():
@@ -181,10 +180,10 @@ def _literal_deterministic(a: ConditionAutomaton, tree: Graph) -> bool:
     """Reference formulation: exactly one initial-started run between every
     ancestor-or-self node pair, counted by dynamic programming over the
     unique tree path."""
-    from navex.automata import _Satisfier
+    from navex.automata import _satisfying_nodes
 
     ctx = EvalContext(tree)
-    sat = _Satisfier(a, ctx)
+    sat = _satisfying_nodes(a, ctx)
     parent = {t: (s, lab) for s, lab, t in tree.edges}
 
     def path(m, n):
@@ -207,13 +206,13 @@ def _literal_deterministic(a: ConditionAutomaton, tree: Graph) -> bool:
                 continue
             nodes, labs = got
             counts = {q: 1 for q in a.initials
-                      if sat.holds(q, ctx.index[nodes[0]])}
+                      if sat[q] >> ctx.index[nodes[0]] & 1}
             for step, lab in enumerate(labs):
                 nxt: dict = {}
                 node_idx = ctx.index[nodes[step + 1]]
                 for q, c in counts.items():
                     for lab2, q2 in a.successors[q]:
-                        if lab2 == lab and sat.holds(q2, node_idx):
+                        if lab2 == lab and sat[q2] >> node_idx & 1:
                             nxt[q2] = nxt.get(q2, 0) + c
                 counts = nxt
             if sum(counts.values()) != 1:

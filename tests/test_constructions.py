@@ -23,9 +23,9 @@ from navex.expr import (
     EMPTY, IDENTITY, labels_used, parse, power, render, size, star,
 )
 from navex.graphs import (
-    Graph, ResourceLimitError, chain_graph, enumerate_trees,
+    Graph, ResourceLimitError, _reach, chain_graph, enumerate_trees,
 )
-from navex.rewrite import eliminate_intersect_difference
+from navex.rewrite import eliminate_intersect_difference, remove_projection_step
 
 
 def small_trees(max_nodes=4, labels=2):
@@ -434,6 +434,41 @@ def test_determinize_respects_state_cap(monkeypatch):
         determinize(a)
 
 
+def test_products_respect_the_instance_ceiling(monkeypatch):
+    """The reachable product, the projection-removal product and the subset
+    construction each stop their own walk one state past the ceiling."""
+    prod_args = (expr_to_automaton(parse("(a|b)+")), expr_to_automaton(parse("a.b | b+")))
+    proj_arg = renumber_states(trim_automaton(remove_identity_transitions(
+        expr_to_automaton(parse("(a|b)+ . pi1(a . b+) . (a.b)+")))))
+    det_arg = remove_identity_transitions(
+        expr_to_automaton(parse("a.b | b.a | a+"), alphabet={"a", "b"}))
+    for build, args in ((intersect_automata, prod_args),
+                        (remove_projection_step, (proj_arg,)),
+                        (determinize, (det_arg,))):
+        size = len(build(*args).states)
+        monkeypatch.setenv("NAVEX_MAX_INSTANCES", str(size))
+        build(*args)
+        monkeypatch.setenv("NAVEX_MAX_INSTANCES", str(size - 1))
+        with pytest.raises(ResourceLimitError, match=f"^{build.__name__}"):
+            build(*args)
+        monkeypatch.delenv("NAVEX_MAX_INSTANCES")
+
+
+def test_reach_walks_cycles_and_self_loops_from_every_start():
+    succ = {0: [1], 1: [2], 2: [0, 2], 3: [3], 4: []}
+    assert _reach([], succ.__getitem__) == set()
+    assert _reach([0], succ.__getitem__) == {0, 1, 2}
+    assert _reach([3], succ.__getitem__) == {3}
+    assert _reach([4, 1], succ.__getitem__) == {0, 1, 2, 4}
+
+
+def test_reach_stops_at_the_ceiling(monkeypatch):
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "10")
+    assert len(_reach([0], lambda i: [i + 1] if i < 9 else [])) == 10
+    with pytest.raises(ResourceLimitError):
+        _reach([0], lambda i: [i + 1])
+
+
 def test_determinize_size_bound():
     for text in DET_CORPUS:
         a = remove_identity_transitions(
@@ -680,6 +715,47 @@ def test_constructions_match_the_rescanning_references(a1, a2):
         looped = plus_automaton(x)
         assert looped == reference_plus(x)
         assert automaton_to_expr(looped) is reference_automaton_to_expr(looped)
+
+
+def reference_intersect(a1, a2):
+    """The full synchronized product: every pair of states, reachable or
+    not."""
+    a1 = remove_identity_transitions(a1)
+    a2 = remove_identity_transitions(a2)
+    by_label1 = {}
+    for s, lab, t in a1.transitions:
+        by_label1.setdefault(lab, []).append((s, t))
+    transitions = set()
+    for s2, lab, t2 in a2.transitions:
+        for s1, t1 in by_label1.get(lab, ()):
+            transitions.add(((s1, s2), lab, (t1, t2)))
+    return ConditionAutomaton.build(
+        {(p, q) for p in a1.states for q in a2.states},
+        a1.alphabet | a2.alphabet, a1.conditions | a2.conditions,
+        {(p, q) for p in a1.initials for q in a2.initials},
+        {(p, q) for p in a1.finals for q in a2.finals},
+        transitions,
+        [((p, q), c) for p, c in a1.state_conditions for q in a2.states]
+        + [((p, q), c) for q, c in a2.state_conditions for p in a1.states])
+
+
+def _reached_by_fixpoint(a):
+    reached = set(a.initials)
+    while True:
+        more = {t for s, _, t in a.transitions if s in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata(), random_automata())
+def test_reachable_product_matches_the_full_product(a1, a2):
+    for x, y in ((a1, a2), (a2, a1), (a1, a1)):
+        prod = intersect_automata(x, y)
+        assert _reached_by_fixpoint(prod) == prod.states
+        assert (renumber_states(trim_automaton(prod))
+                == renumber_states(trim_automaton(reference_intersect(x, y))))
 
 
 def test_state_elimination_matches_the_reference_on_translations():

@@ -9,10 +9,16 @@ the incremental implementation builds.
 """
 
 import itertools
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import navex
 
 from navex.automata import eval_automaton
 from navex.constructions import (
@@ -543,3 +549,39 @@ def test_run_pipeline_rejects_unknown_names():
 def test_normal_form_str():
     assert str(normalize_unlabeled_boolean(parse("0"))) == "empty"
     assert str(normalize_unlabeled_boolean(parse("a"))).startswith("power 1")
+
+
+# the README's example for each pipeline, and the ROADMAP's set-operation case
+_README_CASES = [
+    ("unlabeled-normal-form", "(b^3)+ & (b^7)+"),
+    ("tree-set-operations", "a+ \\ a"),
+    ("chain-projections", "pi1(a+ . pi1(b+ . pi1(c+)))"),
+    ("tree-pi2", "a . pi2(b . a+) . b"),
+    ("tree-set-operations", "(a|b|c)+ \\ ((a.b.c)+ | (c.b)+)"),
+]
+_REWRITE_SCRIPT = """
+import json, sys
+from navex.expr import parse, render
+from navex.rewrite import run_pipeline
+reports = [run_pipeline(name, parse(text), certify=False)
+           for name, text in json.loads(sys.argv[1])]
+print(json.dumps([[render(r.result), list(r.steps)] for r in reports]))
+"""
+
+
+def _rewrites_under_hash_seed(seed):
+    src = str(Path(next(iter(navex.__path__))).resolve().parent)
+    env = {**os.environ, "PYTHONHASHSEED": str(seed),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _REWRITE_SCRIPT, json.dumps(_README_CASES)],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(done.stdout)
+
+
+def test_rewrites_do_not_depend_on_the_hash_seed():
+    """Sets of strings and expressions iterate in an order that changes
+    with the hash seed; no rewrite result or step may follow it."""
+    first = _rewrites_under_hash_seed(0)
+    assert len(first) == len(_README_CASES)
+    assert first == _rewrites_under_hash_seed(1)
