@@ -17,7 +17,7 @@ from operator import or_
 
 from .evaluate import EvalContext, _bits, is_condition
 from .expr import Compose, Expr, IDENTITY, parse, render
-from .graphs import ID, Graph, _reach, classify, enumerate_trees
+from .graphs import ID, Graph, _reach, enumerate_trees
 
 __all__ = [
     "ID", "AutomatonError", "ConditionAutomaton", "state_key",
@@ -254,11 +254,8 @@ def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6) -> bool:
             if len(starts) != 1:
                 return False
             active.setdefault(i, set()).add(starts[0])
-        # walk edges top-down so parent activity is complete before children
-        depth = classify(tree).node_depths
-        for src, lab, dst in sorted(tree.edges, key=lambda e: (
-                depth[e[0]], ctx.index[e[0]], e[1], ctx.index[e[2]])):
-            i, j = ctx.index[src], ctx.index[dst]
+        # nodes are numbered topologically: each node's activity is final before its edges
+        for i, lab, j in sorted((ctx.index[s], lab, ctx.index[t]) for s, lab, t in tree.edges):
             for q in active.get(i, ()):
                 followers = [q2 for q2 in a.moves.get((q, lab), ()) if sat[q2] >> j & 1]
                 if len(followers) != 1:

@@ -393,17 +393,18 @@ _STREAMS: dict[tuple, tuple[int, list[EvalContext], Iterator[Graph]]] = {}
 _STREAMS_LOCK = threading.Lock()
 
 
-def _contexts(graph_class: str, max_nodes: int, labels: tuple[str, ...],
-              limit: int) -> Iterator[EvalContext]:
+def _contexts(graph_class: str, max_nodes: int,
+              labels: tuple[str, ...]) -> Iterator[EvalContext]:
     """The contexts of an instance stream, built as they are consumed."""
     key = (graph_class, max_nodes, labels)
+    limit = default_ceiling()
     with _STREAMS_LOCK:
         entry = _STREAMS.get(key)
         total = entry[0] if entry else _instance_count(graph_class, max_nodes, labels)
         if total > limit:
             raise ResourceLimitError(f"{total} instances exceeds the ceiling of {limit}")
         if entry is None:
-            graphs = instances(graph_class, max_nodes, labels, ceiling=limit)
+            graphs = instances(graph_class, max_nodes, labels)
             if total > _CACHE_SIZE:
                 return map(EvalContext, graphs)
             while sum(t for t, _, _ in _STREAMS.values()) + total > _CACHE_SIZE:
@@ -432,7 +433,9 @@ def _resume(contexts: list[EvalContext], graphs: Iterator[Graph]):
 
 
 def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
-           semantics: str, ceiling: int | None) -> EquivVerdict:
+           semantics: str) -> EquivVerdict:
+    if max_nodes < 1 or labels < 0:
+        raise ValueError(f"need max_nodes >= 1, labels >= 0; got {max_nodes}, {labels}")
     names, used = _required_labels((e1, e2), labels)
     if graph_class.startswith("unlabeled"):
         if len(used) > 1:
@@ -444,10 +447,9 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
     code, (r1, r2) = _compile((e1, e2))
     code = [(op, rename[x], y) if op == _LABEL else (op, x, y)
             for op, x, y in code]
-    limit = ceiling if ceiling is not None else default_ceiling()
     boolean = semantics == "boolean"
     checked = 0
-    for ctx in _contexts(graph_class, max_nodes, stream_labels, limit):
+    for ctx in _contexts(graph_class, max_nodes, stream_labels):
         checked += 1
         masks = ctx._run(code)
         ctx._row_cache.clear()
@@ -464,15 +466,13 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
 
 
 def path_equivalent(e1: Expr, e2: Expr, graph_class: str = "labeled-tree",
-                    max_nodes: int = 5, labels: int = 2, *,
-                    ceiling: int | None = None) -> EquivVerdict:
+                    max_nodes: int = 5, labels: int = 2) -> EquivVerdict:
     """Exhaustively compare the relations of e1 and e2 over the instance
     stream of a graph class; first difference becomes the witness."""
-    return _check(e1, e2, graph_class, max_nodes, labels, "path", ceiling)
+    return _check(e1, e2, graph_class, max_nodes, labels, "path")
 
 
 def boolean_equivalent(e1: Expr, e2: Expr, graph_class: str = "labeled-chain",
-                       max_nodes: int = 8, labels: int = 2, *,
-                       ceiling: int | None = None) -> EquivVerdict:
+                       max_nodes: int = 8, labels: int = 2) -> EquivVerdict:
     """Like path_equivalent but compares nonemptiness only."""
-    return _check(e1, e2, graph_class, max_nodes, labels, "boolean", ceiling)
+    return _check(e1, e2, graph_class, max_nodes, labels, "boolean")

@@ -1,4 +1,4 @@
-"""Edge-labeled graphs, shape classification, instance enumeration.
+"""Edge-labeled graphs and instance enumeration.
 
 Nodes are strings.  Edges are (source, label, target) triples; multiple labels
 between the same pair of nodes are allowed.  Trees here are rooted and
@@ -12,11 +12,9 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = [
-    "Graph", "GraphError", "ResourceLimitError", "TreeCertificate",
-    "classify", "chain_graph",
+    "Graph", "GraphError", "ResourceLimitError", "chain_graph",
     "count_trees", "enumerate_trees", "instances",
     "GRAPH_CLASSES", "default_ceiling",
 ]
@@ -38,14 +36,17 @@ class ResourceLimitError(RuntimeError):
 
 
 def default_ceiling() -> int:
+    """The one instance limit: NAVEX_MAX_INSTANCES, or 2,000,000 if unset."""
     value = os.environ.get("NAVEX_MAX_INSTANCES")
     if not value:
         return 2_000_000
     try:
-        return int(value)
+        limit = int(value)
     except ValueError:
-        raise ValueError(
-            f"NAVEX_MAX_INSTANCES must be an integer, got {value!r}") from None
+        limit = 0               # refused below, like every other non-positive value
+    if limit < 1:
+        raise ValueError(f"NAVEX_MAX_INSTANCES must be a positive integer, got {value!r}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,6 @@ class Graph:
     def build(cls, nodes, labels, edges) -> "Graph":
         return cls(frozenset(nodes), frozenset(labels),
                    frozenset((s, l, t) for (s, l, t) in edges))
-
-    @cached_property
-    def union_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((s, t) for s, _, t in self.edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,79 +92,6 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class TreeCertificate:
-    kind: str                       # chain | tree | forest | general
-    root: str | None = None
-    depth: int | None = None
-    node_depths: dict | None = None
-
-    @property
-    def is_tree(self) -> bool:
-        return self.kind in ("chain", "tree")
-
-
-def _is_acyclic(nodes, pairs) -> bool:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for s, t in pairs:
-        succ[s].append(t)
-    color: dict[str, int] = {}
-    for start in nodes:
-        if color.get(start):
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return False
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
-
-
-def classify(g: Graph) -> TreeCertificate:
-    """Most specific shape of the graph under its union edge relation."""
-    pairs = g.union_pairs
-    indeg = {n: 0 for n in g.nodes}
-    outdeg = {n: 0 for n in g.nodes}
-    for s, t in pairs:
-        indeg[t] += 1
-        outdeg[s] += 1
-    acyclic = _is_acyclic(g.nodes, pairs)
-    if not acyclic:
-        return TreeCertificate("general")
-    if any(d > 1 for d in indeg.values()):
-        return TreeCertificate("general")
-    roots = sorted(n for n, d in indeg.items() if d == 0)
-    if len(roots) != 1:
-        return TreeCertificate("forest")
-    root = roots[0]
-    depths = {root: 0}
-    frontier = [root]
-    succ: dict[str, list[str]] = {n: [] for n in g.nodes}
-    for s, t in pairs:
-        succ[s].append(t)
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for m in succ[n]:
-                depths[m] = depths[n] + 1
-                nxt.append(m)
-        frontier = nxt
-    kind = "chain" if all(d <= 1 for d in outdeg.values()) else "tree"
-    return TreeCertificate(kind, root, max(depths.values()), depths)
 
 
 def _subsets(items) -> list[frozenset]:
@@ -280,8 +204,7 @@ def _canonical_trees(max_nodes: int, n_labels: int):
                       for lab in range(n_labels) for seq in trees]
 
 
-def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False,
-                    ceiling: int | None = None):
+def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False):
     """Yield the rooted edge-labeled trees (single-labeled by construction)
     with at most max_nodes nodes, smallest first, nodes named n0, n1, ... in
     preorder from the root.
@@ -293,7 +216,7 @@ def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False,
     expressions that this one does not.
     """
     alphabet = _alphabet(labels)
-    limit = ceiling if ceiling is not None else default_ceiling()
+    limit = default_ceiling()
     total = count_trees(max_nodes, alphabet, chains_only=chains_only)
     if total > limit:
         raise ResourceLimitError(f"{total} trees exceeds the ceiling of {limit}")
@@ -323,12 +246,10 @@ def _class_labels(graph_class: str, labels):
     return labels
 
 
-def instances(graph_class: str, max_nodes: int, labels=2, *,
-              ceiling: int | None = None):
+def instances(graph_class: str, max_nodes: int, labels=2):
     """The instance stream behind the equivalence oracles."""
     labels = _class_labels(graph_class, labels)
-    return enumerate_trees(max_nodes, labels, chains_only=graph_class.endswith("chain"),
-                           ceiling=ceiling)
+    return enumerate_trees(max_nodes, labels, chains_only=graph_class.endswith("chain"))
 
 
 def _instance_count(graph_class: str, max_nodes: int, labels=2) -> int:

@@ -438,8 +438,7 @@ PIPELINES = {
 
 
 def run_pipeline(name: str, e: Expr, *, certify: bool = True,
-                 max_nodes: int | None = None,
-                 ceiling: int | None = None) -> RewriteReport:
+                 max_nodes: int | None = None) -> RewriteReport:
     """Apply a named rewrite and, unless disabled, certify the result against
     the original by exhaustive evaluation over bounded instances."""
     if name not in PIPELINES:
@@ -452,5 +451,5 @@ def run_pipeline(name: str, e: Expr, *, certify: bool = True,
     if certify:
         nodes = max_nodes if max_nodes is not None else default_nodes
         check = boolean_equivalent if semantics == "boolean" else path_equivalent
-        verdict = check(e, out, graph_class, max_nodes=nodes, ceiling=ceiling)
+        verdict = check(e, out, graph_class, max_nodes=nodes)
     return RewriteReport(name, e, out, tuple(steps), verdict)

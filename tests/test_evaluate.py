@@ -424,14 +424,25 @@ def _cached(graph_class, max_nodes):
 def test_cached_streams_keep_the_ceiling(monkeypatch):
     e = parse("a . b")
     assert path_equivalent(e, e, "labeled-tree", 5).checked == 143
-    with pytest.raises(ResourceLimitError):
-        path_equivalent(e, e, "labeled-tree", 5, ceiling=100)
-    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "100")
-    with pytest.raises(ResourceLimitError):
-        path_equivalent(e, e, "labeled-tree", 5)
-    assert path_equivalent(e, e, "labeled-tree", 5, ceiling=143).checked == 143
+    for limit in ("100", "142"):
+        monkeypatch.setenv("NAVEX_MAX_INSTANCES", limit)
+        with pytest.raises(ResourceLimitError):
+            path_equivalent(e, e, "labeled-tree", 5)
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "143")
+    assert path_equivalent(e, e, "labeled-tree", 5).checked == 143
     # the ceiling only admits a stream: one copy serves every ceiling
     assert len(_cached("labeled-tree", 5)) == 1
+
+
+@pytest.mark.parametrize("max_nodes,labels", [(0, 2), (-3, 2), (5, -1)])
+def test_oracles_refuse_bounds_that_check_nothing(max_nodes, labels):
+    e = parse("pi2(a) . b")
+    for oracle in (path_equivalent, boolean_equivalent):
+        with pytest.raises(ValueError, match="max_nodes >= 1, labels >= 0"):
+            oracle(e, e, "labeled-tree", max_nodes, labels)
+    if labels >= 0:
+        with pytest.raises(ValueError, match="max_nodes >= 1"):
+            run_pipeline("tree-pi2", e, max_nodes=max_nodes)
 
 
 def test_oracle_leaves_no_row_cache_behind():
@@ -461,9 +472,9 @@ def test_a_stream_longer_than_the_cache_is_not_kept(monkeypatch):
     v = path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9)
     assert not v.equivalent
     assert ev._STREAMS == {}
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", str(chains - 1))
     with pytest.raises(ResourceLimitError):
-        path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9,
-                        ceiling=chains - 1)
+        path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9)
 
 
 def test_cache_evicts_the_least_recently_used_streams(monkeypatch):

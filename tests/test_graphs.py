@@ -1,10 +1,12 @@
-"""Graph structure, classification, and enumeration."""
+"""Graph structure and enumeration."""
 
 import pytest
 
+from navex.evaluate import path_equivalent
+from navex.expr import parse
 from navex.graphs import (
     GRAPH_CLASSES, Graph, GraphError, ResourceLimitError, _instance_count,
-    chain_graph, classify, count_trees, enumerate_trees, instances,
+    chain_graph, count_trees, enumerate_trees, instances,
 )
 
 
@@ -24,41 +26,6 @@ def test_edge_relation_and_json_round_trip():
     assert Graph.from_json(g.to_json()) == g
 
 
-def test_classify_shapes():
-    single = Graph.build(["n0"], ["a"], [])
-    cert = classify(single)
-    assert cert.kind == "chain" and cert.root == "n0" and cert.depth == 0
-
-    cert = classify(chain_graph(4))
-    assert cert.kind == "chain"
-    assert cert.root == "n0"
-    assert cert.depth == 3
-    assert cert.node_depths == {"n0": 0, "n1": 1, "n2": 2, "n3": 3}
-
-    star = Graph.build(["r", "x", "y"], ["a"], [("r", "a", "x"), ("r", "a", "y")])
-    assert classify(star).kind == "tree"
-
-    forest = Graph.build(["n0", "n1"], ["a"], [])
-    assert classify(forest).kind == "forest"
-
-    dag = Graph.build(["src", "p0", "tgt"], ["a"],
-                      [("src", "a", "p0"), ("p0", "a", "tgt"), ("src", "a", "tgt")])
-    assert classify(dag).kind == "general"      # target has in-degree 2
-
-    cyc = Graph.build(["n0", "n1"], ["a"], [("n0", "a", "n1"), ("n1", "a", "n0")])
-    assert classify(cyc).kind == "general"
-
-    loop = Graph.build(["n0"], ["a"], [("n0", "a", "n0")])
-    assert classify(loop).kind == "general"
-
-
-def test_classify_multi_edges_do_not_fake_indegree():
-    # two labels on one node pair still leave in-degree 1 in the union relation
-    g = Graph.build(["n0", "n1"], ["a", "b"],
-                    [("n0", "a", "n1"), ("n0", "b", "n1")])
-    assert classify(g).kind == "chain"
-
-
 def test_tree_counts_pinned():
     assert count_trees(1, 1) == 1
     assert count_trees(2, 1) == 2
@@ -74,25 +41,41 @@ def test_tree_counts_pinned():
     assert len(list(enumerate_trees(9, 2, chains_only=True))) == 511
 
 
+def out_degrees_of_rooted_tree(g):
+    """Assert that g is a tree rooted at n0, nodes n0, n1, ... in preorder:
+    n0 has no incoming edge, every other node exactly one, and each edge
+    goes from an earlier name to a later one (so there is no cycle).
+    Returns each node's number of outgoing edges."""
+    order = {f"n{i}": i for i in range(len(g.nodes))}
+    assert set(order) == g.nodes
+    in_degree = dict.fromkeys(g.nodes, 0)
+    out_degree = dict.fromkeys(g.nodes, 0)
+    for s, _, t in g.edges:
+        assert order[s] < order[t]
+        in_degree[t] += 1
+        out_degree[s] += 1
+    assert in_degree == {n: int(n != "n0") for n in g.nodes}
+    return out_degree
+
+
 def test_enumerated_trees_are_trees():
     seen_tree = False
     for g in enumerate_trees(4, 2):
-        cert = classify(g)
-        assert cert.is_tree
-        assert cert.root == "n0"
+        out_degree = out_degrees_of_rooted_tree(g)
         assert len({(s, t) for s, _, t in g.edges}) == len(g.edges)    # one label per edge
-        seen_tree = seen_tree or cert.kind == "tree"
+        seen_tree = seen_tree or max(out_degree.values()) > 1       # a branching node
     assert seen_tree
 
 
 def test_enumerated_chains_are_chains():
     for g in enumerate_trees(5, 2, chains_only=True):
-        assert classify(g).kind == "chain"
+        assert max(out_degrees_of_rooted_tree(g).values()) <= 1
 
 
-def test_enumeration_ceiling():
+def test_enumeration_ceiling(monkeypatch):
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "1000")
     with pytest.raises(ResourceLimitError):
-        list(enumerate_trees(10, 2, ceiling=1000))
+        list(enumerate_trees(10, 2))
 
 
 def test_ceiling_env_override(monkeypatch):
@@ -101,9 +84,12 @@ def test_ceiling_env_override(monkeypatch):
         list(enumerate_trees(3, 1))
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", "1000000")
     assert len(list(enumerate_trees(3, 1))) == 4
-    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "lots")
-    with pytest.raises(ValueError, match="NAVEX_MAX_INSTANCES"):
-        list(enumerate_trees(3, 1))
+    for value in ("lots", "0", "-5"):
+        monkeypatch.setenv("NAVEX_MAX_INSTANCES", value)
+        with pytest.raises(ValueError, match="NAVEX_MAX_INSTANCES"):
+            list(enumerate_trees(3, 1))
+        with pytest.raises(ValueError, match="NAVEX_MAX_INSTANCES"):
+            path_equivalent(parse("a"), parse("a"), "labeled-tree", 3)
 
 
 def test_chain_graph_alphabet_carries_its_label():
