@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
-from .evaluate import EvalContext, _bits, is_condition
+from .evaluate import is_condition
 from .expr import Compose, Expr, IDENTITY, parse, render
-from .graphs import ID, Graph, _reach, enumerate_trees
+from .graphs import ID
 
 __all__ = [
     "ID", "AutomatonError", "ConditionAutomaton", "state_key",
-    "state_condition_expr", "eval_automaton", "check_deterministic",
+    "state_condition_expr",
 ]
 
 
@@ -196,69 +195,3 @@ def state_condition_expr(a: ConditionAutomaton, q) -> Expr:
     for c in cs[1:]:
         out = Compose(out, c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def _satisfying_nodes(a: ConditionAutomaton, ctx: EvalContext) -> dict:
-    """{state: bitmask of the graph nodes satisfying all of the state's
-    conditions}, evaluating each declared condition once."""
-    holds = {c: ctx.diagonal_nodes(c) for c in a.conditions}
-    every = (1 << ctx.n) - 1
-    out = {}
-    for q, cs in a.gamma.items():
-        out[q] = every
-        for c in cs:
-            out[q] &= holds[c]
-    return out
-
-
-def eval_automaton(a: ConditionAutomaton, g: Graph) -> frozenset:
-    """All node pairs the automaton accepts on the graph, by reachability
-    over (state, node) configurations."""
-    ctx = EvalContext(g)
-    sat = _satisfying_nodes(a, ctx)
-    rows = {lab: ctx.successor_rows(lab) for lab in a.alphabet}
-
-    def step(cfg):
-        q, i = cfg
-        for lab, q2 in a.successors[q]:
-            nodes = (1 << i) if lab == ID else rows[lab][i]
-            for j in _bits(nodes & sat[q2]):
-                yield q2, j
-
-    accepted = []           # row m: the nodes reached from start node m
-    for m in range(ctx.n):
-        reached = _reach([(q, m) for q in a.initials if sat[q] >> m & 1], step)
-        accepted.append(reduce(or_, (1 << i for q, i in reached if q in a.finals), 0))
-    return ctx.decode(ctx.join_rows(accepted))
-
-
-# ---------------------------------------------------------------------------
-# determinism
-
-def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6) -> bool:
-    """Bounded check that the automaton is deterministic on trees: on every
-    tree over its alphabet, every node satisfies exactly one initial state,
-    and every reached (state, node) configuration extends in exactly one way
-    along each outgoing edge."""
-    if not a.identity_free:
-        raise AutomatonError("determinism is defined for identity-free automata")
-    for tree in enumerate_trees(max_nodes, sorted(a.alphabet)):
-        ctx = EvalContext(tree)
-        sat = _satisfying_nodes(a, ctx)
-        active: dict[int, set] = {}
-        for i in range(ctx.n):
-            starts = [q for q in a.initials if sat[q] >> i & 1]
-            if len(starts) != 1:
-                return False
-            active.setdefault(i, set()).add(starts[0])
-        # nodes are numbered topologically: each node's activity is final before its edges
-        for i, lab, j in sorted((ctx.index[s], lab, ctx.index[t]) for s, lab, t in tree.edges):
-            for q in active.get(i, ()):
-                followers = [q2 for q2 in a.moves.get((q, lab), ()) if sat[q2] >> j & 1]
-                if len(followers) != 1:
-                    return False
-                active.setdefault(j, set()).add(followers[0])
-    return True

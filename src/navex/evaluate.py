@@ -26,17 +26,24 @@ The oracles map a plan's label names onto the positional labels l0, l1,
 ... of their instance streams, so expressions over different names share
 a stream.  A stream's evaluation contexts are built as they are first
 needed and, if the stream is short enough, kept for later calls.
+
+`evaluate` returns a `Relation`, not a frozenset: a set of node-name pairs
+that holds only the mask and the node order.  Its length and its equality
+with another relation on the same node order need no decoding, and its
+pairs are built only when they are read.  It equals the frozenset of its
+pairs, but `isinstance(r, frozenset)` is false.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import chain, compress, count
 from operator import itemgetter, or_
+from string import ascii_lowercase
 
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
@@ -48,7 +55,7 @@ from .graphs import (
 )
 
 __all__ = [
-    "EvalContext", "UnknownLabelError", "evaluate", "evaluate_boolean",
+    "EvalContext", "Relation", "UnknownLabelError", "evaluate", "evaluate_boolean",
     "is_condition", "EquivVerdict", "path_equivalent", "boolean_equivalent",
 ]
 
@@ -297,15 +304,9 @@ class EvalContext:
         code, (root,) = _compile((e,))
         return self._run(code)[root]
 
-    def decode(self, mask: int) -> frozenset[tuple[str, str]]:
-        order = self.node_order
-        return frozenset(
-            (order[i], order[j])
-            for i, row in enumerate(self._rows(mask)) for j in _bits(row)
-        )
-
-    def pairs_of(self, e: Expr) -> frozenset[tuple[str, str]]:
-        return self.decode(self.mask_of(e))
+    def decode(self, mask: int) -> Relation:
+        """The node pairs of `mask`, decoded when first read."""
+        return Relation(mask, self.node_order)
 
     def diagonal_nodes(self, e: Expr) -> int:
         """Bitmask over node indices i with (i, i) in the relation of `e`."""
@@ -314,6 +315,64 @@ class EvalContext:
     def successor_rows(self, label: str) -> list[int]:
         """Per-node successor sets along `label`, as node bitmasks."""
         return self._rows(self.label_masks.get(label, 0))
+
+
+class Relation(Set):
+    """An immutable set of (node, node) pairs, held as a mask over a node
+    order as `EvalContext` lays it out.
+
+    Its length is the mask's bit count, and two relations on equal node
+    orders compare by mask.  Anything else (iterating, membership, hashing,
+    comparing with another set) reads the pairs, which are decoded once and
+    kept as a frozenset; the hash is that frozenset's.  `&`, `|` and `-`
+    return frozensets.  The node order is the computing context's list,
+    which nothing changes; the relation keeps no reference to the context
+    itself, whose row cache holds every intermediate mask."""
+
+    __slots__ = ("mask", "node_order", "_pairs")
+
+    def __init__(self, mask: int, node_order: list[str]):
+        self.mask = mask
+        self.node_order = node_order
+        self._pairs: frozenset[tuple[str, str]] | None = None
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def _decoded(self) -> frozenset[tuple[str, str]]:
+        if self._pairs is None:
+            order = self.node_order
+            size, slicer, _, little = _layout(len(order))[:4]
+            rows = map(int.from_bytes, slicer(self.mask.to_bytes(size, "little")), little)
+            self._pairs = frozenset((order[i], order[j])
+                                    for i, row in enumerate(rows) for j in _bits(row))
+        return self._pairs
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._decoded()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Relation and other.node_order == self.node_order:
+            return other.mask == self.mask
+        if not isinstance(other, Set):
+            return NotImplemented
+        return self._decoded() == other
+
+    def __hash__(self) -> int:
+        return hash(self._decoded())
+
+    def __reduce__(self):
+        return Relation, (self.mask, self.node_order)
+
+    def __repr__(self) -> str:
+        return f"Relation({set(self._decoded())!r})"
 
 
 def _topological(graph: Graph) -> tuple[list[str], dict[str, int]]:
@@ -342,9 +401,11 @@ def _topological(graph: Graph) -> tuple[list[str], dict[str, int]]:
     return order, {v: i for i, v in enumerate(order)}
 
 
-def evaluate(e: Expr, graph: Graph) -> frozenset:
-    """The relation denoted by `e` on `graph`, as a frozenset of node pairs."""
-    return EvalContext(graph).pairs_of(e)
+def evaluate(e: Expr, graph: Graph) -> Relation:
+    """The relation denoted by `e` on `graph`: a `Relation`, a set of node
+    pairs that equals the frozenset of those pairs but is not one."""
+    ctx = EvalContext(graph)
+    return ctx.decode(ctx.mask_of(e))
 
 
 def evaluate_boolean(e: Expr, graph: Graph) -> bool:
@@ -371,10 +432,11 @@ class EquivVerdict:
 
 def _required_labels(exprs, labels):
     """Label names for the instance stream: every label the expressions
-    mention, padded with default letters up to the requested count."""
+    mention, padded up to the requested count with the letters a-z and
+    then a1, a2, ..., skipping names already used."""
     used = {lab for e in exprs for lab in labels_used(e)}
     names = set(used)
-    for c in "abcdefghijklmnopqrstuvwxyz":
+    for c in chain(ascii_lowercase, map("a{}".format, count(1))):
         if len(names) >= labels:
             break
         names.add(c)

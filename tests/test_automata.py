@@ -3,12 +3,13 @@
 import pytest
 
 from navex.automata import (
-    ID, AutomatonError, ConditionAutomaton, check_deterministic,
-    eval_automaton, state_condition_expr, state_key,
+    ID, AutomatonError, ConditionAutomaton, state_condition_expr, state_key,
 )
 from navex.evaluate import EvalContext, evaluate
 from navex.expr import EdgeLabel, IDENTITY, parse, render
 from navex.graphs import Graph, chain_graph, enumerate_trees
+
+from automaton_eval import _satisfying_nodes, check_deterministic, eval_automaton
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +181,6 @@ def _literal_deterministic(a: ConditionAutomaton, tree: Graph) -> bool:
     """Reference formulation: exactly one initial-started run between every
     ancestor-or-self node pair, counted by dynamic programming over the
     unique tree path."""
-    from navex.automata import _satisfying_nodes
-
     ctx = EvalContext(tree)
     sat = _satisfying_nodes(a, ctx)
     parent = {t: (s, lab) for s, lab, t in tree.edges}

@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from navex import constructions
-from navex.automata import (
-    ID, ConditionAutomaton, check_deterministic, eval_automaton,
-    state_condition_expr, state_key,
-)
+from navex.automata import ID, ConditionAutomaton, state_condition_expr, state_key
 from navex.constructions import (
     automaton_to_expr, compose_automata, condition_complement,
     determinize, difference_automata, downward_complement_automaton,
@@ -26,6 +23,8 @@ from navex.graphs import (
     Graph, ResourceLimitError, _reach, chain_graph, enumerate_trees,
 )
 from navex.rewrite import eliminate_intersect_difference, remove_projection_step
+
+from automaton_eval import check_deterministic, eval_automaton
 
 
 def small_trees(max_nodes=4, labels=2):

@@ -2,18 +2,21 @@
 reference implementation over plain pair sets."""
 
 import copy
+import gc
+import pickle
 import random
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import navex.evaluate as ev
 from navex.evaluate import (
-    EvalContext, UnknownLabelError, _compile, boolean_equivalent, evaluate,
-    evaluate_boolean, is_condition, path_equivalent,
+    EvalContext, Relation, UnknownLabelError, _compile, boolean_equivalent,
+    evaluate, evaluate_boolean, is_condition, path_equivalent,
 )
 from navex.expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
@@ -233,6 +236,80 @@ def test_transitive_closure_is_a_fixpoint(e, g):
     composed = frozenset((m, q) for m, n in tc for p, q in r if n == p)
     assert r <= tc
     assert tc == r | composed
+
+
+# ---------------------------------------------------------------------------
+# the result: a set of pairs held as a mask, decoded only when read
+
+def test_relation_is_a_set_of_pairs(alt_chain):
+    r = evaluate(parse("a | b"), alt_chain)
+    pairs = {("n0", "n1"), ("n1", "n2"), ("n2", "n3")}
+    assert isinstance(r, Relation) and not isinstance(r, frozenset)
+    for other in (pairs, frozenset(pairs)):
+        assert r == other and other == r
+        assert not r != other and not other != r
+        assert r != other - {("n0", "n1")} and other - {("n0", "n1")} != r
+    assert r != [("n0", "n1"), ("n1", "n2"), ("n2", "n3")]
+    assert hash(r) == hash(frozenset(pairs))
+    assert len(r) == len(set(r)) == 3
+    assert ("n0", "n1") in r and ("n1", "n0") not in r and "n0" not in r
+    extra = {("n0", "n1"), ("x", "y")}
+    for got, want in ((r & extra, {("n0", "n1")}), (r | extra, pairs | extra),
+                      (r - extra, pairs - extra), (extra - r, {("x", "y")}),
+                      (frozenset(extra) | r, pairs | extra)):
+        assert type(got) is frozenset and got == want
+    copied = pickle.loads(pickle.dumps(r))
+    assert type(copied) is Relation and copied == r and copied == pairs
+    empty = evaluate(parse("0"), alt_chain)
+    assert not empty and len(empty) == 0 and empty == set() and hash(empty) == hash(frozenset())
+
+
+def test_relations_on_one_graph_compare_by_mask(alt_chain):
+    r1 = evaluate(parse("a . b"), alt_chain)
+    r2 = evaluate(parse("(a . b . a) . conv(a)"), alt_chain)
+    assert r1 == r2 and r1 != evaluate(a, alt_chain) and len(r1) == 1
+    assert r1._pairs is None and r2._pairs is None     # nothing was decoded
+
+
+def test_relations_on_different_node_orders_compare_by_pairs():
+    forward = Graph.build(["n0", "n1"], ["a"], {("n0", "a", "n1")})
+    backward = Graph.build(["n0", "n1"], ["a"], {("n1", "a", "n0")})
+    assert EvalContext(forward).node_order != EvalContext(backward).node_order
+    # the same mask (row 0, column 1) means a different pair on each
+    assert evaluate(a, forward).mask == evaluate(a, backward).mask
+    assert evaluate(a, forward) != evaluate(a, backward)
+    # different masks can mean the same pairs
+    assert evaluate(a, forward) == evaluate(parse("conv(a)"), backward) == {("n0", "n1")}
+    assert evaluate(IDENTITY, forward) == evaluate(IDENTITY, backward)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs, _exprs, _graphs)
+def test_relation_behaves_as_the_reference_pair_set(e1, e2, g):
+    r1, r2 = evaluate(e1, g), evaluate(e2, g)
+    ref1, ref2 = reference_eval(e1, g), reference_eval(e2, g)
+    assert (r1 == r2) == (ref1 == ref2)
+    assert r1 == ref1 and ref1 == r1 and len(r1) == len(ref1)
+    assert hash(r1) == hash(ref1)
+    assert all(p in r1 for p in ref1) and set(r1) == ref1
+    assert r1 & r2 == ref1 & ref2 and r1 | r2 == ref1 | ref2 and r1 - r2 == ref1 - ref2
+    assert (r1 <= r2) == (ref1 <= ref2)
+
+
+def test_a_relation_keeps_no_context_alive(monkeypatch):
+    built = []
+
+    class Recorded(EvalContext):
+        def __init__(self, graph):
+            super().__init__(graph)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ev, "EvalContext", Recorded)
+    e, g = parse("(a . a)+ | pi1(a+ . pi2(a))"), chain_graph(40)
+    r = evaluate(e, g)
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+    assert r == reference_eval(e, g)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +601,12 @@ def test_oracle_takes_more_labels_than_letters():
     assert v.checked == 1 + sorted(names).index("x17") + 1
     assert v.witness.labels == set(names)
     assert v.witness.edges == {("n0", "x17", "n1")}
+
+
+def test_oracle_pads_requested_labels_past_the_letters():
+    for text in ("a", "a1"):     # a1 is also the first name after z
+        v = path_equivalent(parse(text), parse(text), "labeled-chain", max_nodes=2, labels=28)
+        assert (v.labels, v.checked) == (28, 29)
 
 
 def test_power_on_long_chain():

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 import navex
 
-from navex.automata import eval_automaton
 from navex.constructions import (
     expr_to_automaton, remove_identity_transitions, renumber_states,
     trim_automaton,
@@ -38,6 +37,8 @@ from navex.rewrite import (
     remove_projection_step, remove_projections_boolean, run_pipeline,
     witness_span,
 )
+
+from automaton_eval import eval_automaton
 
 
 def _to_automaton(text):
