@@ -1,11 +1,12 @@
 """Condition automata: finite automata whose states carry node conditions.
 
-A condition automaton is a 7-tuple (states, alphabet, conditions, initials,
-finals, transitions, state_conditions).  Transitions are labeled with edge
-labels or with the reserved identity label; a state's conditions restrict at
-which graph nodes the state can hold.  Evaluated on a graph, an automaton
-accepts a node pair (m, n) when some run over satisfied states leads from an
-initial state at m to a final state at n.
+A condition automaton has six parts: states, alphabet, initials, finals,
+transitions and state_conditions.  Transitions are labeled with edge labels
+or with the reserved identity label; a state's conditions restrict at which
+graph nodes the state can hold.  The paper's condition set C is derived: it
+is the set of conditions attached to some state.  Evaluated on a graph, an
+automaton accepts a node pair (m, n) when some run over satisfied states
+leads from an initial state at m to a final state at n.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .evaluate import is_condition
-from .expr import Compose, Expr, IDENTITY, parse, render
+from .expr import Compose, Expr, IDENTITY, is_condition, parse, render
 from .graphs import ID
 
 __all__ = [
@@ -50,7 +50,6 @@ def state_key(s):
 class ConditionAutomaton:
     states: frozenset
     alphabet: frozenset[str]
-    conditions: frozenset[Expr]
     initials: frozenset
     finals: frozenset
     transitions: frozenset[tuple]
@@ -66,22 +65,25 @@ class ConditionAutomaton:
                 raise AutomatonError("transition endpoint is not a state")
             if lab != ID and lab not in self.alphabet:
                 raise AutomatonError(f"transition label {lab!r} is not in the alphabet")
-        for q, c in self.state_conditions:
+        for q, _ in self.state_conditions:
             if q not in self.states:
                 raise AutomatonError("condition attached to a non-state")
-            if c not in self.conditions:
-                raise AutomatonError(f"condition {render(c)} is not declared")
         for c in self.conditions:
             if not is_condition(c):
                 raise AutomatonError(f"{render(c)} is not a condition expression")
 
     @classmethod
-    def build(cls, states, alphabet, conditions, initials, finals,
+    def build(cls, states, alphabet, initials, finals,
               transitions, state_conditions) -> "ConditionAutomaton":
-        return cls(frozenset(states), frozenset(alphabet), frozenset(conditions),
+        return cls(frozenset(states), frozenset(alphabet),
                    frozenset(initials), frozenset(finals),
                    frozenset(tuple(t) for t in transitions),
                    frozenset(tuple(sc) for sc in state_conditions))
+
+    @cached_property
+    def conditions(self) -> frozenset[Expr]:
+        """The condition set C: every condition attached to some state."""
+        return frozenset(c for _, c in self.state_conditions)
 
     @cached_property
     def gamma(self) -> dict:
@@ -152,9 +154,7 @@ class ConditionAutomaton:
             for text in texts
         ]
         return cls.build(
-            data["states"], data["alphabet"],
-            {c for _, c in state_conditions},
-            data["initials"], data["finals"],
+            data["states"], data["alphabet"], data["initials"], data["finals"],
             [(t["from"], t["label"], t["to"]) for t in data["transitions"]],
             state_conditions,
         )

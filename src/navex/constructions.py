@@ -5,8 +5,8 @@ intersections, determinize, and take downward complements on trees.
 compose_automata, union_automata and plus_automaton number their states
 0..n-1: the first operand keeps its numbers, the second is placed after it,
 and the fresh endpoints of `+` come last.  That is the numbering
-renumber_states gives the tagged disjoint union, so an operand is renumbered
-only when its states are not already 0..n-1.  remove_identity_transitions
+renumber_states gives the tagged disjoint union, and renumber_states returns
+an operand already numbered that way as it is.  remove_identity_transitions
 keeps the identity pairs themselves as states, since their structure is the
 point of the construction.
 """
@@ -33,26 +33,20 @@ __all__ = [
 
 
 def renumber_states(a: ConditionAutomaton) -> ConditionAutomaton:
-    """The same automaton with states renamed to 0..n-1 in canonical order."""
+    """The same automaton with states renamed to 0..n-1 in canonical order;
+    `a` itself when its states are those ints already."""
+    if (a.states == frozenset(range(len(a.states)))
+            and set(map(type, a.states)) <= {int}):
+        return a
     names = {q: i for i, q in enumerate(a.ordered_states)}
     return ConditionAutomaton.build(
         states=names.values(),
         alphabet=a.alphabet,
-        conditions=a.conditions,
         initials=[names[q] for q in a.initials],
         finals=[names[q] for q in a.finals],
         transitions=[(names[s], lab, names[t]) for s, lab, t in a.transitions],
         state_conditions=[(names[q], c) for q, c in a.state_conditions],
     )
-
-
-def _numbered(a: ConditionAutomaton) -> ConditionAutomaton:
-    """`a` with states 0..n-1 in canonical order; returned as it is when its
-    states are those ints already."""
-    if (a.states == frozenset(range(len(a.states)))
-            and set(map(type, a.states)) <= {int}):
-        return a
-    return renumber_states(a)
 
 
 def _shifted(a: ConditionAutomaton, k: int) -> tuple:
@@ -67,12 +61,11 @@ def _shifted(a: ConditionAutomaton, k: int) -> tuple:
 def compose_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
     """Accepts (m, n) when a1 accepts (m, x) and a2 accepts (x, n): identity
     transitions bridge every final of a1 to every initial of a2."""
-    a1, a2 = _numbered(a1), _numbered(a2)
+    a1, a2 = renumber_states(a1), renumber_states(a2)
     states2, initials2, finals2, transitions2, conds2 = _shifted(a2, len(a1.states))
     return ConditionAutomaton.build(
         states=a1.states | states2,
         alphabet=a1.alphabet | a2.alphabet,
-        conditions=a1.conditions | a2.conditions,
         initials=a1.initials,
         finals=finals2,
         transitions=(a1.transitions | transitions2
@@ -82,12 +75,11 @@ def compose_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Conditio
 
 
 def union_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
-    a1, a2 = _numbered(a1), _numbered(a2)
+    a1, a2 = renumber_states(a1), renumber_states(a2)
     states2, initials2, finals2, transitions2, conds2 = _shifted(a2, len(a1.states))
     return ConditionAutomaton.build(
         states=a1.states | states2,
         alphabet=a1.alphabet | a2.alphabet,
-        conditions=a1.conditions | a2.conditions,
         initials=a1.initials | initials2,
         finals=a1.finals | finals2,
         transitions=a1.transitions | transitions2,
@@ -98,12 +90,11 @@ def union_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionA
 def plus_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """One or more a-steps: fresh endpoints wired by identity transitions,
     with a back edge allowing repetition."""
-    a = _numbered(a)
+    a = renumber_states(a)
     v, w = len(a.states), len(a.states) + 1
     return ConditionAutomaton.build(
         states=a.states | {v, w},
         alphabet=a.alphabet,
-        conditions=a.conditions,
         initials={v},
         finals={w},
         transitions=(a.transitions | {(v, ID, q) for q in a.initials}
@@ -130,11 +121,11 @@ def expr_to_automaton(e: Expr, alphabet=None) -> ConditionAutomaton:
 
     def two_state(transitions):
         return ConditionAutomaton.build(
-            {0, 1}, sigma, set(), {0}, {1}, transitions, [])
+            {0, 1}, sigma, {0}, {1}, transitions, [])
 
     def condition_state(cond):
         return ConditionAutomaton.build(
-            {0}, sigma, {cond}, {0}, {0}, [], [(0, cond)])
+            {0}, sigma, {0}, {0}, [], [(0, cond)])
 
     def translate(node, *kids):
         t = type(node)
@@ -294,7 +285,6 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
     return ConditionAutomaton.build(
         states=pairs,
         alphabet=a.alphabet,
-        conditions=a.conditions,
         initials=[(q, v) for q, v in pairs if q in a.initials],
         finals=[(q, v) for q, v in pairs if v & a.finals],
         transitions=transitions,
@@ -327,7 +317,6 @@ def intersect_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condit
     return ConditionAutomaton.build(
         states=states,
         alphabet=a1.alphabet | a2.alphabet,
-        conditions=a1.conditions | a2.conditions,
         initials=initials,
         finals={(p, q) for p, q in states if p in a1.finals and q in a2.finals},
         transitions=transitions,
@@ -363,9 +352,9 @@ def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
     with Q original states and V the conditions assumed to hold at the
     current node.  On trees every node satisfies exactly one V, making the
     result deterministic.  Only the states reachable from the initial ones
-    are built; there are at most 2^|S| * 2^|C| of them, and more than the
-    instance ceiling raises ResourceLimitError, as every reachability walk
-    does."""
+    are built; with C the conditions attached to some state, there are at
+    most 2^|S| * 2^|C| of them, and more than the instance ceiling raises
+    ResourceLimitError, as every reachability walk does."""
     a = renumber_states(remove_identity_transitions(a))
     conds = tuple(sorted(a.conditions, key=render))
     for c in conds:
@@ -386,7 +375,6 @@ def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
     initials = [(frozenset(q for q in a.initials if gamma[q] <= v), v) for v in subsets]
     states = _reach(initials, step)
     assert len(states) <= 2 ** len(a.states) * 2 ** len(conds)
-    cond_pool = set(conds) | {condition_complement(c) for c in conds}
     state_conditions = []
     for q_set, v in states:
         attached = set(v) | {condition_complement(c) for c in conds if c not in v}
@@ -394,7 +382,6 @@ def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
     return ConditionAutomaton.build(
         states=states,
         alphabet=a.alphabet,
-        conditions=cond_pool,
         initials=initials,
         finals=[(q_set, v) for q_set, v in states if q_set & a.finals],
         transitions=transitions,
@@ -419,8 +406,7 @@ def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condi
 
 def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """Keep the states reachable from an initial state and able to reach a
-    final state.  Conditions no longer attached anywhere are dropped from the
-    declared set."""
+    final state, and the conditions attached to them."""
     predecessors: dict = {}
     for s, _, t in a.transitions:
         predecessors.setdefault(t, []).append(s)
@@ -430,7 +416,6 @@ def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     return ConditionAutomaton.build(
         states=keep,
         alphabet=a.alphabet,
-        conditions={c for _, c in state_conditions},
         initials=a.initials & keep,
         finals=a.finals & keep,
         transitions=[(s, lab, t) for s, lab, t in a.transitions

@@ -48,7 +48,7 @@ from string import ascii_lowercase
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    _children, _distinct_nodes, labels_used,
+    _distinct_nodes, labels_used,
 )
 from .graphs import (
     Graph, ResourceLimitError, _instance_count, default_ceiling, instances,
@@ -56,21 +56,12 @@ from .graphs import (
 
 __all__ = [
     "EvalContext", "Relation", "UnknownLabelError", "evaluate", "evaluate_boolean",
-    "is_condition", "EquivVerdict", "path_equivalent", "boolean_equivalent",
+    "EquivVerdict", "path_equivalent", "boolean_equivalent",
 ]
 
 
 class UnknownLabelError(KeyError):
     """The expression mentions an edge label the graph does not carry."""
-
-
-def is_condition(e: Expr) -> bool:
-    """Conditions are the node-test expressions allowed on automaton states:
-    identity, empty, projections and coprojections, and compositions of
-    conditions."""
-    spine = _distinct_nodes(e, children=lambda n: _children(n) if type(n) is Compose else ())
-    return all(type(n) in (Compose, Identity, Empty, Proj1, Proj2, Coproj1, Coproj2)
-               for n in spine)
 
 
 def _bits(mask: int):
@@ -307,14 +298,6 @@ class EvalContext:
     def decode(self, mask: int) -> Relation:
         """The node pairs of `mask`, decoded when first read."""
         return Relation(mask, self.node_order)
-
-    def diagonal_nodes(self, e: Expr) -> int:
-        """Bitmask over node indices i with (i, i) in the relation of `e`."""
-        return reduce(or_, self._split(self.mask_of(e) & self.identity_mask), 0)
-
-    def successor_rows(self, label: str) -> list[int]:
-        """Per-node successor sets along `label`, as node bitmasks."""
-        return self._rows(self.label_masks.get(label, 0))
 
 
 class Relation(Set):

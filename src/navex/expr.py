@@ -27,7 +27,7 @@ __all__ = [
     "power", "star", "label_union",
     "ParseError", "FragmentError", "parse", "render",
     "size", "labels_used",
-    "Fragment", "FLAGS", "operators_used", "condition_depth",
+    "Fragment", "FLAGS", "operators_used", "condition_depth", "is_condition",
 ]
 
 
@@ -329,6 +329,15 @@ def condition_depth(e: Expr) -> int:
     return _fold(e, depth)
 
 
+def is_condition(e: Expr) -> bool:
+    """Conditions are the node-test expressions allowed on automaton states:
+    identity, empty, projections and coprojections, and compositions of
+    conditions."""
+    spine = _distinct_nodes(e, children=lambda n: _children(n) if type(n) is Compose else ())
+    return all(type(n) in (Compose, Identity, Empty, Proj1, Proj2, Coproj1, Coproj2)
+               for n in spine)
+
+
 # ---------------------------------------------------------------------------
 # concrete syntax
 
@@ -345,6 +354,7 @@ _FUNCTIONAL = {
 # fragment has; without this check they would parse as edge labels
 _OUTSIDE = ("di", "A")
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|(-\d+)|([|\\&.+*^()]))")
+_KINDS = (None, "name", "int", "negint", "sym")  # by the index of the matched group
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -352,25 +362,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not m.group(0):
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1):
-            tokens.append(("name", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("int", m.group(2), m.start(2)))
-        elif m.group(3):
-            tokens.append(("negint", m.group(3), m.start(3)))
-        else:
-            tokens.append(("sym", m.group(4), m.start(4)))
-        pos = m.end()
-        if pos == m.start():
+        if not m:
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", pos)
             break
-    rest = text[pos:].strip()
-    if rest:
-        raise ParseError(f"unexpected character {rest[0]!r}", pos)
+        g = m.lastindex
+        tokens.append((_KINDS[g], m.group(g), m.start(g)))
+        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -71,12 +71,12 @@ def _projection_conditions(a: ConditionAutomaton) -> list[Expr]:
 
 
 def automaton_condition_depth(a: ConditionAutomaton) -> int:
-    """Maximum projection-nesting depth over the declared conditions."""
+    """Maximum projection-nesting depth over the attached conditions."""
     return max((condition_depth(c) for c in a.conditions), default=0)
 
 
 def automaton_condition_weight(a: ConditionAutomaton) -> int:
-    """Number of declared conditions at the maximum depth."""
+    """Number of attached conditions at the maximum depth."""
     d = automaton_condition_depth(a)
     return sum(1 for c in a.conditions if condition_depth(c) == d)
 
@@ -218,7 +218,6 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
             elif not tracked:
                 finals.add(st)
 
-    conditions = (a.conditions - {cond}) | inner.conditions
     state_conditions = []
     for st in states:
         q, tracked = st
@@ -230,7 +229,6 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     return ConditionAutomaton.build(
         states=states,
         alphabet=a.alphabet | inner.alphabet,
-        conditions=conditions,
         initials=initials,
         finals=finals,
         transitions=transitions,

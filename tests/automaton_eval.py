@@ -12,10 +12,24 @@ from navex.evaluate import EvalContext, Relation, _bits
 from navex.graphs import ID, Graph, _reach, enumerate_trees
 
 
+def diagonal_nodes(ctx: EvalContext, e) -> int:
+    """Bitmask over node indices i with (i, i) in the relation of `e`.  The
+    identity mask's set bits are the diagonal entries, in node order."""
+    mask = ctx.mask_of(e)
+    return sum(1 << i for i, bit in enumerate(_bits(ctx.identity_mask)) if mask >> bit & 1)
+
+
+def successor_rows(ctx: EvalContext, label: str) -> list[int]:
+    """Per-node successor sets along `label`, as node bitmasks.  Node i's
+    diagonal bit is bit i of its row, so the row starts i bits below it."""
+    mask, every = ctx.label_masks.get(label, 0), (1 << ctx.n) - 1
+    return [mask >> (bit - i) & every for i, bit in enumerate(_bits(ctx.identity_mask))]
+
+
 def _satisfying_nodes(a: ConditionAutomaton, ctx: EvalContext) -> dict:
     """{state: bitmask of the graph nodes satisfying all of the state's
-    conditions}, evaluating each declared condition once."""
-    holds = {c: ctx.diagonal_nodes(c) for c in a.conditions}
+    conditions}, evaluating each condition once."""
+    holds = {c: diagonal_nodes(ctx, c) for c in a.conditions}
     every = (1 << ctx.n) - 1
     out = {}
     for q, cs in a.gamma.items():
@@ -30,7 +44,7 @@ def eval_automaton(a: ConditionAutomaton, g: Graph) -> Relation:
     over (state, node) configurations."""
     ctx = EvalContext(g)
     sat = _satisfying_nodes(a, ctx)
-    rows = {lab: ctx.successor_rows(lab) for lab in a.alphabet}
+    rows = {lab: successor_rows(ctx, lab) for lab in a.alphabet}
 
     def step(cfg):
         q, i = cfg

@@ -19,7 +19,6 @@ def branchy():
     return ConditionAutomaton.build(
         states={"q1", "q2", "q3", "q4"},
         alphabet={"l1", "l2", "l3"},
-        conditions={parse("id"), parse("pi2(l1^2)"), parse("pi1(l2^3)")},
         initials={"q1", "q4"},
         finals={"q3", "q4"},
         transitions=[("q1", "l1", "q2"), ("q1", "l3", "q4"),
@@ -45,18 +44,15 @@ def deep_tree():
 
 def test_validation_rejects_bad_structure():
     with pytest.raises(AutomatonError):
-        ConditionAutomaton.build({"q"}, {ID}, set(), {"q"}, {"q"}, [], [])
+        ConditionAutomaton.build({"q"}, {ID}, {"q"}, {"q"}, [], [])
     with pytest.raises(AutomatonError):
-        ConditionAutomaton.build({"q"}, {"a"}, set(), {"q", "p"}, set(), [], [])
+        ConditionAutomaton.build({"q"}, {"a"}, {"q", "p"}, set(), [], [])
     with pytest.raises(AutomatonError):
-        ConditionAutomaton.build({"q"}, {"a"}, set(), {"q"}, set(),
-                                 [("q", "b", "q")], [])
+        ConditionAutomaton.build({"q"}, {"a"}, {"q"}, set(), [("q", "b", "q")], [])
     with pytest.raises(AutomatonError):
-        ConditionAutomaton.build({"q"}, {"a"}, {parse("a")}, {"q"}, set(),
-                                 [], [("q", parse("a"))])
+        ConditionAutomaton.build({"q"}, {"a"}, {"q"}, set(), [], [("q", parse("a"))])
     with pytest.raises(AutomatonError):
-        ConditionAutomaton.build({"q"}, {"a"}, set(), {"q"}, set(),
-                                 [], [("q", parse("pi1(a)"))])
+        ConditionAutomaton.build({"q"}, {"a"}, {"q"}, set(), [], [("p", parse("pi1(a)"))])
 
 
 def test_state_key_orders_mixed_states():
@@ -95,7 +91,7 @@ def test_eval_on_every_small_tree_agrees_with_expression(branchy):
 
 def test_identity_transitions_in_runs():
     a = ConditionAutomaton.build(
-        states={"u", "v"}, alphabet={"a"}, conditions={parse("pi1(a)")},
+        states={"u", "v"}, alphabet={"a"},
         initials={"u"}, finals={"v"},
         transitions=[("u", ID, "v")],
         state_conditions=[("v", parse("pi1(a)"))],
@@ -136,7 +132,6 @@ def spine_detector():
     return ConditionAutomaton.build(
         states={"q1", "q2", "q3", "q4", "q5"},
         alphabet={"l1", "l2"},
-        conditions={parse("pi2(l1^3)"), parse("copi2(l1^3)")},
         initials={"q1", "q4"},
         finals={"q3", "q4"},
         transitions=[
@@ -161,7 +156,7 @@ def test_branchy_automaton_is_not_deterministic(branchy):
 
 
 def test_determinism_requires_identity_free():
-    a = ConditionAutomaton.build({"u", "v"}, {"a"}, set(), {"u"}, {"v"},
+    a = ConditionAutomaton.build({"u", "v"}, {"a"}, {"u"}, {"v"},
                                  [("u", ID, "v")], [])
     with pytest.raises(AutomatonError):
         check_deterministic(a)
@@ -171,7 +166,7 @@ def test_branching_two_steps_down_is_not_deterministic():
     # every node starts in p alone; the choice between r1 and r2 comes only
     # after one step, so edges must be walked from the root down to reach it
     a = ConditionAutomaton.build(
-        {"p", "q", "r1", "r2"}, {"a"}, set(), {"p"}, {"r1", "r2"},
+        {"p", "q", "r1", "r2"}, {"a"}, {"p"}, {"r1", "r2"},
         [("p", "a", "q"), ("q", "a", "r1"), ("q", "a", "r2")], [])
     assert check_deterministic(a, max_nodes=2)
     assert not check_deterministic(a, max_nodes=3)
@@ -221,9 +216,9 @@ def _literal_deterministic(a: ConditionAutomaton, tree: Graph) -> bool:
 
 def test_node_local_determinism_matches_run_counting(branchy, spine_detector):
     no_continuation = ConditionAutomaton.build(
-        {"u", "v"}, {"a", "b"}, set(), {"u"}, {"v"}, [("u", "a", "v")], [])
+        {"u", "v"}, {"a", "b"}, {"u"}, {"v"}, [("u", "a", "v")], [])
     doubled = ConditionAutomaton.build(
-        {"u", "v", "w"}, {"a"}, set(), {"u"}, {"v"},
+        {"u", "v", "w"}, {"a"}, {"u"}, {"v"},
         [("u", "a", "v"), ("u", "a", "w")], [])
     for automaton in (branchy, spine_detector, no_continuation, doubled):
         trees = list(enumerate_trees(4, sorted(automaton.alphabet)))

@@ -5,7 +5,6 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navex import constructions
 from navex.automata import ID, ConditionAutomaton, state_condition_expr, state_key
 from navex.constructions import (
     automaton_to_expr, compose_automata, condition_complement,
@@ -145,7 +144,6 @@ def branchy():
     return ConditionAutomaton.build(
         states={"q1", "q2", "q3", "q4"},
         alphabet={"l1", "l2", "l3"},
-        conditions={IDENTITY, l1sq, l2cu},
         initials={"q1", "q4"},
         finals={"q3", "q4"},
         transitions=[("q1", "l1", "q2"), ("q1", "l3", "q4"),
@@ -199,7 +197,6 @@ def identity_chain():
     return ConditionAutomaton.build(
         states={"u", "v", "w"},
         alphabet={"l", "lp"},
-        conditions={c},
         initials={"u"},
         finals={"w"},
         transitions=[("u", ID, "v"), ("v", ID, "w"),
@@ -244,7 +241,7 @@ def test_identity_removal_preserves_evaluation(identity_chain):
 
 def test_identity_removal_handles_identity_cycles():
     a = ConditionAutomaton.build(
-        states={"u", "v"}, alphabet={"l"}, conditions=set(),
+        states={"u", "v"}, alphabet={"l"},
         initials={"u"}, finals={"v"},
         transitions=[("u", ID, "v"), ("v", ID, "u"), ("u", "l", "v")],
         state_conditions=[],
@@ -281,7 +278,7 @@ def test_identity_removal_on_translated_expressions():
 
 def test_trim_drops_unreachable_and_dead_states():
     a = ConditionAutomaton.build(
-        states={0, 1, 2, 3}, alphabet={"a"}, conditions={parse("pi1(a)")},
+        states={0, 1, 2, 3}, alphabet={"a"},
         initials={0}, finals={1},
         transitions=[(0, "a", 1), (1, "a", 2), (3, "a", 1)],
         state_conditions=[(2, parse("pi1(a)"))],
@@ -479,7 +476,7 @@ def test_determinize_size_bound():
 def test_determinize_rejects_composite_conditions():
     c = parse("pi1(a) . pi2(a)")
     a = ConditionAutomaton.build(
-        states={0}, alphabet={"a"}, conditions={c}, initials={0},
+        states={0}, alphabet={"a"}, initials={0},
         finals={0}, transitions=[], state_conditions=[(0, c)])
     with pytest.raises(FragmentError):
         determinize(a)
@@ -649,7 +646,7 @@ def reference_compose(a1, a2):
     s1, i1, f1, t1, c1 = _tagged(a1, 0)
     s2, i2, f2, t2, c2 = _tagged(a2, 1)
     return renumber_states(ConditionAutomaton.build(
-        s1 | s2, a1.alphabet | a2.alphabet, a1.conditions | a2.conditions,
+        s1 | s2, a1.alphabet | a2.alphabet,
         i1, f2, t1 | t2 | {(f, ID, i) for f in f1 for i in i2}, c1 | c2))
 
 
@@ -657,7 +654,7 @@ def reference_union(a1, a2):
     s1, i1, f1, t1, c1 = _tagged(a1, 0)
     s2, i2, f2, t2, c2 = _tagged(a2, 1)
     return renumber_states(ConditionAutomaton.build(
-        s1 | s2, a1.alphabet | a2.alphabet, a1.conditions | a2.conditions,
+        s1 | s2, a1.alphabet | a2.alphabet,
         i1 | i2, f1 | f2, t1 | t2, c1 | c2))
 
 
@@ -665,7 +662,7 @@ def reference_plus(a):
     s, i, f, t, c = _tagged(a, 0)
     v, w = (1, 0), (1, 1)
     return renumber_states(ConditionAutomaton.build(
-        s | {v, w}, a.alphabet, a.conditions, {v}, {w},
+        s | {v, w}, a.alphabet, {v}, {w},
         t | {(v, ID, q) for q in i} | {(q, ID, w) for q in f} | {(w, ID, v)}, c))
 
 
@@ -692,7 +689,7 @@ def random_automata(draw):
     state_conditions = draw(st.lists(
         st.tuples(state, st.sampled_from(_REF_CONDITIONS)), max_size=4))
     return ConditionAutomaton.build(
-        states, {"a", "b"}, {c for _, c in state_conditions},
+        states, {"a", "b"},
         draw(st.lists(state, min_size=1, max_size=3)),
         draw(st.lists(state, min_size=1, max_size=3)),
         transitions, state_conditions)
@@ -730,7 +727,7 @@ def reference_intersect(a1, a2):
             transitions.add(((s1, s2), lab, (t1, t2)))
     return ConditionAutomaton.build(
         {(p, q) for p in a1.states for q in a2.states},
-        a1.alphabet | a2.alphabet, a1.conditions | a2.conditions,
+        a1.alphabet | a2.alphabet,
         {(p, q) for p in a1.initials for q in a2.initials},
         {(p, q) for p in a1.finals for q in a2.finals},
         transitions,
@@ -773,18 +770,21 @@ def _wide_union(n):
 
 
 def test_translating_a_wide_union_never_renumbers(monkeypatch):
-    calls = []
-    renumber = constructions.renumber_states
+    looped = remove_identity_transitions(expr_to_automaton(parse("a*")))
+    builds = []
+    build = ConditionAutomaton.__dict__["build"].__func__
 
-    def counted(a):
-        calls.append(len(a.states))
-        return renumber(a)
-    monkeypatch.setattr(constructions, "renumber_states", counted)
+    def counted(cls, *parts, **named):
+        builds.append(cls)
+        return build(cls, *parts, **named)
+    monkeypatch.setattr(ConditionAutomaton, "build", classmethod(counted))
     a = expr_to_automaton(_wide_union(200))
-    assert calls == []
+    assert len(builds) == 200 + 199, "one build per label and per union, no copies"
     assert a.states == frozenset(range(400))
-    union_automata(remove_identity_transitions(expr_to_automaton(parse("a*"))), a)
-    assert len(calls) == 1, "an operand not numbered 0..n-1 is renumbered"
+    assert renumber_states(a) is a
+    builds.clear()
+    union_automata(looped, a)
+    assert len(builds) == 2, "only the operand not numbered 0..n-1 is renumbered"
 
 
 def test_eliminating_set_operations_from_a_wide_union_keeps_every_label():

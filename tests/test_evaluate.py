@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import navex.evaluate as ev
 from navex.evaluate import (
     EvalContext, Relation, UnknownLabelError, _compile, boolean_equivalent,
-    evaluate, evaluate_boolean, is_condition, path_equivalent,
+    evaluate, evaluate_boolean, path_equivalent,
 )
 from navex.expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
@@ -27,6 +27,8 @@ from navex.graphs import (
     GRAPH_CLASSES, Graph, GraphError, ResourceLimitError, chain_graph, enumerate_trees,
 )
 from navex.rewrite import run_pipeline
+
+from automaton_eval import diagonal_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +146,9 @@ def test_boolean_and_holds_at(alt_chain):
     assert evaluate_boolean(parse("a . b"), alt_chain)
     assert not evaluate_boolean(parse("b . b"), alt_chain)
     ctx = EvalContext(alt_chain)
-    has_a_edge = ctx.diagonal_nodes(parse("pi1(a)"))
+    has_a_edge = diagonal_nodes(ctx, parse("pi1(a)"))
     assert has_a_edge >> ctx.index["n0"] & 1
     assert not has_a_edge >> ctx.index["n1"] & 1
-
-
-def test_is_condition():
-    assert is_condition(parse("id"))
-    assert is_condition(parse("0"))
-    assert is_condition(parse("pi1(a . b+)"))
-    assert is_condition(parse("copi2(a) . pi1(b)"))
-    assert not is_condition(parse("a"))
-    assert not is_condition(parse("pi1(a) | id"))
-    assert not is_condition(parse("conv(pi1(a))"))
-    deep = power(Proj1(a), 5000)
-    assert is_condition(deep)
-    assert not is_condition(Compose(deep, a))
-    shared = Proj1(a)
-    for _ in range(60):
-        shared = Compose(shared, shared)    # 2^60 occurrences, 61 objects
-    assert is_condition(shared)
-    assert not is_condition(Compose(shared, a))
 
 
 # ---------------------------------------------------------------------------

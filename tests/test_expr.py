@@ -17,8 +17,8 @@ from navex.expr import (
     Empty, Fragment, FragmentError, Identity, Intersect, ParseError, Proj1,
     Proj2, TransClosure, Union,
     EMPTY, IDENTITY, Expr,
-    condition_depth, label_union, labels_used, operators_used, parse, power,
-    render, size, star,
+    condition_depth, is_condition, label_union, labels_used, operators_used,
+    parse, power, render, size, star,
     _children, _distinct_nodes, _fold,
 )
 
@@ -210,14 +210,20 @@ def test_parse_errors_carry_positions():
         parse("(a")
     with pytest.raises(ParseError):
         parse("pi1 a")       # functional keyword needs parentheses
-    with pytest.raises(ParseError):
-        parse("a^-1")        # exponent must be non-negative
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="needs a non-negative exponent") as exc:
+        parse("a^-1")
+    assert exc.value.position == 2
+    with pytest.raises(ParseError, match="unexpected character '\\?'") as exc:
         parse("a ? b")
+    assert exc.value.position == 1       # where the blank before it starts
     with pytest.raises(ParseError):
         parse("")
     with pytest.raises(ParseError):
         parse("a b")
+
+
+def test_parse_skips_trailing_blanks():
+    assert parse("a .\tb \n") == Compose(a, b)
 
 
 def test_parse_rejects_diversity_and_its_sugar():
@@ -380,3 +386,21 @@ def test_condition_depth_rejects_other_operators():
     for text in ["a & b", "a \\ b", "conv(a)", "copi1(a)"]:
         with pytest.raises(FragmentError):
             condition_depth(parse(text))
+
+
+def test_is_condition():
+    assert is_condition(parse("id"))
+    assert is_condition(parse("0"))
+    assert is_condition(parse("pi1(a . b+)"))
+    assert is_condition(parse("copi2(a) . pi1(b)"))
+    assert not is_condition(parse("a"))
+    assert not is_condition(parse("pi1(a) | id"))
+    assert not is_condition(parse("conv(pi1(a))"))
+    deep = power(Proj1(a), 5000)
+    assert is_condition(deep)
+    assert not is_condition(Compose(deep, a))
+    shared = Proj1(a)
+    for _ in range(60):
+        shared = Compose(shared, shared)    # 2^60 occurrences, 61 objects
+    assert is_condition(shared)
+    assert not is_condition(Compose(shared, a))

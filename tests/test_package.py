@@ -1,6 +1,7 @@
-"""The package as declared: its scripts and package data exist, and every
-exported name resolves."""
+"""The package as declared: its scripts and package data exist, every
+exported name resolves, and the lower layers import no higher ones."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import navex
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "navex"
 
 
 def test_declared_scripts_and_package_data_exist():
@@ -36,3 +38,32 @@ def test_every_exported_name_resolves():
         if gone:
             missing[name] = gone
     assert not missing
+
+
+def _navex_imports(module: str) -> set[str]:
+    """The navex modules that `module` imports, read from its source."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            targets = [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["navex" * bool(node.level), node.module]))
+            targets = [(base, a.name) for a in node.names]
+        else:
+            continue
+        for name, member in targets:
+            if name == "navex":
+                found.add(member)
+            elif name.startswith("navex."):
+                found.add(name.split(".")[1])
+    return found
+
+
+def test_lower_layers_import_only_the_syntax():
+    """expr and graphs stand alone; automata and evaluate build on them and
+    nothing else, so the automaton layer never depends on the evaluator."""
+    assert _navex_imports("expr") == set()
+    assert _navex_imports("graphs") == set()
+    assert _navex_imports("automata") == {"expr", "graphs"}
+    assert _navex_imports("evaluate") <= {"expr", "graphs"}
+    assert {"automata", "constructions", "evaluate"} <= _navex_imports("rewrite")
