@@ -12,7 +12,7 @@ leads from an initial state at m to a final state at n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .expr import Compose, Expr, IDENTITY, is_condition, parse, render
@@ -74,11 +74,22 @@ class ConditionAutomaton:
 
     @classmethod
     def build(cls, states, alphabet, initials, finals,
-              transitions, state_conditions) -> "ConditionAutomaton":
-        return cls(frozenset(states), frozenset(alphabet),
-                   frozenset(initials), frozenset(finals),
-                   frozenset(tuple(t) for t in transitions),
-                   frozenset(tuple(sc) for sc in state_conditions))
+              transitions, state_conditions, *,
+              check: bool = True) -> "ConditionAutomaton":
+        """An automaton over the given parts, validated unless `check` is
+        false.  The constructions pass check=False: they build from parts
+        that already satisfy the invariants, with transitions and state
+        conditions given as tuples."""
+        if check:
+            return cls(frozenset(states), frozenset(alphabet),
+                       frozenset(initials), frozenset(finals),
+                       frozenset(tuple(t) for t in transitions),
+                       frozenset(tuple(sc) for sc in state_conditions))
+        a = object.__new__(cls)
+        for name, part in zip(_FIELDS, (states, alphabet, initials, finals,
+                                        transitions, state_conditions)):
+            object.__setattr__(a, name, frozenset(part))
+        return a
 
     @cached_property
     def conditions(self) -> frozenset[Expr]:
@@ -183,6 +194,9 @@ class ConditionAutomaton:
             lines.append(f'  {src} -> {dst} [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+_FIELDS = tuple(f.name for f in fields(ConditionAutomaton))
 
 
 def state_condition_expr(a: ConditionAutomaton, q) -> Expr:

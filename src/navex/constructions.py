@@ -1,6 +1,14 @@
 """Translations between navigational expressions and condition automata, and
 the automaton constructions that eliminate identity transitions, build
-intersections, determinize, and take downward complements on trees.
+intersections, determinize, take downward complements on trees, and
+minimize.
+
+minimize runs before state elimination, whose output grows with the state
+count: it quotients an automaton by bisimulation and, where no conditions
+remain, also takes the minimal deterministic automaton, keeping the smaller.
+The constructions build their results with ConditionAutomaton.build(...,
+check=False): their parts satisfy the automaton invariants by construction,
+so only automata built by callers are validated.
 
 compose_automata, union_automata and plus_automaton number their states
 0..n-1: the first operand keeps its numbers, the second is placed after it,
@@ -13,22 +21,25 @@ point of the construction.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections import Counter
+from itertools import count
 
-from .automata import ID, ConditionAutomaton, state_condition_expr, state_key
+from .automata import (
+    _FIELDS, ID, ConditionAutomaton, state_condition_expr, state_key,
+)
 from .expr import (
     Compose, Coproj1, Coproj2, EdgeLabel, Empty, Expr, FragmentError,
     Identity, Proj1, Proj2, TransClosure, Union,
     EMPTY, IDENTITY, _children, _fold, labels_used, operators_used, render,
 )
-from .graphs import _reach, _subsets
+from .graphs import ResourceLimitError, _reach, _subsets
 
 __all__ = [
     "expr_to_automaton", "automaton_to_expr", "renumber_states",
     "compose_automata", "union_automata", "plus_automaton",
     "identity_pairs", "remove_identity_transitions", "intersect_automata",
     "condition_complement", "determinize", "downward_complement_automaton",
-    "difference_automata", "trim_automaton",
+    "difference_automata", "trim_automaton", "minimize",
 ]
 
 
@@ -46,6 +57,7 @@ def renumber_states(a: ConditionAutomaton) -> ConditionAutomaton:
         finals=[names[q] for q in a.finals],
         transitions=[(names[s], lab, names[t]) for s, lab, t in a.transitions],
         state_conditions=[(names[q], c) for q, c in a.state_conditions],
+        check=False,
     )
 
 
@@ -71,6 +83,7 @@ def compose_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Conditio
         transitions=(a1.transitions | transitions2
                      | {(f, ID, i) for f in a1.finals for i in initials2}),
         state_conditions=a1.state_conditions | conds2,
+        check=False,
     )
 
 
@@ -84,6 +97,7 @@ def union_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionA
         finals=a1.finals | finals2,
         transitions=a1.transitions | transitions2,
         state_conditions=a1.state_conditions | conds2,
+        check=False,
     )
 
 
@@ -100,6 +114,7 @@ def plus_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
         transitions=(a.transitions | {(v, ID, q) for q in a.initials}
                      | {(q, ID, w) for q in a.finals} | {(w, ID, v)}),
         state_conditions=a.state_conditions,
+        check=False,
     )
 
 
@@ -121,11 +136,11 @@ def expr_to_automaton(e: Expr, alphabet=None) -> ConditionAutomaton:
 
     def two_state(transitions):
         return ConditionAutomaton.build(
-            {0, 1}, sigma, {0}, {1}, transitions, [])
+            {0, 1}, sigma, {0}, {1}, transitions, [], check=False)
 
     def condition_state(cond):
         return ConditionAutomaton.build(
-            {0}, sigma, {0}, {0}, [], [(0, cond)])
+            {0}, sigma, {0}, {0}, [], [(0, cond)], check=False)
 
     def translate(node, *kids):
         t = type(node)
@@ -289,6 +304,7 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
         finals=[(q, v) for q, v in pairs if v & a.finals],
         transitions=transitions,
         state_conditions=state_conditions,
+        check=False,
     )
 
 
@@ -322,6 +338,7 @@ def intersect_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condit
         transitions=transitions,
         state_conditions=[((p, q), c) for p, q in states
                           for c in a1.gamma[p] | a2.gamma[q]],
+        check=False,
     )
 
 
@@ -347,14 +364,20 @@ def condition_complement(c: Expr) -> Expr:
         f"condition complement is defined for atomic conditions, got {render(c)}")
 
 
-def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
+def determinize(a: ConditionAutomaton, *, complete: bool = True,
+                limit: int | None = None) -> ConditionAutomaton:
     """Subset construction refined by condition sets: states are pairs (Q, V)
     with Q original states and V the conditions assumed to hold at the
     current node.  On trees every node satisfies exactly one V, making the
     result deterministic.  Only the states reachable from the initial ones
     are built; with C the conditions attached to some state, there are at
-    most 2^|S| * 2^|C| of them, and more than the instance ceiling raises
-    ResourceLimitError, as every reachability walk does."""
+    most 2^|S| * 2^|C| of them, and more than the instance ceiling, or than
+    `limit`, raises ResourceLimitError, as every reachability walk does.
+
+    A subset steps over the labels its states move on.  With `complete`,
+    it also steps over every other label of the alphabet, into the subsets
+    (empty set, W): the sink, which a complement needs and a minimization
+    does not."""
     a = renumber_states(remove_identity_transitions(a))
     conds = tuple(sorted(a.conditions, key=render))
     for c in conds:
@@ -365,15 +388,20 @@ def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
 
     def step(state):
         q_set, _ = state
-        for lab in a.alphabet:
-            p = set().union(*(a.moves.get((q, lab), ()) for q in q_set))
+        moves: dict = {}
+        for q in q_set:
+            for lab, t in a.successors[q]:
+                moves.setdefault(lab, set()).add(t)
+        if complete:
+            moves.update(dict.fromkeys(a.alphabet.difference(moves), ()))
+        for lab, p in moves.items():
             for w in subsets:
                 target = (frozenset(x for x in p if gamma[x] <= w), w)
                 transitions.add((state, lab, target))
                 yield target
 
     initials = [(frozenset(q for q in a.initials if gamma[q] <= v), v) for v in subsets]
-    states = _reach(initials, step)
+    states = _reach(initials, step, limit)
     assert len(states) <= 2 ** len(a.states) * 2 ** len(conds)
     state_conditions = []
     for q_set, v in states:
@@ -386,21 +414,29 @@ def determinize(a: ConditionAutomaton) -> ConditionAutomaton:
         finals=[(q_set, v) for q_set, v in states if q_set & a.finals],
         transitions=transitions,
         state_conditions=state_conditions,
+        check=False,
     )
+
+
+def _replace(a: ConditionAutomaton, **parts) -> ConditionAutomaton:
+    """`dataclasses.replace` without re-validating the unchanged parts."""
+    return ConditionAutomaton.build(
+        **{name: parts.get(name, getattr(a, name)) for name in _FIELDS},
+        check=False)
 
 
 def downward_complement_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """On a tree, accepts exactly the descendant-or-self pairs the input does
     not accept: determinize, flip the finals, drop useless states."""
     d = determinize(a)
-    return renumber_states(trim_automaton(replace(d, finals=d.states - d.finals)))
+    return renumber_states(trim_automaton(_replace(d, finals=d.states - d.finals)))
 
 
 def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
     """On trees: pairs accepted by a1 but not a2.  The second operand must
     range over every label a1 can step through, so the complement covers all
     of a1's paths."""
-    a2 = replace(a2, alphabet=a2.alphabet | a1.alphabet)
+    a2 = _replace(a2, alphabet=a2.alphabet | a1.alphabet)
     return intersect_automata(a1, downward_complement_automaton(a2))
 
 
@@ -421,4 +457,82 @@ def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
         transitions=[(s, lab, t) for s, lab, t in a.transitions
                      if s in keep and t in keep],
         state_conditions=state_conditions,
+        check=False,
     )
+
+
+# ---------------------------------------------------------------------------
+# minimization
+
+def _quotient(a: ConditionAutomaton) -> ConditionAutomaton:
+    """The quotient of `a` by its coarsest bisimulation that keeps finality
+    and conditions, numbered 0..n-1 in the order of `a`'s states.
+
+    States start in blocks of equal finality and conditions.  Each round
+    splits the blocks by signature, the set of (label, target block) steps,
+    as in Moore's (1956) refinement; but it recomputes only the signatures
+    of the states with a successor that changed block in the round before,
+    and a split block keeps its number for the states whose signature did
+    not change (or, when all changed, for the largest group).  So a round
+    costs the steps of the states it re-examines, and a word of n letters
+    takes n rounds of one state each, not n rounds over every state."""
+    predecessors: dict = {}
+    for s, _, t in a.transitions:
+        predecessors.setdefault(t, set()).add(s)
+    gamma = a.gamma
+    ids: dict = {}
+    block = {q: ids.setdefault((q in a.finals, gamma[q]), len(ids)) for q in a.states}
+    size = Counter(block.values())
+    shared: dict = {}  # block -> the signature of its members not re-examined
+    fresh = count(len(ids))
+    dirty = set(a.states)
+    while dirty:
+        groups: dict = {}
+        for q in dirty:
+            signature = frozenset((lab, block[t]) for lab, t in a.successors[q])
+            groups.setdefault(block[q], {}).setdefault(signature, []).append(q)
+        moved = []
+        for b, by_signature in groups.items():
+            if sum(map(len, by_signature.values())) == size[b]:
+                shared[b] = max(by_signature, key=lambda sg: len(by_signature[sg]))
+            for signature, members in by_signature.items():
+                if signature != shared[b]:
+                    new = next(fresh)
+                    shared[new], size[new] = signature, len(members)
+                    size[b] -= len(members)
+                    block.update(dict.fromkeys(members, new))
+                    moved += members
+        dirty = {p for q in moved for p in predecessors.get(q, ())}
+    number: dict = {}
+    for q in a.ordered_states:
+        number.setdefault(block[q], len(number))
+    block = {q: number[b] for q, b in block.items()}
+    return ConditionAutomaton.build(
+        states=range(len(number)),
+        alphabet=a.alphabet,
+        initials={block[q] for q in a.initials},
+        finals={block[q] for q in a.finals},
+        transitions={(block[s], lab, block[t]) for s, lab, t in a.transitions},
+        state_conditions={(block[q], c) for q, c in a.state_conditions},
+        check=False,
+    )
+
+
+def minimize(a: ConditionAutomaton) -> ConditionAutomaton:
+    """An automaton accepting the same pairs as `a` on every graph, with
+    states numbered 0..n-1: the quotient of trimmed `a` by bisimulation.  A
+    condition-free `a` is also determinized without its sink and quotiented,
+    which on a deterministic automaton is Moore's (1956) minimization; the
+    result is whichever of the two has fewer transitions, then states.  A
+    subset construction that outgrows the states and transitions of `a`
+    together is abandoned, since determinizing can take exponentially many
+    states where the quotient keeps few."""
+    a = trim_automaton(a)
+    quotient = _quotient(a)
+    if a.conditions or not a.states:
+        return quotient
+    try:
+        d = determinize(a, complete=False, limit=len(a.states) + len(a.transitions))
+    except ResourceLimitError:
+        return quotient
+    return min(_quotient(d), quotient, key=lambda m: (len(m.transitions), len(m.states)))

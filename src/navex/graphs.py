@@ -100,12 +100,14 @@ def _subsets(items) -> list[frozenset]:
             for bits in range(2 ** len(items))]
 
 
-def _reach(starts, step) -> set:
+def _reach(starts, step, limit: int | None = None) -> set:
     """Every item reachable from `starts`, the starts included, where
     `step(x)` yields the successors of x.  Raises ResourceLimitError once
-    more items than the instance ceiling are reached, naming `step`, which
-    is the walk's stage."""
-    cap = default_ceiling()
+    more items than the instance ceiling, or than a lower `limit`, are
+    reached, naming `step`, which is the walk's stage."""
+    cap, source = default_ceiling(), "NAVEX_MAX_INSTANCES"
+    if limit is not None and limit < cap:
+        cap, source = limit, "limit"
     seen = set(starts)
     stack = list(seen)
     while len(seen) <= cap and stack:
@@ -115,7 +117,7 @@ def _reach(starts, step) -> set:
                 stack.append(y)
     if len(seen) > cap:
         raise ResourceLimitError(
-            f"{step.__qualname__}: more than {cap} reachable states (NAVEX_MAX_INSTANCES)")
+            f"{step.__qualname__}: more than {cap} reachable states ({source})")
     return seen
 
 

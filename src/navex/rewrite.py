@@ -13,6 +13,10 @@ Three engines live here:
 * the unlabeled collapse — fragments closed under homomorphisms (and the
   pure distance-set fragment) reduce, for boolean queries on unlabeled chains
   and trees, to the empty query or to a fixed-length reachability query.
+
+The first two end in state elimination, and each automaton is minimized
+before it: the projection-free automaton, the tree automaton, and the
+automaton of each projection's body, which becomes a condition again.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from .automata import ConditionAutomaton
 from .constructions import (
     automaton_to_expr, compose_automata, difference_automata,
-    expr_to_automaton, intersect_automata, plus_automaton,
+    expr_to_automaton, intersect_automata, minimize, plus_automaton,
     remove_identity_transitions, renumber_states, trim_automaton,
     union_automata,
 )
@@ -233,6 +237,7 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
         finals=finals,
         transitions=transitions,
         state_conditions=state_conditions,
+        check=False,
     )
 
 
@@ -277,7 +282,7 @@ def remove_projections_boolean(e: Expr, graph_class: str,
         measure = now
         steps.append(f"condition removed; depth {now[0]}, weight {now[1]}, "
                      f"{len(a.states)} states")
-    return automaton_to_expr(a)
+    return automaton_to_expr(minimize(a))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,7 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
         if t is TransClosure:
             return plus_automaton(*kids)
         if t in (Proj1, Proj2, Coproj1, Coproj2):
-            child = automaton_to_expr(trim_automaton(kids[0]))
+            child = automaton_to_expr(minimize(kids[0]))
             return expr_to_automaton(t(child), alphabet=sigma)
         if t is Intersect:
             prod = intersect_automata(*kids)
@@ -320,7 +325,7 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
             return renumber_states(trim_automaton(diff))
         raise RewriteError(f"no tree rewrite for {render(node)}")
 
-    out = automaton_to_expr(trim_automaton(_fold(e, translate)))
+    out = automaton_to_expr(minimize(_fold(e, translate)))
     assert not operators_used(out).flags & {"cap", "minus"}
     return out
 

@@ -1,5 +1,6 @@
 """Tests for expression/automaton translations and automaton constructions."""
 
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -9,9 +10,9 @@ from navex.automata import ID, ConditionAutomaton, state_condition_expr, state_k
 from navex.constructions import (
     automaton_to_expr, compose_automata, condition_complement,
     determinize, difference_automata, downward_complement_automaton,
-    expr_to_automaton, identity_pairs, intersect_automata, plus_automaton,
-    remove_identity_transitions, renumber_states, trim_automaton,
-    union_automata,
+    _quotient, expr_to_automaton, identity_pairs, intersect_automata,
+    minimize, plus_automaton, remove_identity_transitions, renumber_states,
+    trim_automaton, union_automata,
 )
 from navex.evaluate import evaluate, path_equivalent
 from navex.expr import (
@@ -19,7 +20,7 @@ from navex.expr import (
     EMPTY, IDENTITY, labels_used, parse, power, render, size, star,
 )
 from navex.graphs import (
-    Graph, ResourceLimitError, _reach, chain_graph, enumerate_trees,
+    Graph, ResourceLimitError, _reach, _subsets, chain_graph, enumerate_trees,
 )
 from navex.rewrite import eliminate_intersect_difference, remove_projection_step
 
@@ -465,6 +466,15 @@ def test_reach_stops_at_the_ceiling(monkeypatch):
         _reach([0], lambda i: [i + 1])
 
 
+def test_reach_stops_at_a_lower_limit(monkeypatch):
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "10")
+    assert len(_reach([0], lambda i: [i + 1] if i < 4 else [], limit=5)) == 5
+    with pytest.raises(ResourceLimitError, match=r"more than 4 .*\(limit\)"):
+        _reach([0], lambda i: [i + 1], limit=4)
+    with pytest.raises(ResourceLimitError, match="more than 10 .*NAVEX_MAX_INSTANCES"):
+        _reach([0], lambda i: [i + 1], limit=50)
+
+
 def test_determinize_size_bound():
     for text in DET_CORPUS:
         a = remove_identity_transitions(
@@ -790,3 +800,154 @@ def test_translating_a_wide_union_never_renumbers(monkeypatch):
 def test_eliminating_set_operations_from_a_wide_union_keeps_every_label():
     e = _wide_union(600)
     assert labels_used(eliminate_intersect_difference(e)) == labels_used(e)
+
+
+# ---------------------------------------------------------------------------
+# unchecked builds
+
+@settings(max_examples=100, deadline=None)
+@given(random_automata(), random_automata())
+def test_every_construction_output_passes_the_full_check(a1, a2):
+    """The constructions build without validating; `replace` runs the
+    validation their outputs skipped."""
+    proj_arg = renumber_states(trim_automaton(remove_identity_transitions(
+        expr_to_automaton(parse("(a|b)+ . pi2(a . b+) . (a.b)+")))))
+    outputs = [
+        renumber_states(a1), compose_automata(a1, a2), union_automata(a1, a2),
+        plus_automaton(a1), remove_identity_transitions(a1),
+        intersect_automata(a1, a2), determinize(a1),
+        determinize(a1, complete=False), downward_complement_automaton(a1),
+        difference_automata(a1, a2), trim_automaton(a1), minimize(a1),
+        minimize(union_automata(a1, a2)),
+        expr_to_automaton(parse("(a . pi1(b))+ | copi2(a)")),
+        remove_projection_step(proj_arg),
+    ]
+    for out in outputs:
+        assert replace(out) == out
+
+
+# ---------------------------------------------------------------------------
+# the sparse subset construction and minimization
+
+def reference_determinize(a):
+    """The subset construction as it stood before it stepped only over the
+    labels with moves: every subset steps over the whole alphabet."""
+    a = renumber_states(remove_identity_transitions(a))
+    conds = tuple(sorted(a.conditions, key=render))
+    subsets = _subsets(conds)
+    gamma = a.gamma
+    transitions = set()
+
+    def step(state):
+        q_set, _ = state
+        for lab in a.alphabet:
+            p = set().union(*(a.moves.get((q, lab), ()) for q in q_set))
+            for w in subsets:
+                target = (frozenset(x for x in p if gamma[x] <= w), w)
+                transitions.add((state, lab, target))
+                yield target
+
+    initials = [(frozenset(q for q in a.initials if gamma[q] <= v), v) for v in subsets]
+    states = _reach(initials, step)
+    state_conditions = []
+    for q_set, v in states:
+        attached = set(v) | {condition_complement(c) for c in conds if c not in v}
+        state_conditions.extend(((q_set, v), c) for c in attached)
+    return ConditionAutomaton.build(
+        states, a.alphabet, initials,
+        [(q_set, v) for q_set, v in states if q_set & a.finals],
+        transitions, state_conditions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_determinize_matches_the_whole_alphabet_reference(a):
+    dense = determinize(a)
+    assert dense == reference_determinize(a)
+    assert downward_complement_automaton(a) == renumber_states(trim_automaton(
+        replace(dense, finals=dense.states - dense.finals)))
+    # without the sink, the useful part is the same
+    assert trim_automaton(determinize(a, complete=False)) == trim_automaton(dense)
+
+
+def reference_quotient(a):
+    """Moore's refinement as written: every round recomputes the signature
+    of every state, until the number of blocks stops growing."""
+    keys = {q: (q in a.finals, a.gamma[q]) for q in a.ordered_states}
+    count = -1
+    while True:
+        ids = {}
+        block = {q: ids.setdefault(key, len(ids)) for q, key in keys.items()}
+        if len(ids) == count:
+            break
+        count = len(ids)
+        keys = {q: (block[q], frozenset((lab, block[t]) for lab, t in a.successors[q]))
+                for q in keys}
+    return ConditionAutomaton.build(
+        range(count), a.alphabet, {block[q] for q in a.initials},
+        {block[q] for q in a.finals},
+        {(block[s], lab, block[t]) for s, lab, t in a.transitions},
+        {(block[q], c) for q, c in a.state_conditions})
+
+
+def _signature(a, q):
+    return q in a.finals, a.gamma[q], frozenset(a.successors[q])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_quotient_matches_moore_refinement(a):
+    for x in (a, trim_automaton(a), determinize(a, complete=False)):
+        assert _quotient(x) == reference_quotient(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_automata())
+def test_minimize_accepts_the_same_pairs(a):
+    m = minimize(a)
+    for g in TREES:
+        assert eval_automaton(m, g) == eval_automaton(a, g), g.edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_minimize_is_idempotent_and_never_grows(a):
+    m = minimize(a)
+    assert m.states == frozenset(range(len(m.states)))
+    assert len(minimize(m).states) == len(m.states)
+    assert len(m.transitions) <= len(trim_automaton(a).transitions)
+    assert len({_signature(m, q) for q in m.states}) == len(m.states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_minimal_dfa_of_a_condition_free_automaton(a):
+    """Without conditions the minimal DFA is one candidate: it has at most
+    one target per (state, label) and no two states with one signature, and
+    minimize keeps it unless the quotient has fewer transitions."""
+    a = trim_automaton(replace(a, state_conditions=frozenset()))
+    if not a.states:
+        return
+    dfa = _quotient(determinize(a, complete=False))
+    assert all(len(targets) == 1 for targets in dfa.moves.values())
+    assert len({_signature(dfa, q) for q in dfa.states}) == len(dfa.states)
+    m = minimize(a)
+    assert not m.conditions
+    assert ((len(m.transitions), len(m.states))
+            <= (len(dfa.transitions), len(dfa.states)))
+
+
+def test_minimize_keeps_the_quotient_where_determinizing_explodes():
+    """The subset construction of (a|b)+ . a . (a|b)^k has about 2^k states,
+    and its state elimination output about 4^k operators; the quotient of
+    the automaton stays linear in k."""
+    a = expr_to_automaton(parse("(a|b)+ . a" + " . (a|b)" * 12))
+    m = minimize(a)
+    assert len(m.states) <= len(trim_automaton(a).states)
+    assert size(automaton_to_expr(m)) < 500
+
+
+def test_minimize_merges_a_wide_union_into_two_states():
+    a = expr_to_automaton(_wide_union(300))
+    m = minimize(a)
+    assert len(m.states) == 2 and len(m.transitions) == 300
