@@ -17,15 +17,19 @@ Expressions are first compiled into a plan: one instruction per distinct
 subterm, children before parents.  Expressions are hash-consed, so a walk
 that visits each node object once meets each distinct subterm once and the
 plan needs no merging of its own.  A plan is built once and run on any
-number of graphs, so the bounded oracles compile each pair of expressions
-once and run that plan on every instance.  Neither compiling nor running
-hashes, compares or recurses over expressions, so deep expressions evaluate
-as well as shallow ones.
+number of graphs.  Neither compiling nor running hashes, compares or
+recurses over expressions, so deep expressions evaluate as well as shallow
+ones.
 
-The oracles map a plan's label names onto the positional labels l0, l1,
-... of their instance streams, so expressions over different names share
-a stream.  A stream's evaluation contexts are built as they are first
-needed and, if the stream is short enough, kept for later calls.
+The bounded oracles compile each pair of expressions once and run that plan
+on lane masks, not on one `EvalContext` per instance: the instances of one
+node count, at most `_LANES` at a time in stream order, are evaluated
+together, a relation being n * n integers whose bit b holds instance b's
+pair.  The lowest lane where the two results differ is the first instance
+that separates them, which is read back from `instances()` as the witness.
+Label names map onto positions in the stream's labels l0, l1, ..., so
+expressions over different names share the label lanes of a chunk, which a
+bounded cache keeps by (chain or tree, node count, label count, chunk).
 
 `evaluate` returns a `Relation`, not a frozenset: a set of node-name pairs
 that holds only the mask and the node order.  Its length and its equality
@@ -36,13 +40,12 @@ pairs, but `isinstance(r, frozenset)` is false.
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Iterator, Set
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from itertools import chain, compress, count
-from operator import itemgetter, or_
+from itertools import chain, compress, count, islice
+from operator import and_, itemgetter, or_, xor
 from string import ascii_lowercase
 
 from .expr import (
@@ -51,7 +54,8 @@ from .expr import (
     _distinct_nodes, labels_used,
 )
 from .graphs import (
-    Graph, ResourceLimitError, _instance_count, default_ceiling, instances,
+    Graph, ResourceLimitError, _instance_count, _level_sequences, default_ceiling,
+    instances,
 )
 
 __all__ = [
@@ -160,11 +164,11 @@ class EvalContext:
             rows[lab][index[s]] |= 1 << index[t]
         self.label_masks = {lab: _join(r, self._widths, self._little)
                             for lab, r in rows.items()}
-        # the rows of the masks every plan starts from, kept for good, and
-        # of the masks one plan run computes, which the oracles clear
-        self._fixed_rows = {self.label_masks[lab]: r for lab, r in rows.items()}
-        self._fixed_rows.update({0: [0] * n, self.identity_mask: self._singletons})
-        self._row_cache: dict[int, list[int]] = {}
+        # the rows of every mask split or joined here, starting with the
+        # masks every plan starts from
+        self._row_cache: dict[int, list[int]] = {
+            self.label_masks[lab]: r for lab, r in rows.items()}
+        self._row_cache.update({0: [0] * n, self.identity_mask: self._singletons})
 
     # --- relation algebra on masks -------------------------------------
     def _split(self, mask: int) -> list[int]:
@@ -176,9 +180,7 @@ class EvalContext:
         """The rows of `mask`, shared: callers must not change them."""
         rows = self._row_cache.get(mask)
         if rows is None:
-            rows = self._fixed_rows.get(mask)
-            if rows is None:
-                rows = self._row_cache[mask] = self._split(mask)
+            rows = self._row_cache[mask] = self._split(mask)
         return rows
 
     def join_rows(self, rows: list[int]) -> int:
@@ -426,55 +428,112 @@ def _required_labels(exprs, labels):
     return tuple(sorted(names)), used
 
 
-# The most instance contexts kept over all cached streams.  A stream is
-# kept whole or not at all: a longer one is evaluated without being kept,
-# and a new one evicts the least recently used streams until it fits.
-_CACHE_SIZE = 4096
-
-# (graph class, max nodes, labels) -> (stream length, the contexts built so
-# far, the rest of the instance stream), least recently used first
-_STREAMS: dict[tuple, tuple[int, list[EvalContext], Iterator[Graph]]] = {}
-# guards _STREAMS and the growth of each stream's contexts across threads
-_STREAMS_LOCK = threading.Lock()
+# The oracles run a plan on every instance of one node count at once, in
+# chunks of at most _LANES instances taken from the stream in order.  A
+# relation over a chunk of n-node instances is n * n integers, the lane
+# masks: bit b of entry i * n + j says that instance b relates its preorder
+# node i to node j.  Preorder puts every edge's source first, so only
+# converse puts a bit below the diagonal.
+_LANES = 4096
 
 
-def _contexts(graph_class: str, max_nodes: int,
-              labels: tuple[str, ...]) -> Iterator[EvalContext]:
-    """The contexts of an instance stream, built as they are consumed."""
-    key = (graph_class, max_nodes, labels)
-    limit = default_ceiling()
-    with _STREAMS_LOCK:
-        entry = _STREAMS.get(key)
-        total = entry[0] if entry else _instance_count(graph_class, max_nodes, labels)
-        if total > limit:
-            raise ResourceLimitError(f"{total} instances exceeds the ceiling of {limit}")
-        if entry is None:
-            graphs = instances(graph_class, max_nodes, labels)
-            if total > _CACHE_SIZE:
-                return map(EvalContext, graphs)
-            while sum(t for t, _, _ in _STREAMS.values()) + total > _CACHE_SIZE:
-                del _STREAMS[next(iter(_STREAMS))]
-            entry = (total, [], graphs)
-        else:
-            del _STREAMS[key]
-        _STREAMS[key] = entry           # now the most recently used
-    return _resume(entry[1], entry[2])
+@lru_cache(maxsize=256)
+def _label_lanes(chains: bool, n: int, labels: int, chunk: int) -> tuple[int, tuple]:
+    """The lane count of a chunk of the n-node instances over `labels`
+    labels, and the lane masks of each label's relation over it."""
+    lines = [[bytearray(_LANES // 8) for _ in range(n * n)] for _ in range(labels)]
+    sequences = islice(_level_sequences(n, labels, chains, first=n),
+                       chunk * _LANES, (chunk + 1) * _LANES)
+    lanes = 0
+    for lanes, seq in enumerate(sequences, 1):
+        byte, bit = divmod(lanes - 1, 8)
+        path = [0]                  # path[d]: the latest node at depth d
+        for node, (depth, lab) in enumerate(seq, 1):
+            del path[depth:]
+            lines[lab][path[-1] * n + node][byte] |= 1 << bit
+            path.append(node)
+    return lanes, tuple(tuple(int.from_bytes(b, "little") for b in rel) for rel in lines)
 
 
-def _resume(contexts: list[EvalContext], graphs: Iterator[Graph]):
-    """Yield the contexts built so far, then build the rest of the stream
-    onto them."""
-    i = 0
-    while True:
-        if i == len(contexts):
-            with _STREAMS_LOCK:
-                if i == len(contexts):
-                    g = next(graphs, None)
-                    if g is None:
-                        return
-                    contexts.append(EvalContext(g))
-        yield contexts[i]
-        i += 1
+def _lane_compose(a, b, n: int) -> list[int]:
+    """Entry (i, k) of the result is the OR over j of a's (i, j) AND b's
+    (j, k); zero entries of `a` and `b` are skipped."""
+    out = [0] * (n * n)
+    for i in range(0, n * n, n):
+        for j, x in enumerate(a[i:i + n]):
+            if x:
+                for k, y in enumerate(b[j * n:j * n + n], i):
+                    if y:
+                        out[k] |= x & y
+    return out
+
+
+def _lane_closure(a, n: int) -> list[int]:
+    """The transitive closure of `a`.  With no bit below the diagonal, one
+    pass from the last row to the first ORs into each row the finished rows
+    of its successors; otherwise `a` is squared until a fixpoint."""
+    if any(a[i * n + j] for i in range(n) for j in range(i)):
+        cur = list(a)
+        while True:
+            nxt = list(map(or_, cur, _lane_compose(cur, cur, n)))
+            if nxt == cur:
+                return cur
+            cur = nxt
+    out = list(a)
+    for row in range(n - 1, -1, -1):
+        i = row * n
+        for j in range(row + 1, n):
+            x = a[i + j]
+            if x:
+                for k, y in enumerate(out[j * n:j * n + n], i):
+                    if y:
+                        out[k] |= x & y
+    return out
+
+
+def _lane_project(a, n: int, full: int, second: bool, complement: bool) -> list[int]:
+    """The diagonal holding, in each lane, the nodes with an outgoing (or,
+    for `second`, incoming) pair in `a`, or the other nodes when
+    `complement` is set."""
+    out = [0] * (n * n)
+    for i in range(n):
+        nodes = reduce(or_, a[i::n] if second else a[i * n:i * n + n])
+        out[i * (n + 1)] = full ^ nodes if complement else nodes
+    return out
+
+
+def _run_lanes(code: list[tuple], n: int, full: int, labels: tuple) -> list:
+    """The lane masks of every slot of a plan over one chunk, whose lanes
+    are the set bits of `full`; a label's operand is its position in
+    `labels`."""
+    empty = [0] * (n * n)
+    identity = list(empty)
+    identity[::n + 1] = [full] * n
+    rels: list = []
+    push = rels.append
+    for op, x, y in code:   # most frequent opcodes first
+        if op == _COMPOSE:
+            push(_lane_compose(rels[x], rels[y], n))
+        elif op == _UNION:
+            push(list(map(or_, rels[x], rels[y])))
+        elif op == _PROJECT:
+            push(_lane_project(rels[x], n, full, *y))
+        elif op == _LABEL:
+            push(labels[x])
+        elif op == _CLOSURE:
+            push(_lane_closure(rels[x], n))
+        elif op == _IDENTITY:
+            push(identity)
+        elif op == _DIFFERENCE:
+            push([p & ~q for p, q in zip(rels[x], rels[y])])
+        elif op == _INTERSECT:
+            push(list(map(and_, rels[x], rels[y])))
+        elif op == _EMPTY:
+            push(empty)
+        else:  # _CONVERSE: row i of the result is column i
+            a = rels[x]
+            push([p for i in range(n) for p in a[i::n]])
+    return rels
 
 
 def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
@@ -488,25 +547,34 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
                 "expressions mention several labels; unlabeled classes carry one")
         names = tuple(sorted(used)) or ("a",)
     stream_labels = tuple(f"l{i}" for i in range(len(names)))
-    rename = dict(zip(names, stream_labels))
+    # counts[n]: how many instances have at most n nodes
+    counts = [_instance_count(graph_class, n, stream_labels) for n in range(max_nodes + 1)]
+    limit = default_ceiling()
+    if counts[-1] > limit:
+        raise ResourceLimitError(f"{counts[-1]} instances exceeds the ceiling of {limit}")
+    rename = {name: i for i, name in enumerate(names)}
     code, (r1, r2) = _compile((e1, e2))
     code = [(op, rename[x], y) if op == _LABEL else (op, x, y)
             for op, x, y in code]
-    boolean = semantics == "boolean"
-    checked = 0
-    for ctx in _contexts(graph_class, max_nodes, stream_labels):
-        checked += 1
-        masks = ctx._run(code)
-        ctx._row_cache.clear()
-        x, y = masks[r1], masks[r2]
-        if bool(x) != bool(y) if boolean else x != y:
-            back = {v: k for k, v in rename.items()}
-            g = ctx.graph
-            witness = Graph(g.nodes, frozenset(back[lab] for lab in g.labels),
-                            frozenset((s, back[lab], t) for s, lab, t in g.edges))
-            return EquivVerdict(False, witness, checked, graph_class, max_nodes,
-                                len(names), semantics)
-    return EquivVerdict(True, None, checked, graph_class, max_nodes, len(names),
+    chains = graph_class.endswith("chain")
+    for n in range(1, max_nodes + 1):
+        for chunk in range(-(-(counts[n] - counts[n - 1]) // _LANES)):
+            lanes, label_rels = _label_lanes(chains, n, len(names), chunk)
+            rels = _run_lanes(code, n, (1 << lanes) - 1, label_rels)
+            x, y = rels[r1], rels[r2]
+            if semantics == "boolean":
+                differ = reduce(or_, x) ^ reduce(or_, y)
+            else:
+                differ = reduce(or_, map(xor, x, y))
+            if differ:
+                index = counts[n - 1] + chunk * _LANES + (differ & -differ).bit_length() - 1
+                g = next(islice(instances(graph_class, max_nodes, stream_labels), index, None))
+                back = dict(zip(stream_labels, names))
+                witness = Graph(g.nodes, frozenset(back[lab] for lab in g.labels),
+                                frozenset((s, back[lab], t) for s, lab, t in g.edges))
+                return EquivVerdict(False, witness, index + 1, graph_class, max_nodes,
+                                    len(names), semantics)
+    return EquivVerdict(True, None, counts[-1], graph_class, max_nodes, len(names),
                         semantics)
 
 

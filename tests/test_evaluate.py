@@ -2,6 +2,7 @@
 reference implementation over plain pair sets."""
 
 import copy
+import functools
 import gc
 import pickle
 import random
@@ -476,13 +477,15 @@ def test_witness_is_over_the_callers_labels():
     assert evaluate_boolean(e1, v.witness) != evaluate_boolean(e2, v.witness)
 
 
-def _cached(graph_class, max_nodes):
-    """The contexts kept for the streams of a class and bound."""
-    return [contexts for (c, n, _), (_, contexts, _) in ev._STREAMS.items()
-            if (c, n) == (graph_class, max_nodes)]
+def _fresh_lane_cache(monkeypatch, maxsize=256):
+    """Give the oracle an empty lane cache of its own for one test."""
+    cache = functools.lru_cache(maxsize=maxsize)(ev._label_lanes.__wrapped__)
+    monkeypatch.setattr(ev, "_label_lanes", cache)
+    return cache
 
 
 def test_cached_streams_keep_the_ceiling(monkeypatch):
+    cache = _fresh_lane_cache(monkeypatch)
     e = parse("a . b")
     assert path_equivalent(e, e, "labeled-tree", 5).checked == 143
     for limit in ("100", "142"):
@@ -491,8 +494,8 @@ def test_cached_streams_keep_the_ceiling(monkeypatch):
             path_equivalent(e, e, "labeled-tree", 5)
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", "143")
     assert path_equivalent(e, e, "labeled-tree", 5).checked == 143
-    # the ceiling only admits a stream: one copy serves every ceiling
-    assert len(_cached("labeled-tree", 5)) == 1
+    # the ceiling only admits a stream: one copy of its lanes serves every ceiling
+    assert cache.cache_info().misses == 5
 
 
 @pytest.mark.parametrize("max_nodes,labels", [(0, 2), (-3, 2), (5, -1)])
@@ -506,70 +509,89 @@ def test_oracles_refuse_bounds_that_check_nothing(max_nodes, labels):
             run_pipeline("tree-pi2", e, max_nodes=max_nodes)
 
 
-def test_oracle_leaves_no_row_cache_behind():
+def test_oracle_leaves_no_row_cache_behind(monkeypatch):
+    # the oracle runs on lane masks and builds no evaluation context, so no
+    # row cache; the witness is read from the instance stream
+    monkeypatch.setattr(ev, "EvalContext", None)
     assert path_equivalent(parse("(a . b)+ . a"), parse("a . (b . a)+"),
                            "labeled-tree", 5).equivalent
-    assert ev._STREAMS
-    assert not any(ctx._row_cache for _, contexts, _ in ev._STREAMS.values()
-                   for ctx in contexts)
+    assert not path_equivalent(a, b, "labeled-tree", 5).equivalent
+    # what is cached is a chunk's label lanes, immutable: 107 five-node
+    # trees over two labels, each label a relation of 5 * 5 lane masks
+    lanes, rels = ev._label_lanes(False, 5, 2, 0)
+    assert lanes == 143 - 36
+    assert type(rels) is tuple and all(type(r) is tuple and len(r) == 25 for r in rels)
 
 
 def test_streams_are_built_only_as_far_as_they_are_consumed(monkeypatch):
-    monkeypatch.setattr(ev, "_STREAMS", {})
+    cache = _fresh_lane_cache(monkeypatch)
     a_b, b_a = parse("a . b"), parse("b . a")
     early = path_equivalent(a_b, b_a, "labeled-tree", 5)
     assert not early.equivalent and early.checked < 143
-    assert [len(c) for c in _cached("labeled-tree", 5)] == [early.checked]
-    # a later call resumes the stream and sees what an uncached one would
-    assert path_equivalent(a_b, a_b, "labeled-tree", 5).checked == 143
-    assert [len(c) for c in _cached("labeled-tree", 5)] == [143]
+    # one chunk per node count, up to the witness's own
+    assert len(early.witness.nodes) == 3
+    assert cache.cache_info().misses == 3
+    full = path_equivalent(a_b, a_b, "labeled-tree", 5)
+    assert full.checked == 143 and cache.cache_info().misses == 5
+    # a later call sees what an uncached one would
     assert path_equivalent(a_b, b_a, "labeled-tree", 5) == early
+    uncached = _fresh_lane_cache(monkeypatch)
+    assert path_equivalent(a_b, a_b, "labeled-tree", 5) == full
+    assert uncached.cache_info().misses == 5
 
 
 def test_a_stream_longer_than_the_cache_is_not_kept(monkeypatch):
-    monkeypatch.setattr(ev, "_STREAMS", {})
+    cache = _fresh_lane_cache(monkeypatch, maxsize=4)
     chains = 1 + 3 + 9 + 27 + 81 + 243 + 729 + 2187 + 6561
-    assert chains > ev._CACHE_SIZE
-    v = path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9)
-    assert not v.equivalent
-    assert ev._STREAMS == {}
+    v = path_equivalent(parse("(a | b | c)+"), parse("(a | b | c)+ \\ 0"), "labeled-chain", 9)
+    assert (v.equivalent, v.checked) == (True, chains)
+    # ten chunks, the nine-node chains in two, of which the cache keeps four
+    assert cache.cache_info().misses == 10
+    assert cache.cache_info().currsize == 4
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", str(chains - 1))
     with pytest.raises(ResourceLimitError):
         path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9)
 
 
 def test_cache_evicts_the_least_recently_used_streams(monkeypatch):
-    monkeypatch.setattr(ev, "_STREAMS", {})
-    monkeypatch.setattr(ev, "_CACHE_SIZE", 200)
+    assert ev._label_lanes.cache_info().maxsize is not None    # bounded
+    cache = _fresh_lane_cache(monkeypatch, maxsize=6)
     e = parse("a . b")
-    path_equivalent(e, e, "labeled-tree", 5)            # 143 trees
-    path_equivalent(e, e, "labeled-tree", 4)            # 36 trees
-    path_equivalent(e, e, "labeled-tree", 5)            # a hit, most recent
-    path_equivalent(e, e, "labeled-chain", 4, 3)        # 40 chains: evicts 4
-    assert [(c, n) for c, n, _ in ev._STREAMS] == [
-        ("labeled-tree", 5), ("labeled-chain", 4)]
-    assert sum(len(c) for _, c, _ in ev._STREAMS.values()) <= 200
+    path_equivalent(e, e, "labeled-tree", 5)            # trees of 1-5 nodes
+    path_equivalent(e, e, "labeled-tree", 4)            # hits: 5 nodes is now oldest
+    path_equivalent(e, e, "labeled-chain", 4, 3)        # 4 new: evicts 5, 1, 2
+    assert cache.cache_info().currsize == 6
+    misses = cache.cache_info().misses
+    path_equivalent(e, e, "labeled-chain", 4, 3)        # still kept
+    assert cache.cache_info().misses == misses
+    path_equivalent(e, e, "labeled-tree", 1)            # evicted
+    assert cache.cache_info().misses == misses + 1
+    # a sweep over more label counts than the cache holds stays bounded
+    for labels in range(1, 11):
+        v = path_equivalent(a, Union(a, EMPTY), "labeled-chain", 2, labels)
+        assert (v.equivalent, v.checked) == (True, 1 + labels)
+    assert cache.cache_info().currsize == 6
 
 
 def test_threads_share_a_stream_without_losing_instances(monkeypatch):
-    e = parse("(a . b)+")
-    trees = list(enumerate_trees(5, ("l0", "l1")))
+    pairs = [(parse("(a . b)+"), parse("(a . b)+")), (parse("a . b"), parse("b . a")),
+             (parse("pi2(a) . b+"), parse("a . b+"))]
+    expected = [path_equivalent(e1, e2, "labeled-tree", 5) for e1, e2 in pairs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):     # a race shows in some rounds, not in all
-            monkeypatch.setattr(ev, "_STREAMS", {})
+            _fresh_lane_cache(monkeypatch)
             results = []
             threads = [threading.Thread(target=lambda: results.append(
-                path_equivalent(e, e, "labeled-tree", 5).checked)) for _ in range(6)]
+                [path_equivalent(e1, e2, "labeled-tree", 5) for e1, e2 in pairs]))
+                for _ in range(6)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert results == [143] * 6
-            (contexts,) = _cached("labeled-tree", 5)
-            assert [ctx.graph for ctx in contexts] == trees
+            assert results == [expected] * 6
     finally:
         sys.setswitchinterval(interval)
 

@@ -1,0 +1,167 @@
+"""The bounded oracles evaluate every same-size instance at once on lane
+masks.  The reference here is the per-instance loop they replace: one
+`EvalContext` per graph of `instances()`, in stream order, where the first
+instance that tells the two expressions apart is the witness.  The lane
+oracle must reach the same verdict, count and witness.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+import navex.evaluate as ev
+from navex.evaluate import (
+    EquivVerdict, EvalContext, _compile, _required_labels, boolean_equivalent,
+    path_equivalent,
+)
+from navex.expr import (
+    Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
+    Intersect, Proj1, Proj2, TransClosure, Union, EMPTY, IDENTITY, parse,
+)
+from navex.graphs import GRAPH_CLASSES, Graph, count_trees, instances
+
+
+def per_instance_check(e1, e2, graph_class, max_nodes, labels, semantics):
+    """The oracle as a loop over the instance stream, one context each."""
+    names, used = _required_labels((e1, e2), labels)
+    if graph_class.startswith("unlabeled"):
+        names = tuple(sorted(used)) or ("a",)
+    stream_labels = tuple(f"l{i}" for i in range(len(names)))
+    rename = dict(zip(names, stream_labels))
+    code, (r1, r2) = _compile((e1, e2))
+    code = [(op, rename[x], y) if op == ev._LABEL else (op, x, y) for op, x, y in code]
+    checked = 0
+    for g in instances(graph_class, max_nodes, stream_labels):
+        checked += 1
+        masks = EvalContext(g)._run(code)
+        x, y = masks[r1], masks[r2]
+        if bool(x) != bool(y) if semantics == "boolean" else x != y:
+            back = {v: k for k, v in rename.items()}
+            witness = Graph(g.nodes, frozenset(back[lab] for lab in g.labels),
+                            frozenset((s, back[lab], t) for s, lab, t in g.edges))
+            return EquivVerdict(False, witness, checked, graph_class, max_nodes,
+                                len(names), semantics)
+    return EquivVerdict(True, None, checked, graph_class, max_nodes, len(names), semantics)
+
+
+def lane_check(e1, e2, graph_class, max_nodes, labels, semantics):
+    oracle = boolean_equivalent if semantics == "boolean" else path_equivalent
+    return oracle(e1, e2, graph_class, max_nodes, labels)
+
+
+def _exprs_over(*names):
+    atoms = st.sampled_from([EMPTY, IDENTITY, *map(EdgeLabel, names)])
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.builds(Converse, inner), st.builds(TransClosure, inner),
+            st.builds(Proj1, inner), st.builds(Proj2, inner),
+            st.builds(Coproj1, inner), st.builds(Coproj2, inner),
+            st.builds(Compose, inner, inner), st.builds(Union, inner, inner),
+            st.builds(Intersect, inner, inner), st.builds(Difference, inner, inner),
+        ),
+        max_leaves=6,
+    )
+
+
+_LABELED, _UNLABELED = _exprs_over("a", "b", "c"), _exprs_over("a")
+
+
+@st.composite
+def _cases(draw):
+    graph_class = draw(st.sampled_from(GRAPH_CLASSES))
+    exprs = _UNLABELED if graph_class.startswith("unlabeled") else _LABELED
+    e1, e2 = draw(exprs), draw(exprs)
+    if draw(st.booleans()):     # equivalent by absorption: the whole stream is checked
+        e2 = Union(e1, Intersect(e1, e2))
+    return (e1, e2, graph_class, draw(st.integers(1, 6)), draw(st.integers(0, 3)),
+            draw(st.sampled_from(["path", "boolean"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases())
+def test_lane_verdicts_match_the_per_instance_loop(case):
+    assert lane_check(*case) == per_instance_check(*case)
+
+
+_LANE_LABELS = ("l0", "l1")
+_STREAM_LABELED, _STREAM_UNLABELED = _exprs_over(*_LANE_LABELS), _exprs_over("l0")
+
+
+@st.composite
+def _lane_runs(draw):
+    graph_class = draw(st.sampled_from(GRAPH_CLASSES))
+    exprs = _STREAM_UNLABELED if graph_class.startswith("unlabeled") else _STREAM_LABELED
+    return draw(exprs), draw(exprs), graph_class, draw(st.integers(1, 6))
+
+
+def assert_slots_match(exprs, graph_class, n):
+    """Every slot of the plan of `exprs` (over l0, l1) on the lanes of the
+    n-node instances relates in each lane what the slot's mask relates on
+    that instance."""
+    names = _LANE_LABELS[:1] if graph_class.startswith("unlabeled") else _LANE_LABELS
+    code, _ = _compile(exprs)
+    lane_code = [(op, names.index(x), y) if op == ev._LABEL else (op, x, y)
+                 for op, x, y in code]
+    graphs = [g for g in instances(graph_class, n, names) if len(g.nodes) == n]
+    lanes, label_rels = ev._label_lanes(graph_class.endswith("chain"), n, len(names), 0)
+    assert lanes == len(graphs)
+    rels = ev._run_lanes(lane_code, n, (1 << lanes) - 1, label_rels)
+    for lane, g in enumerate(graphs):
+        ctx = EvalContext(g)
+        for rel, mask in zip(rels, ctx._run(code)):
+            assert ctx.decode(mask) == {(f"n{k // n}", f"n{k % n}")
+                                        for k, m in enumerate(rel) if m >> lane & 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lane_runs())
+def test_every_slot_on_lanes_matches_the_per_instance_masks(run):
+    # a verdict can hide a wrong slot; the relations of every slot cannot
+    e1, e2, graph_class, n = run
+    assert_slots_match((e1, e2), graph_class, n)
+
+
+def test_a_stream_of_several_chunks_matches_the_per_instance_loop():
+    # 9,841 labeled chains of at most 9 nodes over 3 labels, 6,561 of them
+    # with 9 nodes: more than one chunk of lanes
+    assert count_trees(9, 3, chains_only=True) - count_trees(8, 3, chains_only=True) > ev._LANES
+    any_step = "(a | b | c)"
+    pairs = [
+        # separated first by the 9-node chain c a a a a a a a, in the second chunk
+        (parse(f"pi1(c . {any_step}^7)"), EMPTY, "boolean"),
+        (parse(f"{any_step}+"), parse(f"{any_step} | {any_step}+ . {any_step}"), "path"),
+    ]
+    for e1, e2, semantics in pairs:
+        case = (e1, e2, "labeled-chain", 9, 3, semantics)
+        assert lane_check(*case) == per_instance_check(*case)
+    first, full = (lane_check(e1, e2, "labeled-chain", 9, 3, s) for e1, e2, s in pairs)
+    assert first.checked == 3280 + 2 * 3 ** 7 + 1 > 3280 + ev._LANES
+    assert first.witness.edges == {("n0", "c", "n1")} | {
+        (f"n{i}", "a", f"n{i + 1}") for i in range(1, 8)}
+    assert (full.equivalent, full.checked) == (True, 9841)
+
+
+def test_label_lanes_list_the_instances_in_stream_order():
+    for graph_class, max_nodes, labels in (("labeled-tree", 5, 2), ("labeled-chain", 4, 3),
+                                           ("unlabeled-tree", 6, 1)):
+        names = tuple(f"l{i}" for i in range(labels))
+        graphs = iter(instances(graph_class, max_nodes, names))
+        for n in range(1, max_nodes + 1):
+            lanes, rels = ev._label_lanes(graph_class.endswith("chain"), n, labels, 0)
+            for lane, g in zip(range(lanes), graphs):
+                edges = {(f"n{k // n}", names[lab], f"n{k % n}")
+                         for lab, rel in enumerate(rels)
+                         for k, mask in enumerate(rel) if mask >> lane & 1}
+                assert (len(g.nodes), edges) == (n, g.edges)
+        assert next(graphs, None) is None
+
+
+def test_every_unary_operator_over_a_closure_with_converse():
+    # closure of a relation with bits below the diagonal squares to a
+    # fixpoint; under each unary operator, on every class
+    a = EdgeLabel("l0")
+    walks = TransClosure(Union(a, Converse(a)))
+    exprs = [op(walks) for op in (Converse, TransClosure, Proj1, Proj2, Coproj1, Coproj2)]
+    exprs.append(TransClosure(Converse(Compose(a, a))))
+    for graph_class in GRAPH_CLASSES:
+        for n in range(1, 6):
+            assert_slots_match(exprs, graph_class, n)

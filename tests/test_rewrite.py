@@ -562,6 +562,17 @@ def test_minimized_rewrites_stay_small_and_certify(pipeline, text, most):
     assert size(report.result) <= most
 
 
+@pytest.mark.parametrize("pipeline, text, checked", [
+    ("chain-projections", "pi1(a+ . pi1(b+ . pi1(c+)))", 3280),
+    ("tree-set-operations", r"(a|b|c)+ \ ((a.b.c)+ | (c.b)+)", 596),
+])
+def test_baseline_cases_certify_over_their_whole_streams(pipeline, text, checked):
+    # the two slowest certifications at their pipelines' default bounds:
+    # 3,280 chains of up to 8 nodes and 596 trees of up to 5, over 3 labels
+    verdict = run_pipeline(pipeline, parse(text)).verdict
+    assert (verdict.equivalent, verdict.checked, verdict.labels) == (True, checked, 3)
+
+
 def test_normal_form_str():
     assert str(normalize_unlabeled_boolean(parse("0"))) == "empty"
     assert str(normalize_unlabeled_boolean(parse("a"))).startswith("power 1")
