@@ -1,17 +1,11 @@
 """Semantics of navigational expressions over edge-labeled graphs.
 
 An expression denotes a binary relation on the nodes of a graph.  The
-evaluator keeps a relation as one integer, a mask whose row i holds the
-successors of node i: bit i * stride + j is set when node i relates to node
-j.  The stride is the node count rounded up to whole bytes, so a mask's
-bytes cut into its rows and rows join back into a mask in one conversion
-each, without shifting the whole mask once per row; every operation works
-on rows that way.  Nodes are numbered in topological order, so a downward
-relation on a tree or chain only relates nodes to later ones, and its
-closure is one pass from the last row to the first.  A projection is one
-multiplication: the product of a node set and the mask with bit 0 of every
-row set copies the set into every row, and the identity mask keeps the
-diagonal.
+evaluator keeps a relation on n nodes as a list of n ints, its rows: row i
+is node i's successor set, with bit j set when node i relates to node j.
+Nodes are numbered in topological order, so a downward relation on a tree
+or chain only relates nodes to later ones, and its closure is one pass from
+the last row to the first.
 
 Expressions are first compiled into a plan: one instruction per distinct
 subterm, children before parents.  Expressions are hash-consed, so a walk
@@ -21,18 +15,25 @@ number of graphs.  Neither compiling nor running hashes, compares or
 recurses over expressions, so deep expressions evaluate as well as shallow
 ones.
 
+One interpreter, `_run`, runs every plan on a relation algebra: an
+`EvalContext` for one graph, or a `_Lanes` chunk for the bounded oracles.
+A relation is a list of ints in both, so union, intersection and difference
+work entry by entry and the interpreter does them itself; each algebra
+supplies the labels, identity, empty relation, composition, closure,
+converse and projections.
+
 The bounded oracles compile each pair of expressions once and run that plan
 on lane masks, not on one `EvalContext` per instance: the instances of one
 node count, at most `_LANES` at a time in stream order, are evaluated
-together, a relation being n * n integers whose bit b holds instance b's
-pair.  The lowest lane where the two results differ is the first instance
-that separates them, which is read back from `instances()` as the witness.
-Label names map onto positions in the stream's labels l0, l1, ..., so
-expressions over different names share the label lanes of a chunk, which a
-bounded cache keeps by (chain or tree, node count, label count, chunk).
+together, a relation being n * n ints whose bit b holds instance b's pair.
+The lowest lane where the two results differ is the first instance that
+separates them, which is read back from `instances()` as the witness.  The
+label lanes of a chunk depend on label positions only, so expressions over
+different names share them; a bounded cache keeps them by (chain or tree,
+node count, label count, chunk).
 
 `evaluate` returns a `Relation`, not a frozenset: a set of node-name pairs
-that holds only the mask and the node order.  Its length and its equality
+that holds only the rows and the node order.  Its length and its equality
 with another relation on the same node order need no decoding, and its
 pairs are built only when they are read.  It equals the frozenset of its
 pairs, but `isinstance(r, frozenset)` is false.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import chain, compress, count, islice
-from operator import and_, itemgetter, or_, xor
+from operator import and_, or_, xor
 from string import ascii_lowercase
 
 from .expr import (
@@ -116,130 +117,110 @@ def _compile(roots) -> tuple[list[tuple], list[int]]:
     return code, [slot[id(r)] for r in roots]
 
 
-def _join(rows, widths, little) -> int:
-    return int.from_bytes(b"".join(map(int.to_bytes, rows, widths, little)), "little")
+def _run(code: list[tuple], alg) -> list:
+    """The relation of every slot of a plan in the relation algebra `alg`,
+    an `EvalContext` or a `_Lanes` chunk.  A relation is a list of ints in
+    both, and union, intersection and difference work entry by entry."""
+    rels: list = []
+    push = rels.append
+    for op, x, y in code:   # most frequent opcodes first
+        if op == _COMPOSE:
+            push(alg.compose_masks(rels[x], rels[y]))
+        elif op == _UNION:
+            push(list(map(or_, rels[x], rels[y])))
+        elif op == _PROJECT:
+            push(alg._project(rels[x], *y))
+        elif op == _LABEL:
+            push(alg.label(x))
+        elif op == _CLOSURE:
+            push(alg.closure_mask(rels[x]))
+        elif op == _IDENTITY:
+            push(alg.identity)
+        elif op == _DIFFERENCE:
+            push([p & ~q for p, q in zip(rels[x], rels[y])])
+        elif op == _INTERSECT:
+            push(list(map(and_, rels[x], rels[y])))
+        elif op == _EMPTY:
+            push(alg.empty)
+        else:  # _CONVERSE
+            push(alg.transpose_mask(rels[x]))
+    return rels
 
 
-@lru_cache(maxsize=64)
-def _layout(n: int) -> tuple:
-    """What the masks of every n-node context share: the byte length of a
-    mask, a getter cutting its bytes into rows, the arguments that turn n
-    rows to and from bytes, the singleton rows, and the identity, column
-    (bit 0 of every row) and backward ((i, j) with j < i) masks."""
-    width = (n + 7) // 8      # bytes per row
-    # a trailing empty slice keeps the getter's result a tuple at n = 1;
-    # the n-long argument lists cut the split at n rows
-    slicer = itemgetter(*[slice(i * width, (i + 1) * width) for i in range(n)],
-                        slice(0, 0))
-    widths, little = [width] * n, ["little"] * n
-    singletons = [1 << i for i in range(n)]
-    identity = _join(singletons, widths, little)
-    column = _join([1] * n, widths, little)
-    return (n * width, slicer, widths, little, singletons,
-            identity, column, identity - column)
+def _squared_closure(alg, a: list) -> list:
+    """The transitive closure of `a`, squaring it until a fixpoint."""
+    cur = list(a)
+    while True:
+        nxt = list(map(or_, cur, alg.compose_masks(cur, cur)))
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 class EvalContext:
-    """Per-graph evaluation state: node indexing, label relations as bit
-    masks, and the relation algebra on masks that plans run on.
+    """Per-graph evaluation state: node indexing, label relations, and the
+    relation algebra on rows that plans run on.
 
     Nodes are indexed in topological order (every edge's source before its
     target, ties by name), or in name order if the graph has a cycle other
-    than a self-loop.  Row i of a mask, node i's successor set, starts at
-    bit i * stride, where the stride is n rounded up to whole bytes, so a
-    mask splits into its rows with one `to_bytes` and rows join back with
-    one `from_bytes`.  Operations work on rows through that split and join,
-    except projections and products with a test, which multiply by the
-    column mask."""
+    than a self-loop.  A relation is a list of n ints: row i is node i's
+    successor set, with bit j set when node i relates to node j."""
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.node_order, self.index = _topological(graph)
         self.n = n = len(self.node_order)
         index = self.index
-        (self._size, self._slicer, self._widths, self._little, self._singletons,
-         self.identity_mask, self._column, self._backward) = _layout(n)
-        rows = {lab: [0] * n for lab in graph.labels}
+        self.identity = [1 << i for i in range(n)]
+        self.empty = [0] * n
+        self.label_rows = {lab: [0] * n for lab in graph.labels}
         for s, lab, t in graph.edges:
-            rows[lab][index[s]] |= 1 << index[t]
-        self.label_masks = {lab: _join(r, self._widths, self._little)
-                            for lab, r in rows.items()}
-        # the rows of every mask split or joined here, starting with the
-        # masks every plan starts from
-        self._row_cache: dict[int, list[int]] = {
-            self.label_masks[lab]: r for lab, r in rows.items()}
-        self._row_cache.update({0: [0] * n, self.identity_mask: self._singletons})
+            self.label_rows[lab][index[s]] |= 1 << index[t]
 
-    # --- relation algebra on masks -------------------------------------
-    def _split(self, mask: int) -> list[int]:
-        """The rows of `mask`, a new list."""
-        return list(map(int.from_bytes,
-                        self._slicer(mask.to_bytes(self._size, "little")), self._little))
+    # --- relation algebra on rows --------------------------------------
+    def label(self, name: str) -> list[int]:
+        try:
+            return self.label_rows[name]
+        except KeyError:
+            raise UnknownLabelError(name) from None
 
-    def _rows(self, mask: int) -> list[int]:
-        """The rows of `mask`, shared: callers must not change them."""
-        rows = self._row_cache.get(mask)
-        if rows is None:
-            rows = self._row_cache[mask] = self._split(mask)
-        return rows
-
-    def join_rows(self, rows: list[int]) -> int:
-        """The mask whose row i is `rows[i]`, a node bitmask.  The rows are
-        kept for `_rows`, so the caller must not change them afterwards."""
-        mask = _join(rows, self._widths, self._little)
-        self._row_cache[mask] = rows
-        return mask
-
-    def compose_masks(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        if a == self.identity_mask:
+    def compose_masks(self, a: list[int], b: list[int]) -> list[int]:
+        if not any(a) or not any(b):
+            return self.empty
+        if a == self.identity:
             return b
-        if b == self.identity_mask:
+        if b == self.identity:
             return a
-        rows_b = self._rows(b)
-        if b & self.identity_mask == b:  # b is a test: keep a's columns on its nodes
-            return a & reduce(or_, rows_b) * self._column
-        rows_a = self._rows(a)
+        if list(map(and_, b, self.identity)) == b:  # b is a test: keep a's columns on its nodes
+            nodes = reduce(or_, b)
+            return [row & nodes for row in a]
         out = []
-        for row in rows_a:
+        for row in a:
             acc = 0
             while row:
                 low = row & -row
-                acc |= rows_b[low.bit_length() - 1]
+                acc |= b[low.bit_length() - 1]
                 row ^= low
             out.append(acc)
-        # on small graphs a product is often empty or one of its operands
-        if out == rows_b:
-            return b
-        if out == rows_a:
-            return a
-        return self.join_rows(out) if any(out) else 0
+        return out
 
-    def transpose_mask(self, a: int) -> int:
+    def transpose_mask(self, a: list[int]) -> list[int]:
         out = [0] * self.n
-        for bit, row in zip(self._singletons, self._rows(a)):
+        for bit, row in zip(self.identity, a):
             while row:
                 low = row & -row
                 out[low.bit_length() - 1] |= bit
                 row ^= low
-        return self.join_rows(out)
+        return out
 
-    def closure_mask(self, a: int) -> int:
+    def closure_mask(self, a: list[int]) -> list[int]:
         """The transitive closure of `a`.  If `a` only relates nodes to
         themselves or to later nodes, as a downward relation on a tree or
         chain does, one pass from the last row to the first ORs into each
         row the finished rows of its successors.  Otherwise `a` is squared
         until a fixpoint."""
-        if a & self._backward:
-            cur = a
-            while True:
-                nxt = cur | self.compose_masks(cur, cur)
-                if nxt == cur:
-                    return cur
-                cur = nxt
-        given = self._rows(a)
-        rows = list(given)
+        if any(row & (bit - 1) for row, bit in zip(a, self.identity)):
+            return _squared_closure(self, a)
+        rows = list(a)
         for i in range(self.n - 1, -1, -1):
             row = acc = rows[i]
             while row:
@@ -247,77 +228,45 @@ class EvalContext:
                 acc |= rows[low.bit_length() - 1]
                 row ^= low
             rows[i] = acc
-        return a if rows == given else self.join_rows(rows)
+        return rows
 
-    def _project(self, a: int, second: bool, complement: bool) -> int:
+    def _project(self, a: list[int], second: bool, complement: bool) -> list[int]:
         """The identity pairs on the nodes with an outgoing (or, for
         `second`, incoming) pair in `a`, or on the other nodes when
         `complement` is set."""
-        rows = self._rows(a)
         if second:
-            nodes = reduce(or_, rows, 0)
+            nodes = reduce(or_, a, 0)
         else:
-            nodes = sum(compress(self._singletons, rows))
+            nodes = sum(compress(self.identity, a))
         if complement:
             nodes ^= (1 << self.n) - 1
-        # the product copies `nodes` into every row; no row carries over
-        return nodes * self._column & self.identity_mask
+        return [bit & nodes for bit in self.identity]
 
-    def _run(self, code: list[tuple]) -> list[int]:
-        """The mask of every slot of a plan on this graph."""
-        masks: list[int] = []
-        push = masks.append
-        for op, x, y in code:   # most frequent opcodes first
-            if op == _COMPOSE:
-                push(self.compose_masks(masks[x], masks[y]))
-            elif op == _UNION:
-                push(masks[x] | masks[y])
-            elif op == _PROJECT:
-                push(self._project(masks[x], *y))
-            elif op == _LABEL:
-                try:
-                    push(self.label_masks[x])
-                except KeyError:
-                    raise UnknownLabelError(x) from None
-            elif op == _CLOSURE:
-                push(self.closure_mask(masks[x]))
-            elif op == _IDENTITY:
-                push(self.identity_mask)
-            elif op == _DIFFERENCE:
-                push(masks[x] & ~masks[y])
-            elif op == _INTERSECT:
-                push(masks[x] & masks[y])
-            elif op == _EMPTY:
-                push(0)
-            else:  # _CONVERSE
-                push(self.transpose_mask(masks[x]))
-        return masks
-
-    def mask_of(self, e: Expr) -> int:
+    def mask_of(self, e: Expr) -> list[int]:
         code, (root,) = _compile((e,))
-        return self._run(code)[root]
+        return _run(code, self)[root]
 
-    def decode(self, mask: int) -> Relation:
-        """The node pairs of `mask`, decoded when first read."""
-        return Relation(mask, self.node_order)
+    def decode(self, rows: list[int]) -> Relation:
+        """The node pairs of `rows`, decoded when first read."""
+        return Relation(tuple(rows), self.node_order)
 
 
 class Relation(Set):
-    """An immutable set of (node, node) pairs, held as a mask over a node
-    order as `EvalContext` lays it out.
+    """An immutable set of (node, node) pairs, held as the rows of an
+    `EvalContext` and its node order.
 
-    Its length is the mask's bit count, and two relations on equal node
-    orders compare by mask.  Anything else (iterating, membership, hashing,
-    comparing with another set) reads the pairs, which are decoded once and
-    kept as a frozenset; the hash is that frozenset's.  `&`, `|` and `-`
-    return frozensets.  The node order is the computing context's list,
-    which nothing changes; the relation keeps no reference to the context
-    itself, whose row cache holds every intermediate mask."""
+    Its length is the rows' total bit count, and two relations on equal
+    node orders compare by rows.  Anything else (iterating, membership,
+    hashing, comparing with another set) reads the pairs, which are decoded
+    once and kept as a frozenset; the hash is that frozenset's.  `&`, `|`
+    and `-` return frozensets.  The node order is the computing context's
+    list, which nothing changes; the relation keeps no reference to the
+    context itself."""
 
-    __slots__ = ("mask", "node_order", "_pairs")
+    __slots__ = ("rows", "node_order", "_pairs")
 
-    def __init__(self, mask: int, node_order: list[str]):
-        self.mask = mask
+    def __init__(self, rows: tuple[int, ...], node_order: list[str]):
+        self.rows = rows
         self.node_order = node_order
         self._pairs: frozenset[tuple[str, str]] | None = None
 
@@ -328,14 +277,12 @@ class Relation(Set):
     def _decoded(self) -> frozenset[tuple[str, str]]:
         if self._pairs is None:
             order = self.node_order
-            size, slicer, _, little = _layout(len(order))[:4]
-            rows = map(int.from_bytes, slicer(self.mask.to_bytes(size, "little")), little)
             self._pairs = frozenset((order[i], order[j])
-                                    for i, row in enumerate(rows) for j in _bits(row))
+                                    for i, row in enumerate(self.rows) for j in _bits(row))
         return self._pairs
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return sum(map(int.bit_count, self.rows))
 
     def __iter__(self):
         return iter(self._decoded())
@@ -345,7 +292,7 @@ class Relation(Set):
 
     def __eq__(self, other) -> bool:
         if type(other) is Relation and other.node_order == self.node_order:
-            return other.mask == self.mask
+            return other.rows == self.rows
         if not isinstance(other, Set):
             return NotImplemented
         return self._decoded() == other
@@ -354,7 +301,7 @@ class Relation(Set):
         return hash(self._decoded())
 
     def __reduce__(self):
-        return Relation, (self.mask, self.node_order)
+        return Relation, (self.rows, self.node_order)
 
     def __repr__(self) -> str:
         return f"Relation({set(self._decoded())!r})"
@@ -395,7 +342,7 @@ def evaluate(e: Expr, graph: Graph) -> Relation:
 
 def evaluate_boolean(e: Expr, graph: Graph) -> bool:
     """Nonemptiness of the denoted relation."""
-    return EvalContext(graph).mask_of(e) != 0
+    return any(EvalContext(graph).mask_of(e))
 
 
 # ---------------------------------------------------------------------------
@@ -455,85 +402,66 @@ def _label_lanes(chains: bool, n: int, labels: int, chunk: int) -> tuple[int, tu
     return lanes, tuple(tuple(int.from_bytes(b, "little") for b in rel) for rel in lines)
 
 
-def _lane_compose(a, b, n: int) -> list[int]:
-    """Entry (i, k) of the result is the OR over j of a's (i, j) AND b's
-    (j, k); zero entries of `a` and `b` are skipped."""
-    out = [0] * (n * n)
-    for i in range(0, n * n, n):
-        for j, x in enumerate(a[i:i + n]):
-            if x:
-                for k, y in enumerate(b[j * n:j * n + n], i):
-                    if y:
-                        out[k] |= x & y
-    return out
+class _Lanes:
+    """The relation algebra of a chunk of n-node instances on lane masks.
+    The chunk's lanes are the set bits of `full`, and `labels` maps each
+    label name to its lane masks."""
 
+    def __init__(self, n: int, full: int, labels: dict):
+        self.n, self.full, self.labels = n, full, labels
+        self.empty = [0] * (n * n)
+        self.identity = list(self.empty)
+        self.identity[::n + 1] = [full] * n
 
-def _lane_closure(a, n: int) -> list[int]:
-    """The transitive closure of `a`.  With no bit below the diagonal, one
-    pass from the last row to the first ORs into each row the finished rows
-    of its successors; otherwise `a` is squared until a fixpoint."""
-    if any(a[i * n + j] for i in range(n) for j in range(i)):
-        cur = list(a)
-        while True:
-            nxt = list(map(or_, cur, _lane_compose(cur, cur, n)))
-            if nxt == cur:
-                return cur
-            cur = nxt
-    out = list(a)
-    for row in range(n - 1, -1, -1):
-        i = row * n
-        for j in range(row + 1, n):
-            x = a[i + j]
-            if x:
-                for k, y in enumerate(out[j * n:j * n + n], i):
-                    if y:
-                        out[k] |= x & y
-    return out
+    def label(self, name: str):
+        return self.labels[name]
 
+    def compose_masks(self, a, b) -> list[int]:
+        """Entry (i, k) of the result is the OR over j of a's (i, j) AND b's
+        (j, k); zero entries of `a` and `b` are skipped."""
+        n = self.n
+        out = [0] * (n * n)
+        for i in range(0, n * n, n):
+            for j, x in enumerate(a[i:i + n]):
+                if x:
+                    for k, y in enumerate(b[j * n:j * n + n], i):
+                        if y:
+                            out[k] |= x & y
+        return out
 
-def _lane_project(a, n: int, full: int, second: bool, complement: bool) -> list[int]:
-    """The diagonal holding, in each lane, the nodes with an outgoing (or,
-    for `second`, incoming) pair in `a`, or the other nodes when
-    `complement` is set."""
-    out = [0] * (n * n)
-    for i in range(n):
-        nodes = reduce(or_, a[i::n] if second else a[i * n:i * n + n])
-        out[i * (n + 1)] = full ^ nodes if complement else nodes
-    return out
+    def closure_mask(self, a) -> list[int]:
+        """The transitive closure of `a`.  With no bit below the diagonal, one
+        pass from the last row to the first ORs into each row the finished
+        rows of its successors; otherwise `a` is squared until a fixpoint."""
+        n = self.n
+        if any(a[i * n + j] for i in range(n) for j in range(i)):
+            return _squared_closure(self, a)
+        out = list(a)
+        for row in range(n - 1, -1, -1):
+            i = row * n
+            for j in range(row + 1, n):
+                x = a[i + j]
+                if x:
+                    for k, y in enumerate(out[j * n:j * n + n], i):
+                        if y:
+                            out[k] |= x & y
+        return out
 
+    def _project(self, a, second: bool, complement: bool) -> list[int]:
+        """The diagonal holding, in each lane, the nodes with an outgoing (or,
+        for `second`, incoming) pair in `a`, or the other nodes when
+        `complement` is set."""
+        n = self.n
+        out = [0] * (n * n)
+        for i in range(n):
+            nodes = reduce(or_, a[i::n] if second else a[i * n:i * n + n])
+            out[i * (n + 1)] = self.full ^ nodes if complement else nodes
+        return out
 
-def _run_lanes(code: list[tuple], n: int, full: int, labels: tuple) -> list:
-    """The lane masks of every slot of a plan over one chunk, whose lanes
-    are the set bits of `full`; a label's operand is its position in
-    `labels`."""
-    empty = [0] * (n * n)
-    identity = list(empty)
-    identity[::n + 1] = [full] * n
-    rels: list = []
-    push = rels.append
-    for op, x, y in code:   # most frequent opcodes first
-        if op == _COMPOSE:
-            push(_lane_compose(rels[x], rels[y], n))
-        elif op == _UNION:
-            push(list(map(or_, rels[x], rels[y])))
-        elif op == _PROJECT:
-            push(_lane_project(rels[x], n, full, *y))
-        elif op == _LABEL:
-            push(labels[x])
-        elif op == _CLOSURE:
-            push(_lane_closure(rels[x], n))
-        elif op == _IDENTITY:
-            push(identity)
-        elif op == _DIFFERENCE:
-            push([p & ~q for p, q in zip(rels[x], rels[y])])
-        elif op == _INTERSECT:
-            push(list(map(and_, rels[x], rels[y])))
-        elif op == _EMPTY:
-            push(empty)
-        else:  # _CONVERSE: row i of the result is column i
-            a = rels[x]
-            push([p for i in range(n) for p in a[i::n]])
-    return rels
+    def transpose_mask(self, a) -> list[int]:
+        """Row i of the result is column i of `a`."""
+        n = self.n
+        return [p for i in range(n) for p in a[i::n]]
 
 
 def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
@@ -546,21 +474,17 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
             raise ValueError(
                 "expressions mention several labels; unlabeled classes carry one")
         names = tuple(sorted(used)) or ("a",)
-    stream_labels = tuple(f"l{i}" for i in range(len(names)))
     # counts[n]: how many instances have at most n nodes
-    counts = [_instance_count(graph_class, n, stream_labels) for n in range(max_nodes + 1)]
+    counts = [_instance_count(graph_class, n, names) for n in range(max_nodes + 1)]
     limit = default_ceiling()
     if counts[-1] > limit:
         raise ResourceLimitError(f"{counts[-1]} instances exceeds the ceiling of {limit}")
-    rename = {name: i for i, name in enumerate(names)}
     code, (r1, r2) = _compile((e1, e2))
-    code = [(op, rename[x], y) if op == _LABEL else (op, x, y)
-            for op, x, y in code]
     chains = graph_class.endswith("chain")
     for n in range(1, max_nodes + 1):
         for chunk in range(-(-(counts[n] - counts[n - 1]) // _LANES)):
             lanes, label_rels = _label_lanes(chains, n, len(names), chunk)
-            rels = _run_lanes(code, n, (1 << lanes) - 1, label_rels)
+            rels = _run(code, _Lanes(n, (1 << lanes) - 1, dict(zip(names, label_rels))))
             x, y = rels[r1], rels[r2]
             if semantics == "boolean":
                 differ = reduce(or_, x) ^ reduce(or_, y)
@@ -568,10 +492,7 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
                 differ = reduce(or_, map(xor, x, y))
             if differ:
                 index = counts[n - 1] + chunk * _LANES + (differ & -differ).bit_length() - 1
-                g = next(islice(instances(graph_class, max_nodes, stream_labels), index, None))
-                back = dict(zip(stream_labels, names))
-                witness = Graph(g.nodes, frozenset(back[lab] for lab in g.labels),
-                                frozenset((s, back[lab], t) for s, lab, t in g.edges))
+                witness = next(islice(instances(graph_class, max_nodes, names), index, None))
                 return EquivVerdict(False, witness, index + 1, graph_class, max_nodes,
                                     len(names), semantics)
     return EquivVerdict(True, None, counts[-1], graph_class, max_nodes, len(names),

@@ -141,6 +141,8 @@ def chain_graph(n_nodes: int, labels="a") -> Graph:
     `labels` is either one label for every edge or a sequence of n_nodes - 1
     labels, one per edge top-down.
     """
+    if n_nodes < 1:
+        raise GraphError(f"a chain has a root, so at least one node; got {n_nodes}")
     if isinstance(labels, str):
         seq = [labels] * (n_nodes - 1)
         alphabet = {labels}

@@ -13,17 +13,15 @@ from navex.graphs import ID, Graph, _reach, enumerate_trees
 
 
 def diagonal_nodes(ctx: EvalContext, e) -> int:
-    """Bitmask over node indices i with (i, i) in the relation of `e`.  The
-    identity mask's set bits are the diagonal entries, in node order."""
-    mask = ctx.mask_of(e)
-    return sum(1 << i for i, bit in enumerate(_bits(ctx.identity_mask)) if mask >> bit & 1)
+    """Bitmask over node indices i with (i, i) in the relation of `e`: bit i
+    of row i."""
+    return sum(1 << i for i, row in enumerate(ctx.mask_of(e)) if row >> i & 1)
 
 
 def successor_rows(ctx: EvalContext, label: str) -> list[int]:
-    """Per-node successor sets along `label`, as node bitmasks.  Node i's
-    diagonal bit is bit i of its row, so the row starts i bits below it."""
-    mask, every = ctx.label_masks.get(label, 0), (1 << ctx.n) - 1
-    return [mask >> (bit - i) & every for i, bit in enumerate(_bits(ctx.identity_mask))]
+    """Per-node successor sets along `label`, as node bitmasks: the label's
+    rows, or no successors for a label the graph does not carry."""
+    return ctx.label_rows.get(label, ctx.empty)
 
 
 def _satisfying_nodes(a: ConditionAutomaton, ctx: EvalContext) -> dict:
@@ -57,7 +55,7 @@ def eval_automaton(a: ConditionAutomaton, g: Graph) -> Relation:
     for m in range(ctx.n):
         reached = _reach([(q, m) for q in a.initials if sat[q] >> m & 1], step)
         accepted.append(reduce(or_, (1 << i for q, i in reached if q in a.finals), 0))
-    return ctx.decode(ctx.join_rows(accepted))
+    return ctx.decode(accepted)
 
 
 def check_deterministic(a: ConditionAutomaton, max_nodes: int = 6) -> bool:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import navex.evaluate as ev
 from navex.evaluate import (
-    EvalContext, Relation, UnknownLabelError, _compile, boolean_equivalent,
+    EvalContext, Relation, UnknownLabelError, _compile, _run, boolean_equivalent,
     evaluate, evaluate_boolean, path_equivalent,
 )
 from navex.expr import (
@@ -138,6 +138,16 @@ def test_set_operations(alt_chain):
         ("n0", "n1"), ("n2", "n3")}
 
 
+def test_every_operator_on_a_graph_without_nodes():
+    g = Graph.build([], ["a"], [])
+    for text in ("0", "id", "a", "conv(a)", "a+", "(a | conv(a))+", "pi1(a)", "pi2(a)",
+                 "copi1(a)", "copi2(a)", "a & id", "id \\ a", "a . id", "a | id"):
+        e = parse(text)
+        r = evaluate(e, g)
+        assert r == reference_eval(e, g) == frozenset() and len(r) == 0, text
+        assert not evaluate_boolean(e, g), text
+
+
 def test_unknown_label(alt_chain):
     with pytest.raises(UnknownLabelError):
         evaluate(parse("zz"), alt_chain)
@@ -224,7 +234,7 @@ def test_transitive_closure_is_a_fixpoint(e, g):
 
 
 # ---------------------------------------------------------------------------
-# the result: a set of pairs held as a mask, decoded only when read
+# the result: a set of pairs held as rows, decoded only when read
 
 def test_relation_is_a_set_of_pairs(alt_chain):
     r = evaluate(parse("a | b"), alt_chain)
@@ -260,10 +270,10 @@ def test_relations_on_different_node_orders_compare_by_pairs():
     forward = Graph.build(["n0", "n1"], ["a"], {("n0", "a", "n1")})
     backward = Graph.build(["n0", "n1"], ["a"], {("n1", "a", "n0")})
     assert EvalContext(forward).node_order != EvalContext(backward).node_order
-    # the same mask (row 0, column 1) means a different pair on each
-    assert evaluate(a, forward).mask == evaluate(a, backward).mask
+    # the same rows (row 0, column 1) mean a different pair on each
+    assert evaluate(a, forward).rows == evaluate(a, backward).rows
     assert evaluate(a, forward) != evaluate(a, backward)
-    # different masks can mean the same pairs
+    # different rows can mean the same pairs
     assert evaluate(a, forward) == evaluate(parse("conv(a)"), backward) == {("n0", "n1")}
     assert evaluate(IDENTITY, forward) == evaluate(IDENTITY, backward)
 
@@ -298,8 +308,8 @@ def test_a_relation_keeps_no_context_alive(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the mask layout: rows a whole number of bytes apart, nodes in topological
-# order, and closure in one pass over relations that only point forward
+# the row layout: nodes in topological order, and closure in one pass over
+# relations that only point forward
 
 @st.composite
 def _sized_graphs(draw):
@@ -696,7 +706,7 @@ def test_plan_of_a_pair_matches_reference(pair, g):
     assert len(code) == len({s for e in pair for s in _tree(e)})
     assert len(code) == len(_distinct_nodes(*pair))
     ctx = EvalContext(g)
-    masks = ctx._run(code)
+    masks = _run(code, ctx)
     for e, slot in zip(pair, roots):
         assert ctx.decode(masks[slot]) == reference_eval(e, g)
 

@@ -98,6 +98,13 @@ def test_chain_graph_alphabet_carries_its_label():
     assert chain_graph(1, []).labels == {"a"}
 
 
+@pytest.mark.parametrize("n_nodes", [0, -3])
+def test_chain_graph_needs_a_root(n_nodes):
+    for labels in ("a", []):
+        with pytest.raises(GraphError, match="at least one node"):
+            chain_graph(n_nodes, labels)
+
+
 @pytest.mark.parametrize("graph_class", GRAPH_CLASSES)
 def test_instance_count_is_the_stream_length(graph_class):
     for max_nodes, labels in ((3, 1), (3, 2), (4, 3), (3, 0)):

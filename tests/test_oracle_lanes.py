@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import navex.evaluate as ev
 from navex.evaluate import (
-    EquivVerdict, EvalContext, _compile, _required_labels, boolean_equivalent,
+    EquivVerdict, EvalContext, _compile, _required_labels, _run, boolean_equivalent,
     path_equivalent,
 )
 from navex.expr import (
@@ -31,9 +31,9 @@ def per_instance_check(e1, e2, graph_class, max_nodes, labels, semantics):
     checked = 0
     for g in instances(graph_class, max_nodes, stream_labels):
         checked += 1
-        masks = EvalContext(g)._run(code)
+        masks = _run(code, EvalContext(g))
         x, y = masks[r1], masks[r2]
-        if bool(x) != bool(y) if semantics == "boolean" else x != y:
+        if any(x) != any(y) if semantics == "boolean" else x != y:
             back = {v: k for k, v in rename.items()}
             witness = Graph(g.nodes, frozenset(back[lab] for lab in g.labels),
                             frozenset((s, back[lab], t) for s, lab, t in g.edges))
@@ -99,15 +99,13 @@ def assert_slots_match(exprs, graph_class, n):
     that instance."""
     names = _LANE_LABELS[:1] if graph_class.startswith("unlabeled") else _LANE_LABELS
     code, _ = _compile(exprs)
-    lane_code = [(op, names.index(x), y) if op == ev._LABEL else (op, x, y)
-                 for op, x, y in code]
     graphs = [g for g in instances(graph_class, n, names) if len(g.nodes) == n]
     lanes, label_rels = ev._label_lanes(graph_class.endswith("chain"), n, len(names), 0)
     assert lanes == len(graphs)
-    rels = ev._run_lanes(lane_code, n, (1 << lanes) - 1, label_rels)
+    rels = _run(code, ev._Lanes(n, (1 << lanes) - 1, dict(zip(names, label_rels))))
     for lane, g in enumerate(graphs):
         ctx = EvalContext(g)
-        for rel, mask in zip(rels, ctx._run(code)):
+        for rel, mask in zip(rels, _run(code, ctx)):
             assert ctx.decode(mask) == {(f"n{k // n}", f"n{k % n}")
                                         for k, m in enumerate(rel) if m >> lane & 1}
 
