@@ -11,11 +11,10 @@ leads from an initial state at m to a final state at n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .expr import Compose, Expr, IDENTITY, is_condition, parse, render
+from .expr import Compose, Expr, IDENTITY, is_condition, render
 from .graphs import ID
 
 __all__ = [
@@ -128,72 +127,6 @@ class ConditionAutomaton:
     @property
     def identity_free(self) -> bool:
         return all(lab != ID for _, lab, _ in self.transitions)
-
-    # --- serialization ----------------------------------------------------
-    def canonical_names(self) -> dict:
-        return {q: f"s{i}" for i, q in enumerate(self.ordered_states)}
-
-    def to_json_dict(self) -> dict:
-        names = self.canonical_names()
-        return {
-            "states": [names[q] for q in self.ordered_states],
-            "alphabet": sorted(self.alphabet),
-            "initials": sorted(names[q] for q in self.initials),
-            "finals": sorted(names[q] for q in self.finals),
-            "transitions": [
-                {"from": f, "label": lab, "to": t}
-                for f, lab, t in sorted(
-                    (names[src], lab, names[dst])
-                    for src, lab, dst in self.transitions)
-            ],
-            "conditions": {
-                names[q]: sorted(render(c) for c in cs)
-                for q, cs in sorted(self.gamma.items(),
-                                    key=lambda kv: state_key(kv[0]))
-                if cs
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConditionAutomaton":
-        state_conditions = [
-            (q, parse(text))
-            for q, texts in data.get("conditions", {}).items()
-            for text in texts
-        ]
-        return cls.build(
-            data["states"], data["alphabet"], data["initials"], data["finals"],
-            [(t["from"], t["label"], t["to"]) for t in data["transitions"]],
-            state_conditions,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConditionAutomaton":
-        return cls.from_json_dict(json.loads(text))
-
-    def to_dot(self) -> str:
-        names = self.canonical_names()
-        lines = ["digraph automaton {", "  rankdir=LR;"]
-        for i, q in enumerate(sorted(self.initials, key=state_key)):
-            lines.append(f'  __start{i} [shape=none, label=""];')
-        for q in self.ordered_states:
-            shape = "doublecircle" if q in self.finals else "circle"
-            label = names[q]
-            cs = self.gamma[q]
-            if cs:
-                conds = ", ".join(sorted(render(c) for c in cs))
-                label += "\\n{" + conds + "}"
-            lines.append(f'  {names[q]} [shape={shape}, label="{label}"];')
-        for i, q in enumerate(sorted(self.initials, key=state_key)):
-            lines.append(f"  __start{i} -> {names[q]};")
-        for src, lab, dst in sorted(
-                (names[s], l, names[t]) for s, l, t in self.transitions):
-            lines.append(f'  {src} -> {dst} [label="{lab}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 _FIELDS = tuple(f.name for f in fields(ConditionAutomaton))

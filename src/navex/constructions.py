@@ -14,9 +14,10 @@ compose_automata, union_automata and plus_automaton number their states
 0..n-1: the first operand keeps its numbers, the second is placed after it,
 and the fresh endpoints of `+` come last.  That is the numbering
 renumber_states gives the tagged disjoint union, and renumber_states returns
-an operand already numbered that way as it is.  remove_identity_transitions
-keeps the identity pairs themselves as states, since their structure is the
-point of the construction.
+an operand already numbered that way as it is.  trim_automaton, and so
+minimize, number the states they keep 0..n-1 in state_key order.
+remove_identity_transitions keeps the identity pairs themselves as states,
+since their structure is the point of the construction.
 """
 
 from __future__ import annotations
@@ -364,8 +365,7 @@ def condition_complement(c: Expr) -> Expr:
         f"condition complement is defined for atomic conditions, got {render(c)}")
 
 
-def determinize(a: ConditionAutomaton, *, complete: bool = True,
-                limit: int | None = None) -> ConditionAutomaton:
+def determinize(a: ConditionAutomaton, *, limit: int | None = None) -> ConditionAutomaton:
     """Subset construction refined by condition sets: states are pairs (Q, V)
     with Q original states and V the conditions assumed to hold at the
     current node.  On trees every node satisfies exactly one V, making the
@@ -374,10 +374,9 @@ def determinize(a: ConditionAutomaton, *, complete: bool = True,
     most 2^|S| * 2^|C| of them, and more than the instance ceiling, or than
     `limit`, raises ResourceLimitError, as every reachability walk does.
 
-    A subset steps over the labels its states move on.  With `complete`,
-    it also steps over every other label of the alphabet, into the subsets
-    (empty set, W): the sink, which a complement needs and a minimization
-    does not."""
+    The result is complete: over a label none of its states move on, a
+    subset steps into the subsets (empty set, W), the sink.  A complement
+    needs the sink; trimming drops it, as it reaches no final state."""
     a = renumber_states(remove_identity_transitions(a))
     conds = tuple(sorted(a.conditions, key=render))
     for c in conds:
@@ -392,8 +391,7 @@ def determinize(a: ConditionAutomaton, *, complete: bool = True,
         for q in q_set:
             for lab, t in a.successors[q]:
                 moves.setdefault(lab, set()).add(t)
-        if complete:
-            moves.update(dict.fromkeys(a.alphabet.difference(moves), ()))
+        moves.update(dict.fromkeys(a.alphabet.difference(moves), ()))
         for lab, p in moves.items():
             for w in subsets:
                 target = (frozenset(x for x in p if gamma[x] <= w), w)
@@ -429,7 +427,7 @@ def downward_complement_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """On a tree, accepts exactly the descendant-or-self pairs the input does
     not accept: determinize, flip the finals, drop useless states."""
     d = determinize(a)
-    return renumber_states(trim_automaton(_replace(d, finals=d.states - d.finals)))
+    return trim_automaton(_replace(d, finals=d.states - d.finals))
 
 
 def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
@@ -442,23 +440,22 @@ def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condi
 
 def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """Keep the states reachable from an initial state and able to reach a
-    final state, and the conditions attached to them."""
+    final state, with their conditions, numbered 0..n-1 in state_key order."""
     predecessors: dict = {}
     for s, _, t in a.transitions:
         predecessors.setdefault(t, []).append(s)
     keep = (_reach(a.initials, lambda q: (t for _, t in a.successors[q]))
             & _reach(a.finals, lambda q: predecessors.get(q, ())))
-    state_conditions = [(q, c) for q, c in a.state_conditions if q in keep]
-    return ConditionAutomaton.build(
+    return renumber_states(ConditionAutomaton.build(
         states=keep,
         alphabet=a.alphabet,
         initials=a.initials & keep,
         finals=a.finals & keep,
         transitions=[(s, lab, t) for s, lab, t in a.transitions
                      if s in keep and t in keep],
-        state_conditions=state_conditions,
+        state_conditions=[(q, c) for q, c in a.state_conditions if q in keep],
         check=False,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +518,19 @@ def _quotient(a: ConditionAutomaton) -> ConditionAutomaton:
 def minimize(a: ConditionAutomaton) -> ConditionAutomaton:
     """An automaton accepting the same pairs as `a` on every graph, with
     states numbered 0..n-1: the quotient of trimmed `a` by bisimulation.  A
-    condition-free `a` is also determinized without its sink and quotiented,
-    which on a deterministic automaton is Moore's (1956) minimization; the
-    result is whichever of the two has fewer transitions, then states.  A
-    subset construction that outgrows the states and transitions of `a`
-    together is abandoned, since determinizing can take exponentially many
-    states where the quotient keeps few."""
+    condition-free `a` is also determinized, trimmed of its sink and
+    quotiented, which on a deterministic automaton is Moore's (1956)
+    minimization; the result is whichever of the two has fewer transitions,
+    then states.  A subset construction that outgrows the states and
+    transitions of `a` plus the sink is abandoned, since determinizing can
+    take exponentially many states where the quotient keeps few."""
     a = trim_automaton(a)
     quotient = _quotient(a)
     if a.conditions or not a.states:
         return quotient
     try:
-        d = determinize(a, complete=False, limit=len(a.states) + len(a.transitions))
+        d = determinize(a, limit=len(a.states) + len(a.transitions) + 1)
     except ResourceLimitError:
         return quotient
-    return min(_quotient(d), quotient, key=lambda m: (len(m.transitions), len(m.states)))
+    return min(_quotient(trim_automaton(d)), quotient,
+               key=lambda m: (len(m.transitions), len(m.states)))

@@ -48,6 +48,8 @@ class _Interned(type):
                     if len(fields) != len(names):
                         raise TypeError(f"{cls.__name__} takes {len(names)} "
                                         f"fields, got {len(fields)}")
+                    if cls is EdgeLabel:
+                        _check_label(*fields)
                     node = object.__new__(cls)
                     d = node.__dict__
                     d.update(zip(names, fields))
@@ -353,8 +355,16 @@ _FUNCTIONAL = {
 # the diversity relation and its sugar A = id | di, which no downward
 # fragment has; without this check they would parse as edge labels
 _OUTSIDE = ("di", "A")
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|(-\d+)|([|\\&.+*^()]))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:({_NAME.pattern})|(\d+)|(-\d+)|([|\\&.+*^()]))")
 _KINDS = (None, "name", "int", "negint", "sym")  # by the index of the matched group
+
+
+def _check_label(name) -> None:
+    """Raise ValueError unless `name` is a name that parses as an edge label."""
+    if (not isinstance(name, str) or not _NAME.fullmatch(name)
+            or name in ("id", "E", *_OUTSIDE, *_FUNCTIONAL)):
+        raise ValueError(f"{name!r} cannot be an edge label")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

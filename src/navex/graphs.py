@@ -9,7 +9,6 @@ exactly one, no cycles.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass
 
@@ -68,30 +67,6 @@ class Graph:
     def build(cls, nodes, labels, edges) -> "Graph":
         return cls(frozenset(nodes), frozenset(labels),
                    frozenset((s, l, t) for (s, l, t) in edges))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": sorted(self.nodes),
-            "labels": sorted(self.labels),
-            "edges": [
-                {"from": s, "to": t, "label": l}
-                for s, l, t in sorted(self.edges)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Graph":
-        return cls.build(
-            data["nodes"], data["labels"],
-            [(e["from"], e["label"], e["to"]) for e in data["edges"]],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _subsets(items) -> list[frozenset]:

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import ConditionAutomaton
+# renumber_states is unused here but stays: the benchmark tracer wraps it by name
 from .constructions import (
-    automaton_to_expr, compose_automata, difference_automata,
+    _Endpoint, automaton_to_expr, compose_automata, difference_automata,
     expr_to_automaton, intersect_automata, minimize, plus_automaton,
     remove_identity_transitions, renumber_states, trim_automaton,
     union_automata,
@@ -85,7 +86,7 @@ def automaton_condition_weight(a: ConditionAutomaton) -> int:
     return sum(1 for c in a.conditions if condition_depth(c) == d)
 
 
-_BOT = "below"  # tracking-only state used beyond the main run's extent
+_BOT = _Endpoint("below")  # tracking-only state used beyond the main run's extent
 
 
 def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
@@ -108,8 +109,8 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     side = 1 if isinstance(cond, Proj1) else 2
     body = cond.child
 
-    inner = renumber_states(trim_automaton(remove_identity_transitions(
-        expr_to_automaton(body, alphabet=a.alphabet | labels_used(body)))))
+    inner = trim_automaton(remove_identity_transitions(
+        expr_to_automaton(body, alphabet=a.alphabet | labels_used(body))))
     i_prime = inner.initials
     f_prime = inner.finals
     gamma_prime = inner.gamma
@@ -270,13 +271,13 @@ def remove_projections_boolean(e: Expr, graph_class: str,
                            f"{', '.join(sorted(allowed))} only, got {used}")
     if steps is None:
         steps = []
-    a = renumber_states(trim_automaton(remove_identity_transitions(
-        expr_to_automaton(e, alphabet=labels_used(e)))))
+    a = trim_automaton(remove_identity_transitions(
+        expr_to_automaton(e, alphabet=labels_used(e))))
     steps.append(f"translated to an automaton with {len(a.states)} states and "
                  f"{len(a.conditions)} conditions")
     measure = (automaton_condition_depth(a), automaton_condition_weight(a))
     while automaton_condition_depth(a) > 0:
-        a = renumber_states(trim_automaton(remove_projection_step(a)))
+        a = trim_automaton(remove_projection_step(a))
         now = (automaton_condition_depth(a), automaton_condition_weight(a))
         assert now < measure, "projection removal must shrink (depth, weight)"
         measure = now
@@ -318,11 +319,11 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
         if t is Intersect:
             prod = intersect_automata(*kids)
             steps.append(f"intersection product: {len(prod.states)} states")
-            return renumber_states(trim_automaton(prod))
+            return trim_automaton(prod)
         if t is Difference:
             diff = difference_automata(*kids)
             steps.append(f"difference via complement: {len(diff.states)} states")
-            return renumber_states(trim_automaton(diff))
+            return trim_automaton(diff)
         raise RewriteError(f"no tree rewrite for {render(node)}")
 
     out = automaton_to_expr(minimize(_fold(e, translate)))

@@ -6,7 +6,7 @@ from navex.automata import (
     ID, AutomatonError, ConditionAutomaton, state_condition_expr, state_key,
 )
 from navex.evaluate import EvalContext, evaluate
-from navex.expr import EdgeLabel, IDENTITY, parse, render
+from navex.expr import IDENTITY, parse
 from navex.graphs import Graph, chain_graph, enumerate_trees
 
 from automaton_eval import _satisfying_nodes, check_deterministic, eval_automaton
@@ -99,27 +99,6 @@ def test_identity_transitions_in_runs():
     g = chain_graph(2)
     assert eval_automaton(a, g) == {("n0", "n0")}
     assert not a.identity_free
-
-
-def test_json_round_trip(branchy):
-    data = branchy.to_json()
-    back = ConditionAutomaton.from_json(data)
-    assert back.to_json() == data
-    d = branchy.to_json_dict()
-    assert d["states"] == ["s0", "s1", "s2", "s3"]
-    assert d["initials"] == ["s0", "s3"]
-    assert set(d["conditions"]["s1"]) == {render(parse("pi2(l1^2)")),
-                                          render(parse("pi1(l2^3)"))}
-    # canonical rename preserves semantics
-    g = chain_graph(4, ["l1", "l1", "l2"])
-    assert eval_automaton(back, g) == eval_automaton(branchy, g)
-
-
-def test_dot_output(branchy):
-    dot = branchy.to_dot()
-    assert dot.startswith("digraph")
-    assert "doublecircle" in dot
-    assert dot == branchy.to_dot()
 
 
 # ---------------------------------------------------------------------------

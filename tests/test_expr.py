@@ -114,6 +114,15 @@ def test_nodes_are_immutable_and_checked():
         Compose(a)
 
 
+def test_edge_labels_are_names_that_parse_back():
+    for name in ("id", "E", "di", "A", "conv", "pi1", "pi2", "copi1", "copi2",
+                 "a b", "1a", "", "a-b", "a.b", 3, None):
+        with pytest.raises(ValueError, match="cannot be an edge label"):
+            EdgeLabel(name)
+    for name in ("a", "x_1", "_", "Id", "pi3", "dia"):
+        assert parse(render(EdgeLabel(name))) is EdgeLabel(name)
+
+
 def test_threads_building_the_same_expressions_get_one_object_each():
     def build(out):
         barrier.wait(timeout=30)

@@ -3,6 +3,7 @@ exported name resolves, and the lower layers import no higher ones."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -67,3 +68,20 @@ def test_lower_layers_import_only_the_syntax():
     assert _navex_imports("automata") == {"expr", "graphs"}
     assert _navex_imports("evaluate") <= {"expr", "graphs"}
     assert {"automata", "constructions", "evaluate"} <= _navex_imports("rewrite")
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    """The benchmark traces the library by replacing names it looks up in
+    navex's modules; a name gone from the library would surface only as an
+    AttributeError in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "navex_benchmark_tracing", ROOT / "benchmark" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, entries in tracing._WRAPPED.items():
+        for attr, _ in entries:
+            assert hasattr(importlib.import_module(module), attr), (module, attr)
+    evaluate = importlib.import_module("navex.evaluate")
+    assert hasattr(evaluate, "instances")
+    for method in ("compose_masks", "closure_mask", "transpose_mask", "mask_of"):
+        assert callable(getattr(evaluate.EvalContext, method)), method
