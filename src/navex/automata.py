@@ -12,9 +12,9 @@ leads from an initial state at m to a final state at n.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
-from .expr import Compose, Expr, IDENTITY, is_condition, render
+from .expr import Expr, IDENTITY, _compose, is_condition, render
 from .graphs import ID
 
 __all__ = [
@@ -135,10 +135,4 @@ _FIELDS = tuple(f.name for f in fields(ConditionAutomaton))
 def state_condition_expr(a: ConditionAutomaton, q) -> Expr:
     """The composition of a state's conditions, in a fixed order; the
     identity when the state has none."""
-    cs = sorted(a.gamma[q], key=render)
-    if not cs:
-        return IDENTITY
-    out = cs[0]
-    for c in cs[1:]:
-        out = Compose(out, c)
-    return out
+    return reduce(_compose, sorted(a.gamma[q], key=render), IDENTITY)

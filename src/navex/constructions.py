@@ -6,6 +6,8 @@ minimize.
 minimize runs before state elimination, whose output grows with the state
 count: it quotients an automaton by bisimulation and, where no conditions
 remain, also takes the minimal deterministic automaton, keeping the smaller.
+State elimination builds through `_union` and `_compose` of `expr`, where 0
+and id are units, so its output carries no identity padding.
 The constructions build their results with ConditionAutomaton.build(...,
 check=False): their parts satisfy the automaton invariants by construction,
 so only automata built by callers are validated.
@@ -31,7 +33,8 @@ from .automata import (
 from .expr import (
     Compose, Coproj1, Coproj2, EdgeLabel, Empty, Expr, FragmentError,
     Identity, Proj1, Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, _children, _fold, labels_used, operators_used, render,
+    EMPTY, IDENTITY, _children, _compose, _fold, _union, labels_used,
+    operators_used, render, star,
 )
 from .graphs import ResourceLimitError, _reach, _subsets
 
@@ -169,26 +172,6 @@ def expr_to_automaton(e: Expr, alphabet=None) -> ConditionAutomaton:
 # ---------------------------------------------------------------------------
 # automaton -> expression (state elimination)
 
-def _union_expr(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Empty):
-        return y
-    if isinstance(y, Empty):
-        return x
-    return Union(x, y)
-
-
-def _compose_expr(x: Expr, y: Expr) -> Expr:
-    if isinstance(x, Empty) or isinstance(y, Empty):
-        return EMPTY
-    return Compose(x, y)
-
-
-def _star_expr(x: Expr) -> Expr:
-    if isinstance(x, Empty):
-        return IDENTITY
-    return Union(IDENTITY, TransClosure(x))
-
-
 class _Endpoint:
     def __init__(self, name: str):
         self.name = name
@@ -201,8 +184,8 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     """State elimination.  Fresh source and sink endpoints are wired to the
     initial and final states by identity steps; states are eliminated
     cheapest-degree first; the entry between source and sink is the result.
-    Empty entries vanish eagerly, but compositions with the identity are kept
-    as written.
+    Entries are built through `_union` and `_compose`, so empty entries
+    vanish and compositions with the identity leave no trace.
 
     The entries live in adjacency maps, `out[p][r]` and `inn[r][p]` for the
     entry from p to r, updated as entries are added and removed; a state's
@@ -213,16 +196,14 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     out-entries are combined cannot reach the result."""
     src, snk = _Endpoint("source"), _Endpoint("sink")
     keys = {q: state_key(q) for q in a.states}
-    keys[src], keys[snk] = state_key(src), state_key(snk)
     chat = {q: state_condition_expr(a, q) for q in a.states}
     chat[src] = chat[snk] = IDENTITY
-    out: dict = {q: {} for q in keys}
-    inn: dict = {q: {} for q in keys}
+    out: dict = {q: {} for q in chat}
+    inn: dict = {q: {} for q in chat}
 
     def add(p, r, term):
-        if isinstance(term, Empty):
-            return
-        out[p][r] = inn[r][p] = _union_expr(out[p].get(r, EMPTY), term)
+        if term is not EMPTY:
+            out[p][r] = inn[r][p] = _union(out[p].get(r, EMPTY), term)
 
     all_transitions = sorted(
         a.transitions, key=lambda tr: (keys[tr[0]], tr[1], keys[tr[2]]))
@@ -230,7 +211,7 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     all_transitions += [(q, ID, snk) for q in sorted(a.finals, key=keys.get)]
     for s, lab, t in all_transitions:
         atom = IDENTITY if lab == ID else EdgeLabel(lab)
-        add(s, t, _compose_expr(chat[s], _compose_expr(atom, chat[t])))
+        add(s, t, _compose(chat[s], _compose(atom, chat[t])))
 
     def rank(q):
         return len(out[q]) + len(inn[q]) - 2 * (q in out[q]), keys[q]
@@ -240,12 +221,13 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     while active:
         q = min(active, key=ranks.get)
         active.remove(q)
-        mid = _star_expr(out[q].pop(q, EMPTY))
+        loop = out[q].pop(q, EMPTY)
+        mid = IDENTITY if loop is EMPTY else star(loop)
         inn[q].pop(q, None)
         ins, outs = inn.pop(q), out.pop(q)
         for p, ein in ins.items():
             for r, eout in outs.items():
-                add(p, r, _compose_expr(ein, _compose_expr(mid, eout)))
+                add(p, r, _compose(ein, _compose(mid, eout)))
         for p in ins:
             del out[p][q]
         for r in outs:

@@ -45,9 +45,8 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from itertools import chain, compress, count, islice
+from itertools import compress, islice
 from operator import and_, or_, xor
-from string import ascii_lowercase
 
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
@@ -55,8 +54,8 @@ from .expr import (
     _distinct_nodes, labels_used,
 )
 from .graphs import (
-    Graph, ResourceLimitError, _instance_count, _level_sequences, default_ceiling,
-    instances,
+    Graph, ResourceLimitError, _instance_count, _label_names, _level_sequences,
+    default_ceiling, instances,
 )
 
 __all__ = [
@@ -186,10 +185,6 @@ class EvalContext:
     def compose_masks(self, a: list[int], b: list[int]) -> list[int]:
         if not any(a) or not any(b):
             return self.empty
-        if a == self.identity:
-            return b
-        if b == self.identity:
-            return a
         if list(map(and_, b, self.identity)) == b:  # b is a test: keep a's columns on its nodes
             nodes = reduce(or_, b)
             return [row & nodes for row in a]
@@ -364,11 +359,11 @@ class EquivVerdict:
 
 def _required_labels(exprs, labels):
     """Label names for the instance stream: every label the expressions
-    mention, padded up to the requested count with the letters a-z and
-    then a1, a2, ..., skipping names already used."""
+    mention, padded up to the requested count with the default label
+    names, skipping names already used."""
     used = {lab for e in exprs for lab in labels_used(e)}
     names = set(used)
-    for c in chain(ascii_lowercase, map("a{}".format, count(1))):
+    for c in _label_names():
         if len(names) >= labels:
             break
         names.add(c)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 import re
 import threading
 import weakref
@@ -185,13 +186,29 @@ def star(e: Expr) -> Expr:
     return Union(IDENTITY, TransClosure(e))
 
 
+def _union(x: Expr, y: Expr) -> Expr:
+    """x | y, with 0 as its unit."""
+    if x is EMPTY:
+        return y
+    if y is EMPTY:
+        return x
+    return Union(x, y)
+
+
+def _compose(x: Expr, y: Expr) -> Expr:
+    """x . y, with id as its unit and 0 as its zero."""
+    if x is EMPTY or y is EMPTY:
+        return EMPTY
+    if x is IDENTITY:
+        return y
+    if y is IDENTITY:
+        return x
+    return Compose(x, y)
+
+
 def label_union(labels) -> Expr:
     """E sugar: the union of all labels of an alphabet (0 if it is empty)."""
-    out: Expr | None = None
-    for name in sorted(labels):
-        atom = EdgeLabel(name)
-        out = atom if out is None else Union(out, atom)
-    return EMPTY if out is None else out
+    return reduce(_union, map(EdgeLabel, sorted(labels)), EMPTY)
 
 
 def _children(e: Expr) -> tuple:
@@ -407,7 +424,10 @@ def _atom(tokens: list, i: int, alphabet) -> Expr:
         if value == "E":
             if alphabet is None:
                 raise ParseError("E needs a declared alphabet", pos)
-            return label_union(alphabet)
+            try:
+                return label_union(alphabet)
+            except ValueError as err:     # a declared name that is no label
+                raise ParseError(str(err), pos) from None
         if tokens[i + 1][:2] == ("sym", "("):
             raise ParseError(f"unknown keyword {value!r}", pos)
         return EdgeLabel(value)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import string
 from dataclasses import dataclass
 
 __all__ = [
@@ -99,14 +100,16 @@ def _reach(starts, step, limit: int | None = None) -> set:
 # ---------------------------------------------------------------------------
 # builders
 
-_DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
+def _label_names():
+    """The default label names, in order: a to z, then a1, a2, ..."""
+    return itertools.chain(string.ascii_lowercase, map("a{}".format, itertools.count(1)))
 
 
 def _alphabet(labels) -> tuple[str, ...]:
     if isinstance(labels, int):
-        if labels < 0 or labels > len(_DEFAULT_NAMES):
+        if labels < 0:
             raise GraphError(f"label count out of range: {labels}")
-        return tuple(_DEFAULT_NAMES[:labels])
+        return tuple(itertools.islice(_label_names(), labels))
     return tuple(labels)
 
 

@@ -16,13 +16,16 @@ from navex.constructions import (
 )
 from navex.evaluate import evaluate, path_equivalent
 from navex.expr import (
-    Compose, EdgeLabel, Empty, FragmentError, TransClosure, Union,
-    EMPTY, IDENTITY, labels_used, parse, power, render, size, star,
+    Compose, Coproj1, Coproj2, Difference, EdgeLabel, Empty, FragmentError,
+    Identity, Intersect, Proj1, Proj2, TransClosure, Union,
+    EMPTY, IDENTITY, _distinct_nodes, labels_used, parse, power, render, size, star,
 )
 from navex.graphs import (
     Graph, ResourceLimitError, _reach, _subsets, chain_graph, enumerate_trees,
 )
-from navex.rewrite import eliminate_intersect_difference, remove_projection_step
+from navex.rewrite import (
+    eliminate_intersect_difference, remove_projection_step, run_pipeline,
+)
 
 from automaton_eval import check_deterministic, eval_automaton
 
@@ -599,6 +602,10 @@ def _ref_union_expr(x, y):
 def _ref_compose_expr(x, y):
     if isinstance(x, Empty) or isinstance(y, Empty):
         return EMPTY
+    if isinstance(x, Identity):
+        return y
+    if isinstance(y, Identity):
+        return x
     return Compose(x, y)
 
 
@@ -770,6 +777,48 @@ def test_state_elimination_matches_the_reference_on_translations():
         a = expr_to_automaton(parse(text))
         for built in (a, trim_automaton(remove_identity_transitions(a))):
             assert automaton_to_expr(built) is reference_automaton_to_expr(built)
+
+
+def _padding(e):
+    """The nodes of `e` that compose with id or 0, or unite with 0; none
+    when `e` is 0 itself."""
+    return [] if e is EMPTY else [
+        render(n) for n in _distinct_nodes(e)
+        if type(n) is Compose and {n.left, n.right} & {IDENTITY, EMPTY}
+        or type(n) is Union and EMPTY in (n.left, n.right)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_state_elimination_leaves_no_units(a):
+    for built in (a, remove_identity_transitions(a), minimize(a)):
+        assert not _padding(automaton_to_expr(built))
+
+
+_PIPELINE_OPERATORS = {
+    "chain-projections": ((TransClosure, Proj1, Proj2), (Compose, Union)),
+    "tree-pi2": ((TransClosure, Proj2), (Compose, Union)),
+    "tree-set-operations": ((TransClosure, Proj1, Proj2, Coproj1, Coproj2),
+                            (Compose, Union, Intersect, Difference)),
+}
+
+
+def _pipeline_inputs(pipeline):
+    unary, binary = _PIPELINE_OPERATORS[pipeline]
+    return st.recursive(
+        st.sampled_from([parse("a"), parse("b"), IDENTITY, EMPTY]),
+        lambda kids: st.one_of(*[st.builds(op, kids) for op in unary],
+                               *[st.builds(op, kids, kids) for op in binary]),
+        max_leaves=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_PIPELINE_OPERATORS)).flatmap(
+    lambda p: st.tuples(st.just(p), _pipeline_inputs(p))))
+def test_automaton_pipelines_leave_no_units(case):
+    pipeline, e = case
+    out = run_pipeline(pipeline, e, certify=False).result
+    assert not _padding(out), (pipeline, render(e), render(out))
 
 
 # ---------------------------------------------------------------------------

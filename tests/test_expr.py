@@ -207,6 +207,9 @@ def test_parse_big_union_requires_alphabet():
     assert parse("E+", alphabet=[]) == TransClosure(EMPTY)
     with pytest.raises(ParseError):
         parse("E")
+    with pytest.raises(ParseError) as exc:
+        parse("a | E", alphabet={"a b"})
+    assert str(exc.value) == "'a b' cannot be an edge label (at position 4)"
     assert label_union([]) == EMPTY
     assert label_union(["c", "a", "b"]) == Union(Union(a, b), c)
 

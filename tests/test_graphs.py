@@ -2,7 +2,7 @@
 
 import pytest
 
-from navex.evaluate import path_equivalent
+from navex.evaluate import _required_labels, path_equivalent
 from navex.expr import parse
 from navex.graphs import (
     GRAPH_CLASSES, Graph, GraphError, ResourceLimitError, _instance_count,
@@ -38,6 +38,15 @@ def test_tree_counts_pinned():
     assert len(list(enumerate_trees(3, 1))) == 4
     assert len(list(enumerate_trees(6, 2))) == 601
     assert len(list(enumerate_trees(9, 2, chains_only=True))) == 511
+
+
+def test_default_label_names_continue_past_z():
+    assert count_trees(2, 28) == 29
+    assert len(list(instances("labeled-chain", 2, 27))) == 28
+    names, _ = _required_labels((), 28)
+    assert {g.labels for g in instances("labeled-chain", 2, 28)} == {frozenset(names)}
+    with pytest.raises(GraphError):
+        count_trees(2, -1)
 
 
 def out_degrees_of_rooted_tree(g):

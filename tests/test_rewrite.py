@@ -565,10 +565,10 @@ def test_run_pipeline_rejects_unknown_names():
 # before minimization were 11,269, 634 and 1,814 operators; minimizing the
 # last case by determinization alone would give 766,079,320.
 @pytest.mark.parametrize("pipeline, text, most", [
-    ("tree-set-operations", r"(a|b|c)+ \ ((a.b.c)+ | (c.b)+)", 139),
-    ("tree-set-operations", r"(a | b)+ \ (a . b)+", 46),
-    ("chain-projections", "pi1(a+ . pi1(b+ . pi1(c+)))", 30),
-    ("tree-set-operations", "(a|b)+ . a" + " . (a|b)" * 5, 131),
+    ("tree-set-operations", r"(a|b|c)+ \ ((a.b.c)+ | (c.b)+)", 46),
+    ("tree-set-operations", r"(a | b)+ \ (a . b)+", 15),
+    ("chain-projections", "pi1(a+ . pi1(b+ . pi1(c+)))", 11),
+    ("tree-set-operations", "(a|b)+ . a" + " . (a|b)" * 5, 16),
 ])
 def test_minimized_rewrites_stay_small_and_certify(pipeline, text, most):
     report = run_pipeline(pipeline, parse(text))
