@@ -18,8 +18,8 @@ and the fresh endpoints of `+` come last.  That is the numbering
 renumber_states gives the tagged disjoint union, and renumber_states returns
 an operand already numbered that way as it is.  trim_automaton, and so
 minimize, number the states they keep 0..n-1 in state_key order.
-remove_identity_transitions keeps the identity pairs themselves as states,
-since their structure is the point of the construction.
+remove_identity_transitions names its states (q, C) instead, by an input
+state and the condition set the state carries.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .graphs import ResourceLimitError, _reach, _subsets
 __all__ = [
     "expr_to_automaton", "automaton_to_expr", "renumber_states",
     "compose_automata", "union_automata", "plus_automaton",
-    "identity_pairs", "remove_identity_transitions", "intersect_automata",
+    "remove_identity_transitions", "intersect_automata",
     "condition_complement", "determinize", "downward_complement_automaton",
     "difference_automata", "trim_automaton", "minimize",
 ]
@@ -184,6 +184,8 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     """State elimination.  Fresh source and sink endpoints are wired to the
     initial and final states by identity steps; states are eliminated
     cheapest-degree first; the entry between source and sink is the result.
+    A state's conditions open each of its outgoing entries, the step into
+    the sink included, so a path tests each state's conditions once.
     Entries are built through `_union` and `_compose`, so empty entries
     vanish and compositions with the identity leave no trace.
 
@@ -197,9 +199,9 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     src, snk = _Endpoint("source"), _Endpoint("sink")
     keys = {q: state_key(q) for q in a.states}
     chat = {q: state_condition_expr(a, q) for q in a.states}
-    chat[src] = chat[snk] = IDENTITY
-    out: dict = {q: {} for q in chat}
-    inn: dict = {q: {} for q in chat}
+    chat[src] = IDENTITY
+    out: dict = {q: {} for q in (*chat, snk)}
+    inn: dict = {q: {} for q in (*chat, snk)}
 
     def add(p, r, term):
         if term is not EMPTY:
@@ -211,7 +213,7 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
     all_transitions += [(q, ID, snk) for q in sorted(a.finals, key=keys.get)]
     for s, lab, t in all_transitions:
         atom = IDENTITY if lab == ID else EdgeLabel(lab)
-        add(s, t, _compose(chat[s], _compose(atom, chat[t])))
+        add(s, t, _compose(chat[s], atom))
 
     def rank(q):
         return len(out[q]) + len(inn[q]) - 2 * (q in out[q]), keys[q]
@@ -242,51 +244,42 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
 # ---------------------------------------------------------------------------
 # identity-transition removal
 
-def identity_pairs(a: ConditionAutomaton) -> frozenset:
-    """All pairs (q, V): V is the exact set of states visited by some walk of
-    identity transitions starting at q."""
-    def step(cfg):
-        cursor, visited = cfg
-        return ((t, visited | {t}) for t in a.moves.get((cursor, ID), ()))
-
-    return frozenset((q, visited) for q in a.states
-                     for _, visited in _reach([(q, frozenset({q}))], step))
-
-
 def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
-    """Path-equivalent identity-transition-free automaton whose states are
-    the identity pairs of the input.  Already identity-free automata are
+    """Path-equivalent identity-transition-free automaton, with a state
+    (q, C) for each state q and each condition set C that a walk of identity
+    transitions from q collects, q's own included: epsilon removal closing
+    over labels, not states (Mohri, CIAA 2000).  (q, C) carries C, is final
+    when such a walk reaches a final state, and steps on a label wherever
+    the walk's states do, into every state headed by the target.  A run
+    rests at a node for one identity walk, all of whose conditions hold
+    there, so only their union matters.  Already identity-free automata are
     returned unchanged."""
     if a.identity_free:
         return a
-    pairs = identity_pairs(a)
-    by_head: dict = {}
-    for q, visited in pairs:
-        by_head.setdefault(q, []).append((q, visited))
     gamma = a.gamma
-    transitions = set()
-    for p, visited in pairs:
-        seen_targets = set()
-        for member in visited:
-            for lab, t in a.successors[member]:
-                if lab == ID or (lab, t) in seen_targets:
-                    continue
-                seen_targets.add((lab, t))
-                for target_pair in by_head.get(t, ()):
-                    transitions.add(((p, visited), lab, target_pair))
-    state_conditions = [
-        ((q, visited), c)
-        for q, visited in pairs
-        for member in visited
-        for c in gamma[member]
-    ]
+
+    def step(cfg):
+        r, conds = cfg
+        return ((t, conds | gamma[t]) for t in a.moves.get((r, ID), ()))
+
+    finals, successors = set(), {}
+    for q in a.states:
+        for r, conds in _reach([(q, gamma[q])], step):
+            if r in a.finals:
+                finals.add((q, conds))
+            successors.setdefault((q, conds), set()).update(
+                (lab, t) for lab, t in a.successors[r] if lab != ID)
+    by_head: dict = {}
+    for q, conds in successors:
+        by_head.setdefault(q, []).append((q, conds))
     return ConditionAutomaton.build(
-        states=pairs,
+        states=successors,
         alphabet=a.alphabet,
-        initials=[(q, v) for q, v in pairs if q in a.initials],
-        finals=[(q, v) for q, v in pairs if v & a.finals],
-        transitions=transitions,
-        state_conditions=state_conditions,
+        initials=[(q, conds) for q, conds in successors if q in a.initials],
+        finals=finals,
+        transitions=[(s, lab, target) for s, pairs in successors.items()
+                     for lab, t in pairs for target in by_head[t]],
+        state_conditions=[((q, conds), c) for q, conds in successors for c in conds],
         check=False,
     )
 

@@ -37,7 +37,7 @@ from .evaluate import (
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, _fold, condition_depth, labels_used, operators_used,
+    EMPTY, IDENTITY, _fold, condition_depth, labels_used, operators_used,
     power, render,
 )
 from .graphs import _reach, _subsets, chain_graph
@@ -315,6 +315,10 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
             return plus_automaton(*kids)
         if t in (Proj1, Proj2, Coproj1, Coproj2):
             child = automaton_to_expr(minimize(kids[0]))
+            if child is EMPTY or child is IDENTITY:
+                # pi(0) and copi(id) hold nowhere, pi(id) and copi(0) everywhere
+                holds = (child is IDENTITY) == (t in (Proj1, Proj2))
+                return expr_to_automaton(IDENTITY if holds else EMPTY, alphabet=sigma)
             return expr_to_automaton(t(child), alphabet=sigma)
         if t is Intersect:
             prod = intersect_automata(*kids)

@@ -10,7 +10,7 @@ from navex.automata import ID, ConditionAutomaton, state_condition_expr, state_k
 from navex.constructions import (
     automaton_to_expr, compose_automata, condition_complement,
     determinize, difference_automata, downward_complement_automaton,
-    _quotient, expr_to_automaton, identity_pairs, intersect_automata,
+    _quotient, expr_to_automaton, intersect_automata,
     minimize, plus_automaton, remove_identity_transitions, renumber_states,
     trim_automaton, union_automata,
 )
@@ -193,6 +193,12 @@ def test_round_trip_property(e):
         assert evaluate(back, g) == evaluate(e, g)
 
 
+def test_to_expr_tests_each_condition_once():
+    for text in ["pi1(a)", "a . pi1(b) . a", "pi1(a) . copi2(b)"]:
+        e = parse(text)
+        assert automaton_to_expr(expr_to_automaton(e)) is e, text
+
+
 # ---------------------------------------------------------------------------
 # identity-transition removal
 
@@ -210,32 +216,17 @@ def identity_chain():
     )
 
 
-def test_identity_pairs_golden(identity_chain):
-    u, v, w = "u", "v", "w"
-    assert set(identity_pairs(identity_chain)) == {
-        (u, frozenset({u})), (u, frozenset({u, v})), (u, frozenset({u, v, w})),
-        (v, frozenset({v})), (v, frozenset({v, w})), (w, frozenset({w})),
-    }
-
-
 def test_identity_removal_golden_structure(identity_chain):
     b = remove_identity_transitions(identity_chain)
-    u, v, w = "u", "v", "w"
+    empty, c = frozenset(), frozenset({parse("pi1(l)")})
+    u0, uc, vc, w0 = ("u", empty), ("u", c), ("v", c), ("w", empty)
     assert b.identity_free
-    assert len(b.states) == 6
-    assert b.initials == {(u, frozenset({u})), (u, frozenset({u, v})),
-                          (u, frozenset({u, v, w}))}
-    assert b.finals == {(u, frozenset({u, v, w})), (v, frozenset({v, w})),
-                        (w, frozenset({w}))}
-    c = parse("pi1(l)")
-    assert b.gamma[(u, frozenset({u}))] == frozenset()
-    assert b.gamma[(u, frozenset({u, v}))] == {c}
-    assert b.gamma[(v, frozenset({v, w}))] == {c}
-    # the l-loop at v is reachable from every pair containing v, targeting
-    # every pair headed at v
-    targets = {t for s, lab, t in b.transitions
-               if s == (u, frozenset({u, v})) and lab == "l"}
-    assert targets == {(v, frozenset({v})), (v, frozenset({v, w}))}
+    assert b.states == {u0, uc, vc, w0}
+    assert b.initials == {u0, uc}
+    # identity steps lead from u to the final w only through v's condition
+    assert b.finals == {uc, vc, w0}
+    assert all(b.gamma[q] == q[1] for q in b.states)
+    assert b.transitions == {(u0, "lp", w0), (uc, "l", vc), (vc, "l", vc)}
 
 
 def test_identity_removal_preserves_evaluation(identity_chain):
@@ -253,10 +244,7 @@ def test_identity_removal_handles_identity_cycles():
     )
     b = remove_identity_transitions(a)
     assert b.identity_free
-    assert set(identity_pairs(a)) == {
-        ("u", frozenset({"u", "v"})), ("u", frozenset({"u"})),
-        ("v", frozenset({"u", "v"})), ("v", frozenset({"v"})),
-    }
+    assert b.states == {("u", frozenset()), ("v", frozenset())}
     for g in enumerate_trees(3, labels=["l"]):
         assert eval_automaton(b, g) == eval_automaton(a, g)
 
@@ -438,7 +426,8 @@ def test_determinize_respects_state_cap(monkeypatch):
 def test_products_respect_the_instance_ceiling(monkeypatch):
     """The reachable product, the projection-removal product and the subset
     construction each stop their own walk one state past the ceiling."""
-    prod_args = (expr_to_automaton(parse("(a|b)+")), expr_to_automaton(parse("a.b | b+")))
+    prod_args = tuple(remove_identity_transitions(expr_to_automaton(parse(text)))
+                      for text in ("(a|b)+", "a.b | b+"))
     proj_arg = trim_automaton(remove_identity_transitions(
         expr_to_automaton(parse("(a|b)+ . pi1(a . b+) . (a.b)+"))))
     det_arg = remove_identity_transitions(
@@ -617,7 +606,7 @@ def reference_automaton_to_expr(a):
     """State elimination recounting every degree over all entries."""
     src, snk = _RefEndpoint("source"), _RefEndpoint("sink")
     chat = {q: state_condition_expr(a, q) for q in a.states}
-    chat[src] = chat[snk] = IDENTITY
+    chat[src] = IDENTITY
     entries = {}
 
     def add(p, r, term):
@@ -630,7 +619,7 @@ def reference_automaton_to_expr(a):
     all_transitions += [(q, ID, snk) for q in sorted(a.finals, key=state_key)]
     for s, lab, t in all_transitions:
         atom = IDENTITY if lab == ID else EdgeLabel(lab)
-        add(s, t, _ref_compose_expr(chat[s], _ref_compose_expr(atom, chat[t])))
+        add(s, t, _ref_compose_expr(chat[s], atom))
 
     def degree(q):
         return sum(1 for (p, r) in entries if (p == q) != (r == q))
@@ -729,6 +718,29 @@ def test_constructions_match_the_rescanning_references(a1, a2):
         looped = plus_automaton(x)
         assert looped == reference_plus(x)
         assert automaton_to_expr(looped) is reference_automaton_to_expr(looped)
+
+
+def reference_visited_pairs(a):
+    """The states of the former construction: the pairs (q, V) with V the
+    exact set of states that some identity walk from q visits."""
+    def step(cfg):
+        cursor, visited = cfg
+        return ((t, visited | {t}) for t in a.moves.get((cursor, ID), ()))
+
+    return {(q, visited) for q in a.states
+            for _, visited in _reach([(q, frozenset({q}))], step)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_identity_removal_closes_over_condition_sets(a):
+    b = remove_identity_transitions(a)
+    assert b.identity_free
+    for g in TREES:
+        assert eval_automaton(b, g) == eval_automaton(a, g)
+    assert len(b.states) <= len(reference_visited_pairs(a))
+    if not a.conditions and not a.identity_free:
+        assert b.states == {(q, frozenset()) for q in a.states}
 
 
 def reference_intersect(a1, a2):

@@ -411,6 +411,15 @@ def test_setop_pipeline_handles_the_period_intersection():
         assert want == (n >= 22)
 
 
+@pytest.mark.parametrize("text, want", [
+    (r"pi1(a \ a)", "0"), (r"copi1(a \ a)", "id"), ("pi1(a) . b", "pi1(a) . b"),
+])
+def test_setop_pipeline_folds_trivial_projections_and_tests_conditions_once(text, want):
+    report = run_pipeline("tree-set-operations", parse(text))
+    assert report.result is parse(want)
+    assert report.verdict, report.verdict
+
+
 def test_setop_pipeline_rejects_converse_and_diversity():
     with pytest.raises(RewriteError):
         eliminate_intersect_difference(parse("conv(a) & b"))
@@ -563,12 +572,15 @@ def test_run_pipeline_rejects_unknown_names():
 
 # Rewrites minimize their automata before state elimination.  The sizes
 # before minimization were 11,269, 634 and 1,814 operators; minimizing the
-# last case by determinization alone would give 766,079,320.
+# last case by determinization alone would give 766,079,320.  The
+# chain-projections family (a|b)+ . a . (a|b)^k rewrites to 2k + 6 operators.
 @pytest.mark.parametrize("pipeline, text, most", [
     ("tree-set-operations", r"(a|b|c)+ \ ((a.b.c)+ | (c.b)+)", 46),
     ("tree-set-operations", r"(a | b)+ \ (a . b)+", 15),
     ("chain-projections", "pi1(a+ . pi1(b+ . pi1(c+)))", 11),
     ("tree-set-operations", "(a|b)+ . a" + " . (a|b)" * 5, 16),
+    *[("chain-projections", f"(a|b)+ . a . (a|b)^{k}", most)
+      for k, most in ((3, 12), (5, 16), (7, 20), (9, 24))],
 ])
 def test_minimized_rewrites_stay_small_and_certify(pipeline, text, most):
     report = run_pipeline(pipeline, parse(text))
