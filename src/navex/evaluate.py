@@ -32,6 +32,13 @@ label lanes of a chunk depend on label positions only, so expressions over
 different names share them; a bounded cache keeps them by (chain or tree,
 node count, label count, chunk).
 
+`evaluate` and `evaluate_boolean` build a graph's `EvalContext` on their
+first call on that graph object and keep it while the object lives, so
+several expressions on one graph number its nodes and fill its label rows
+once.  Contexts are matched by identity: an equal graph built later builds
+its own.  Nothing a plan runs changes a context's rows in place, so the
+shared identity, empty and label rows are safe to hand out.
+
 `evaluate` returns a `Relation`, not a frozenset: a set of node-name pairs
 that holds only the rows and the node order.  Its length and its equality
 with another relation on the same node order need no decoding, and its
@@ -41,6 +48,7 @@ pairs, but `isinstance(r, frozenset)` is false.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -328,16 +336,36 @@ def _topological(graph: Graph) -> tuple[list[str], dict[str, int]]:
     return order, {v: i for i, v in enumerate(order)}
 
 
+# id(graph) -> its context, for every live graph that has been evaluated on
+_CONTEXTS: dict[int, EvalContext] = {}
+
+
+def _context(graph: Graph) -> EvalContext:
+    """The context of this graph object, built on first use and dropped
+    when the object dies.  `EvalContext` is looked up at each build, so a
+    subclass put in its place serves every graph evaluated after that.
+    Threads that miss at once each build one; the last stored is kept,
+    and every finalizer pops the same key."""
+    ctx = _CONTEXTS.get(id(graph))
+    if ctx is None:
+        ctx = _CONTEXTS[id(graph)] = EvalContext(graph)
+        weakref.finalize(graph, _CONTEXTS.pop, id(graph), None)
+    return ctx
+
+
 def evaluate(e: Expr, graph: Graph) -> Relation:
     """The relation denoted by `e` on `graph`: a `Relation`, a set of node
-    pairs that equals the frozenset of those pairs but is not one."""
-    ctx = EvalContext(graph)
+    pairs that equals the frozenset of those pairs but is not one.  The
+    graph's context is built on the first call on this graph object and
+    kept while the object lives."""
+    ctx = _context(graph)
     return ctx.decode(ctx.mask_of(e))
 
 
 def evaluate_boolean(e: Expr, graph: Graph) -> bool:
-    """Nonemptiness of the denoted relation."""
-    return any(EvalContext(graph).mask_of(e))
+    """Nonemptiness of the denoted relation, on the same kept context as
+    `evaluate`."""
+    return any(_context(graph).mask_of(e))
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,14 @@ def automaton_condition_depth(a: ConditionAutomaton) -> int:
 
 def automaton_condition_weight(a: ConditionAutomaton) -> int:
     """Number of attached conditions at the maximum depth."""
-    d = automaton_condition_depth(a)
-    return sum(1 for c in a.conditions if condition_depth(c) == d)
+    return _condition_measure(a)[1]
+
+
+def _condition_measure(a: ConditionAutomaton) -> tuple[int, int]:
+    """(depth, weight) of `a`, taking each condition's depth once."""
+    depths = [condition_depth(c) for c in a.conditions]
+    depth = max(depths, default=0)
+    return depth, depths.count(depth)
 
 
 _BOT = _Endpoint("below")  # tracking-only state used beyond the main run's extent
@@ -275,10 +281,10 @@ def remove_projections_boolean(e: Expr, graph_class: str,
         expr_to_automaton(e, alphabet=labels_used(e))))
     steps.append(f"translated to an automaton with {len(a.states)} states and "
                  f"{len(a.conditions)} conditions")
-    measure = (automaton_condition_depth(a), automaton_condition_weight(a))
-    while automaton_condition_depth(a) > 0:
+    measure = _condition_measure(a)
+    while measure[0] > 0:
         a = trim_automaton(remove_projection_step(a))
-        now = (automaton_condition_depth(a), automaton_condition_weight(a))
+        now = _condition_measure(a)
         assert now < measure, "projection removal must shrink (depth, weight)"
         measure = now
         steps.append(f"condition removed; depth {now[0]}, weight {now[1]}, "

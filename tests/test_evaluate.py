@@ -291,7 +291,9 @@ def test_relation_behaves_as_the_reference_pair_set(e1, e2, g):
     assert (r1 <= r2) == (ref1 <= ref2)
 
 
-def test_a_relation_keeps_no_context_alive(monkeypatch):
+def _record(monkeypatch) -> list:
+    """Puts in a subclass of `EvalContext` that keeps a weak reference to
+    every context built, and returns the list of those references."""
     built = []
 
     class Recorded(EvalContext):
@@ -300,11 +302,70 @@ def test_a_relation_keeps_no_context_alive(monkeypatch):
             built.append(weakref.ref(self))
 
     monkeypatch.setattr(ev, "EvalContext", Recorded)
+    return built
+
+
+def test_a_relation_keeps_no_context_alive(monkeypatch):
+    # the graph keeps its context; the relation keeps neither
+    built = _record(monkeypatch)
     e, g = parse("(a . a)+ | pi1(a+ . pi2(a))"), chain_graph(40)
+    want = reference_eval(e, g)
     r = evaluate(e, g)
     gc.collect()
-    assert len(built) == 1 and built[0]() is None
-    assert r == reference_eval(e, g)
+    assert len(built) == 1 and built[0]() is not None
+    del g
+    gc.collect()
+    assert built[0]() is None
+    assert r == want
+
+
+def test_one_graph_builds_one_context(monkeypatch):
+    built = _record(monkeypatch)
+    g = chain_graph(30)
+    first = evaluate(parse("a+"), g)
+    assert evaluate_boolean(parse("pi2(a) . a"), g)
+    assert evaluate(parse("a . a"), g) != first
+    assert len(built) == 1
+    # an equal graph is another object and builds its own context
+    twin = chain_graph(30)
+    assert twin == g and twin is not g
+    assert evaluate(parse("a+"), twin) == first
+    assert len(built) == 2 and built[0]() is not built[1]()
+
+
+def test_a_graph_first_evaluated_after_a_patch_gets_the_patched_class(monkeypatch):
+    before, after = chain_graph(5), chain_graph(6)
+    evaluate(a, before)
+    built = _record(monkeypatch)
+    evaluate(a, before)
+    assert built == []
+    evaluate_boolean(a, after)
+    assert len(built) == 1 and type(built[0]()) is ev.EvalContext
+
+
+def test_threads_sharing_graphs_agree_and_leave_no_context_behind():
+    exprs = [parse(t) for t in ("a+", r"(a . a)+ \ (a . a . a)+", "pi1(a+ . pi2(a))",
+                                "conv(a) . a")]
+    graphs = [chain_graph(n) for n in (20, 30, 40)]
+    want = [[reference_eval(e, g) for e in exprs] for g in graphs]
+    before = set(ev._CONTEXTS)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            [[evaluate(e, g) for e in exprs] for g in graphs])) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [want] * 6
+    del graphs
+    gc.collect()
+    assert set(ev._CONTEXTS) <= before
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +394,28 @@ def _sized_graphs(draw):
 def test_evaluator_matches_reference_across_byte_boundaries(e, g):
     for x in (e, TransClosure(e), Compose(e, Proj2(e)), Coproj1(e), Converse(e)):
         assert evaluate(x, g) == reference_eval(x, g)
+
+
+# labeled chains over a and b, where runs of one label make closures grow
+_chains = st.lists(st.sampled_from("ab"), max_size=24).map(
+    lambda word: Graph.build([f"n{i}" for i in range(len(word) + 1)], ["a", "b"],
+                             {(f"n{i}", lab, f"n{i + 1}") for i, lab in enumerate(word)}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_exprs, min_size=2, max_size=5), st.one_of(_chains, _graphs, _sized_graphs()))
+def test_expressions_in_sequence_on_one_graph_match_the_reference(es, g):
+    # the calls share one context: none may change its identity, empty or
+    # label rows, or a relation already returned
+    atoms = (IDENTITY, EMPTY, *map(EdgeLabel, sorted(g.labels)))
+    want_atoms = [reference_eval(x, g) for x in atoms]
+    results = []
+    for e in es:
+        results.append(evaluate(e, g))
+        assert evaluate_boolean(e, g) == bool(results[-1])
+        assert [evaluate(x, g) for x in atoms] == want_atoms
+    for e, r in zip(es, results):
+        assert r == reference_eval(e, g)
 
 
 class _CountingContext(EvalContext):
