@@ -172,12 +172,13 @@ _BINARY = (Compose, Union, Intersect, Difference)
 
 
 def power(e: Expr, k: int) -> Expr:
-    """k-fold composition: power(e, 0) = id, power(e, k) = e . power(e, k-1)."""
+    """k-fold composition: power(e, 0) = id, power(e, k) = e . power(e, k-1),
+    built by `_compose`, so power(e, 1) is e itself."""
     if k < 0:
         raise ValueError("negative exponent")
     out: Expr = IDENTITY
     for _ in range(k):
-        out = Compose(e, out)
+        out = _compose(e, out)
     return out
 
 

@@ -40,11 +40,12 @@ from .expr import (
     EMPTY, IDENTITY, _fold, condition_depth, labels_used, operators_used,
     power, render,
 )
-from .graphs import _reach, _subsets, chain_graph
+from .graphs import (
+    ResourceLimitError, _reach, _subsets, chain_graph, default_ceiling,
+)
 
 __all__ = [
     "RewriteError", "NotCollapsibleError", "RewriteReport", "NormalForm",
-    "automaton_condition_depth", "automaton_condition_weight",
     "remove_projection_step", "remove_projections_boolean",
     "eliminate_intersect_difference",
     "witness_span", "normalize_unlabeled_boolean",
@@ -75,18 +76,10 @@ def _projection_conditions(a: ConditionAutomaton) -> list[Expr]:
     return out
 
 
-def automaton_condition_depth(a: ConditionAutomaton) -> int:
-    """Maximum projection-nesting depth over the attached conditions."""
-    return max((condition_depth(c) for c in a.conditions), default=0)
-
-
-def automaton_condition_weight(a: ConditionAutomaton) -> int:
-    """Number of attached conditions at the maximum depth."""
-    return _condition_measure(a)[1]
-
-
 def _condition_measure(a: ConditionAutomaton) -> tuple[int, int]:
-    """(depth, weight) of `a`, taking each condition's depth once."""
+    """(depth, weight) of `a`: the maximum projection-nesting depth over
+    the attached conditions, and how many conditions reach it, taking each
+    condition's depth once."""
     depths = [condition_depth(c) for c in a.conditions]
     depth = max(depths, default=0)
     return depth, depths.count(depth)
@@ -377,7 +370,8 @@ class NormalForm:
     kind: str            # "empty" or "power"
     k: int | None        # the power, when kind == "power"
     expr: Expr           # 0, or the k-step reachability expression
-    searched: int        # chains of 1..searched nodes were evaluated
+    searched: int        # the result is decided on chains of 1..searched nodes:
+                         # the first nonempty length, or the witness-span bound
     graph_class: str
 
     def __str__(self):
@@ -394,7 +388,19 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
     Applies to fragments closed under homomorphisms and to the pure
     distance-set fragment with difference.  Mixing projection with
     difference can express coprojection, which breaks the collapse, and is
-    rejected."""
+    rejected.
+
+    k + 1 is the fewest nodes of a chain on which `e` is nonempty, and it
+    is found by exponential search up to the witness span: chains of 1, 2,
+    4, ... nodes until one is nonempty, then bisection between the last
+    empty length and that one.  This is exact because nonemptiness is
+    monotone in the chain length.  The homomorphism-safe queries are
+    positive, and the n-node chain maps homomorphically into the
+    (n+1)-node chain; in the distance fragment, whether a pair belongs to
+    `e` depends only on the distance between its nodes.  Either way,
+    nonempty on n nodes implies nonempty on n + 1.  Raises
+    ResourceLimitError before evaluating a chain whose n(n+1)/2 node pairs
+    exceed the instance ceiling."""
     if graph_class not in ("unlabeled-chain", "unlabeled-tree"):
         raise RewriteError(f"no unlabeled normal form on {graph_class!r}")
     used = operators_used(e)
@@ -407,11 +413,27 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
             "expressions over several labels have no unlabeled reading")
     label = next(iter(labels)) if labels else "a"
     bound = witness_span(e) + 1
-    for n in range(1, bound + 1):
-        if evaluate_boolean(e, chain_graph(n, label)):
-            k = n - 1
-            return NormalForm("power", k, power(EdgeLabel(label), k), n, graph_class)
-    return NormalForm("empty", None, EMPTY, bound, graph_class)
+    ceiling = default_ceiling()
+
+    def nonempty(n: int) -> bool:
+        if n * (n + 1) // 2 > ceiling:
+            raise ResourceLimitError(
+                f"normalize_unlabeled_boolean: a chain of {n} nodes has more "
+                f"than {ceiling} node pairs (NAVEX_MAX_INSTANCES)")
+        return evaluate_boolean(e, chain_graph(n, label))
+
+    empty, n = 0, 1  # a chain of `empty` nodes is empty; `n` is the length tried
+    while not nonempty(n):
+        if n == bound:
+            return NormalForm("empty", None, EMPTY, bound, graph_class)
+        empty, n = n, min(2 * n, bound)
+    while n - empty > 1:
+        mid = (empty + n) // 2
+        if nonempty(mid):
+            n = mid
+        else:
+            empty = mid
+    return NormalForm("power", n - 1, power(EdgeLabel(label), n - 1), n, graph_class)
 
 
 # ---------------------------------------------------------------------------

@@ -192,13 +192,13 @@ def test_parse_sugar_star_is_union_with_identity():
 
 
 def test_parse_sugar_power_expands_right_nested():
-    # a^3 unfolds by composing a onto a^2, grounding out at the identity
-    expected = Compose(a, Compose(a, Compose(a, IDENTITY)))
+    # a^3 unfolds by composing a onto a^2; id is the unit, so a^1 is a
+    expected = Compose(a, Compose(a, a))
     assert power(a, 3) == expected
     assert parse("a^3") == expected
-    assert parse("a^1") == Compose(a, IDENTITY)
+    assert parse("a^1") == a
     assert parse("a^0") == IDENTITY
-    assert parse("(a . b)^2") == Compose(Compose(a, b), Compose(Compose(a, b), IDENTITY))
+    assert parse("(a . b)^2") == Compose(Compose(a, b), Compose(a, b))
 
 
 def test_parse_big_union_requires_alphabet():
@@ -335,14 +335,14 @@ def test_walks_handle_deep_expressions():
     deep = Proj1(power(TransClosure(a), 5000))
     assert labels_used(deep) == {"a"}
     assert operators_used(deep) == Fragment.of("tc", "pi1")
-    assert sum(1 for _ in _tree(deep)) == 3 * 5000 + 2
+    assert sum(1 for _ in _tree(deep)) == 3 * 5000
 
 
 def test_size_render_and_parse_handle_deep_input():
     deep = power(a, 5000)
-    assert size(deep) == 5000
+    assert size(deep) == 4999
     text = render(deep)
-    assert text == "a . (" * 4999 + "a . id" + ")" * 4999
+    assert text == "a . (" * 4998 + "a . a" + ")" * 4998
     assert repr(deep) == f"<{text}>"
     assert parse(text) is deep
     assert parse("(" * 2000 + "a" + ")" * 2000) is EdgeLabel("a")

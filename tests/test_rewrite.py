@@ -10,13 +10,14 @@ the incremental implementation builds.
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import navex
 
@@ -27,14 +28,13 @@ from navex.constructions import (
 )
 from navex.evaluate import boolean_equivalent, evaluate_boolean, path_equivalent
 from navex.expr import (
-    Compose, Intersect, ParseError, Proj1, Proj2, TransClosure, Union,
+    Compose, Difference, Intersect, ParseError, Proj1, Proj2, TransClosure, Union,
     condition_depth, label_union, operators_used, parse, power, render, size,
 )
-from navex.graphs import Graph, chain_graph, enumerate_trees
+from navex.graphs import Graph, ResourceLimitError, chain_graph, enumerate_trees
 from navex.rewrite import (
     _BOT, NotCollapsibleError, RewriteError, RewriteReport,
-    automaton_condition_depth, automaton_condition_weight,
-    eliminate_intersect_difference, normalize_unlabeled_boolean,
+    _condition_measure, eliminate_intersect_difference, normalize_unlabeled_boolean,
     remove_projection_step, remove_projections_boolean, run_pipeline,
     witness_span,
 )
@@ -260,10 +260,10 @@ def test_projection_step_rejects_identity_transitions():
 
 def test_projection_step_strictly_shrinks_depth_then_weight():
     a = _to_automaton("pi1(pi2(a) . b) . pi1(a)")
-    seen = [(automaton_condition_depth(a), automaton_condition_weight(a))]
-    while automaton_condition_depth(a) > 0:
+    seen = [_condition_measure(a)]
+    while seen[-1][0] > 0:
         a = trim_automaton(remove_projection_step(a))
-        seen.append((automaton_condition_depth(a), automaton_condition_weight(a)))
+        seen.append(_condition_measure(a))
     assert seen == sorted(seen, reverse=True)
     assert len(set(seen)) == len(seen)
     assert seen[-1][0] == 0
@@ -275,7 +275,7 @@ def test_projection_removal_is_blind_to_state_names(p, q):
     state named "below" is an ordinary state."""
     a = ConditionAutomaton.build({p, q}, {"a"}, {p}, {q}, [(p, "a", q)],
                                  [(q, parse("pi2(a)"))])
-    while automaton_condition_depth(a) > 0:
+    while _condition_measure(a)[0] > 0:
         a = trim_automaton(remove_projection_step(a))
     out = automaton_to_expr(minimize(a))
     assert not operators_used(out).flags
@@ -530,7 +530,78 @@ def test_witness_span_bounds_first_nonemptiness(e):
 
 
 def test_witness_span_handles_deep_expressions():
-    assert witness_span(power(parse("a"), 5000)) == 2 * 5000 + 1
+    assert witness_span(power(parse("a"), 5000)) == 2 * 5000
+
+
+def _collapsible(leaves, unary, binary):
+    return st.recursive(
+        st.sampled_from([parse(s) for s in leaves]),
+        lambda kids: st.one_of(
+            *[st.builds(f, kids) for f in unary],
+            *[st.builds(f, kids, kids) for f in binary]),
+        max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    _collapsible(("a", "id", "a . a", "conv(a)"), (TransClosure, Proj1, Proj2),
+                 (Compose, Union, Intersect)),
+    _collapsible(("a", "id", "a . a"), (TransClosure,),
+                 (Compose, Union, Intersect, Difference))))
+def test_collapse_search_agrees_with_a_linear_scan(e):
+    # the search is exact only if nonemptiness is monotone in the chain
+    # length on both collapsible fragments; check that, and the result,
+    # against evaluating every chain of 1..bound nodes
+    bound = witness_span(e) + 1
+    assume(bound <= 61)
+    label = next(iter(labels_of(e)), "a")
+    seen = [evaluate_boolean(e, chain_graph(n, label)) for n in range(1, bound + 1)]
+    assert seen == sorted(seen)
+    form = normalize_unlabeled_boolean(e)
+    if True in seen:
+        first = seen.index(True) + 1
+        assert (form.kind, form.k, form.searched) == ("power", first - 1, first)
+    else:
+        assert (form.kind, form.k, form.searched) == ("empty", None, bound)
+
+
+@pytest.fixture
+def built_chains(monkeypatch):
+    """The node counts of the chains the unlabeled collapse builds, in order."""
+    built = []
+    monkeypatch.setattr(navex.rewrite, "chain_graph",
+                        lambda n, label: built.append(n) or chain_graph(n, label))
+    return built
+
+
+@pytest.mark.parametrize("text", ["(a^3)+ & (a^7)+", "a^3 & (a . (a^3)+)"])
+def test_collapse_evaluates_logarithmically_many_chains(text, built_chains):
+    e = parse(text)
+    form = normalize_unlabeled_boolean(e)
+    assert len(built_chains) <= 2 * math.ceil(math.log2(form.searched)) + 2
+    bound = witness_span(e) + 1
+    assert form.searched == (_first_nonempty_chain(e, bound) or bound)
+
+
+def test_collapse_refuses_chains_beyond_the_instance_ceiling(built_chains, monkeypatch):
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "100")
+    # an empty query gallops to its bound of 1,155 nodes; 14 nodes have 105 pairs
+    with pytest.raises(ResourceLimitError) as exc:
+        normalize_unlabeled_boolean(parse("(a^3 & a^5) & (a^7)+"))
+    assert "normalize_unlabeled_boolean" in str(exc.value)
+    assert "NAVEX_MAX_INSTANCES" in str(exc.value)
+    assert max(built_chains) * (max(built_chains) + 1) // 2 <= 100
+    # a power found on small chains is still found
+    assert normalize_unlabeled_boolean(parse("(a^2)+ & (a^3)+")).k == 6
+
+    # nested intersections multiply the span: 717,254 here, so the default
+    # ceiling, which admits chains of up to 1,999 nodes, must stop the search
+    monkeypatch.delenv("NAVEX_MAX_INSTANCES")
+    e = parse("(((a^3 & a^5) & (a^7)+) & (a^11)+) & (a^13)+")
+    assert witness_span(e) == 717_254
+    with pytest.raises(ResourceLimitError):
+        normalize_unlabeled_boolean(e)
+    assert max(built_chains) < 2000
 
 
 # --- the report driver ------------------------------------------------------
