@@ -23,14 +23,13 @@ supplies the labels, identity, empty relation, composition, closure,
 converse and projections.
 
 The bounded oracles compile each pair of expressions once and run that plan
-on lane masks, not on one `EvalContext` per instance: the instances of one
-node count, at most `_LANES` at a time in stream order, are evaluated
-together, a relation being n * n ints whose bit b holds instance b's pair.
-The lowest lane where the two results differ is the first instance that
-separates them, which is read back from `instances()` as the witness.  The
-label lanes of a chunk depend on label positions only, so expressions over
-different names share them; a bounded cache keeps them by (chain or tree,
-node count, label count, chunk).
+on chunks of up to `_LANES` consecutive instances of the stream, of any node
+counts, not on one `EvalContext` per instance: a relation is n * n ints
+whose bit b holds instance b's pair.  The lowest lane where the results
+differ is the first instance that separates them, read back from
+`instances()` as the witness.  Label lanes depend on label positions only,
+so expressions over different names share them; a bounded cache keeps them
+by (chain or tree, size bound, label count, chunk).
 
 `evaluate` and `evaluate_boolean` build a graph's `EvalContext` on their
 first call on that graph object and keep it while the object lives, so
@@ -49,6 +48,7 @@ pairs, but `isinstance(r, frozenset)` is false.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -398,43 +398,46 @@ def _required_labels(exprs, labels):
     return tuple(sorted(names)), used
 
 
-# The oracles run a plan on every instance of one node count at once, in
-# chunks of at most _LANES instances taken from the stream in order.  A
-# relation over a chunk of n-node instances is n * n integers, the lane
-# masks: bit b of entry i * n + j says that instance b relates its preorder
-# node i to node j.  Preorder puts every edge's source first, so only
-# converse puts a bit below the diagonal.
+# A chunk is up to _LANES consecutive instances of the stream, of any node
+# counts.  Over a chunk whose largest instance has n nodes, a relation is
+# n * n lane masks: bit b of entry i * n + j says that instance b relates
+# its preorder node i to node j, never a node it lacks.  Preorder puts every
+# edge's source first, so only converse puts a bit below the diagonal.
 _LANES = 4096
 
 
 @lru_cache(maxsize=256)
-def _label_lanes(chains: bool, n: int, labels: int, chunk: int) -> tuple[int, tuple]:
-    """The lane count of a chunk of the n-node instances over `labels`
-    labels, and the lane masks of each label's relation over it."""
-    lines = [[bytearray(_LANES // 8) for _ in range(n * n)] for _ in range(labels)]
-    sequences = islice(_level_sequences(n, labels, chains, first=n),
-                       chunk * _LANES, (chunk + 1) * _LANES)
-    lanes = 0
-    for lanes, seq in enumerate(sequences, 1):
-        byte, bit = divmod(lanes - 1, 8)
+def _label_lanes(chains: bool, max_nodes: int, labels: int, chunk: int) -> tuple[tuple, tuple]:
+    """Chunk `chunk` of the instances of at most `max_nodes` nodes over
+    `labels` labels: `exists`, where exists[i] masks the lanes of the
+    instances with more than i nodes, the top ones as the stream is by node
+    count, and the lane masks of each label's relation over the chunk."""
+    lines = [[bytearray(_LANES // 8) for _ in range(max_nodes ** 2)] for _ in range(labels)]
+    sizes = []      # lines have stride max_nodes until the largest size n is known
+    for lane, seq in enumerate(islice(_level_sequences(max_nodes, labels, chains),
+                                      chunk * _LANES, (chunk + 1) * _LANES)):
+        sizes.append(len(seq) + 1)
+        byte, bit = divmod(lane, 8)
         path = [0]                  # path[d]: the latest node at depth d
         for node, (depth, lab) in enumerate(seq, 1):
             del path[depth:]
-            lines[lab][path[-1] * n + node][byte] |= 1 << bit
+            lines[lab][path[-1] * max_nodes + node][byte] |= 1 << bit
             path.append(node)
-    return lanes, tuple(tuple(int.from_bytes(b, "little") for b in rel) for rel in lines)
+    n, full = sizes[-1], (1 << len(sizes)) - 1
+    exists = tuple(full >> k << k for k in (bisect_right(sizes, i) for i in range(n)))
+    return exists, tuple(tuple(int.from_bytes(rel[i * max_nodes + j], "little")
+                               for i in range(n) for j in range(n)) for rel in lines)
 
 
 class _Lanes:
-    """The relation algebra of a chunk of n-node instances on lane masks.
-    The chunk's lanes are the set bits of `full`, and `labels` maps each
-    label name to its lane masks."""
+    """The relation algebra of a chunk on lane masks: exists[i] masks the
+    lanes that have node i, and `labels` maps each label to its lane masks."""
 
-    def __init__(self, n: int, full: int, labels: dict):
-        self.n, self.full, self.labels = n, full, labels
-        self.empty = [0] * (n * n)
+    def __init__(self, exists: tuple, labels: dict):
+        self.n, self.exists, self.labels = len(exists), exists, labels
+        self.empty = [0] * self.n ** 2
         self.identity = list(self.empty)
-        self.identity[::n + 1] = [full] * n
+        self.identity[::self.n + 1] = exists
 
     def label(self, name: str):
         return self.labels[name]
@@ -478,7 +481,7 @@ class _Lanes:
         out = [0] * (n * n)
         for i in range(n):
             nodes = reduce(or_, a[i::n] if second else a[i * n:i * n + n])
-            out[i * (n + 1)] = self.full ^ nodes if complement else nodes
+            out[i * (n + 1)] = self.exists[i] ^ nodes if complement else nodes
         return out
 
     def transpose_mask(self, a) -> list[int]:
@@ -497,29 +500,26 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
             raise ValueError(
                 "expressions mention several labels; unlabeled classes carry one")
         names = tuple(sorted(used)) or ("a",)
-    # counts[n]: how many instances have at most n nodes
-    counts = [_instance_count(graph_class, n, names) for n in range(max_nodes + 1)]
+    total = _instance_count(graph_class, max_nodes, names)
     limit = default_ceiling()
-    if counts[-1] > limit:
-        raise ResourceLimitError(f"{counts[-1]} instances exceeds the ceiling of {limit}")
+    if total > limit:
+        raise ResourceLimitError(
+            f"{semantics} oracle on {graph_class}, max_nodes={max_nodes}, labels={len(names)}: "
+            f"{total} instances exceed the ceiling of {limit} (NAVEX_MAX_INSTANCES)")
     code, (r1, r2) = _compile((e1, e2))
     chains = graph_class.endswith("chain")
-    for n in range(1, max_nodes + 1):
-        for chunk in range(-(-(counts[n] - counts[n - 1]) // _LANES)):
-            lanes, label_rels = _label_lanes(chains, n, len(names), chunk)
-            rels = _run(code, _Lanes(n, (1 << lanes) - 1, dict(zip(names, label_rels))))
-            x, y = rels[r1], rels[r2]
-            if semantics == "boolean":
-                differ = reduce(or_, x) ^ reduce(or_, y)
-            else:
-                differ = reduce(or_, map(xor, x, y))
-            if differ:
-                index = counts[n - 1] + chunk * _LANES + (differ & -differ).bit_length() - 1
-                witness = next(islice(instances(graph_class, max_nodes, names), index, None))
-                return EquivVerdict(False, witness, index + 1, graph_class, max_nodes,
-                                    len(names), semantics)
-    return EquivVerdict(True, None, counts[-1], graph_class, max_nodes, len(names),
-                        semantics)
+    for chunk in range(-(-total // _LANES)):
+        exists, label_rels = _label_lanes(chains, max_nodes, len(names), chunk)
+        rels = _run(code, _Lanes(exists, dict(zip(names, label_rels))))
+        x, y = rels[r1], rels[r2]
+        differ = (reduce(or_, x) ^ reduce(or_, y) if semantics == "boolean"
+                  else reduce(or_, map(xor, x, y)))
+        if differ:
+            index = chunk * _LANES + (differ & -differ).bit_length() - 1
+            witness = next(islice(instances(graph_class, max_nodes, names), index, None))
+            return EquivVerdict(False, witness, index + 1, graph_class, max_nodes,
+                                len(names), semantics)
+    return EquivVerdict(True, None, total, graph_class, max_nodes, len(names), semantics)
 
 
 def path_equivalent(e1: Expr, e2: Expr, graph_class: str = "labeled-tree",

@@ -155,17 +155,16 @@ def count_trees(max_nodes: int, labels=1, *, chains_only: bool = False) -> int:
     return sum(forests[:max_nodes])
 
 
-def _canonical_trees(max_nodes: int, n_labels: int, first: int = 1):
-    """Yield one level sequence per edge-labeled rooted tree of first..max_nodes
-    nodes up to isomorphism, by node count.
+def _canonical_trees(max_nodes: int, n_labels: int):
+    """Yield one level sequence per edge-labeled rooted tree of at most
+    max_nodes nodes up to isomorphism, by node count.
 
     A level sequence lists the non-root nodes in preorder as (depth, label
     index).  Children are (label, subtree) items, ordered by (subtree size,
     label, subtree rank); each tree lists its children in non-increasing
     item order, which picks one child order per multiset of children and so
     one tree per isomorphism class (after Beyer & Hedetniemi, Constant time
-    generation of rooted trees, SIAM J. Comput. 1980).  Trees smaller than
-    `first` are built as items but not yielded."""
+    generation of rooted trees, SIAM J. Comput. 1980)."""
     items: list[tuple[int, tuple]] = []     # (size, level sequence below the parent)
 
     def forests(total: int, bound: int):
@@ -181,22 +180,21 @@ def _canonical_trees(max_nodes: int, n_labels: int, first: int = 1):
 
     for n in range(1, max_nodes + 1):
         trees = list(forests(n - 1, len(items)))
-        if n >= first:
-            yield from trees
+        yield from trees
         if n < max_nodes:
             items += [(n, ((1, lab),) + tuple((d + 1, l) for d, l in seq))
                       for lab in range(n_labels) for seq in trees]
 
 
-def _level_sequences(max_nodes: int, n_labels: int, chains_only: bool, first: int = 1):
-    """The level sequences of the instance stream with first..max_nodes
+def _level_sequences(max_nodes: int, n_labels: int, chains_only: bool):
+    """The level sequences of the instance stream with at most max_nodes
     nodes, in stream order: by node count, then every chain word in
     lexicographic order, or `_canonical_trees`.  `enumerate_trees` and the
     oracle's lanes both read this one generator, so they list instances in
     the same order."""
     if not chains_only:
-        return _canonical_trees(max_nodes, n_labels, first)
-    return (tuple(enumerate(word, 1)) for n in range(first, max_nodes + 1)
+        return _canonical_trees(max_nodes, n_labels)
+    return (tuple(enumerate(word, 1)) for n in range(1, max_nodes + 1)
             for word in itertools.product(range(n_labels), repeat=n - 1))
 
 
@@ -215,7 +213,9 @@ def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False):
     limit = default_ceiling()
     total = count_trees(max_nodes, alphabet, chains_only=chains_only)
     if total > limit:
-        raise ResourceLimitError(f"{total} trees exceeds the ceiling of {limit}")
+        raise ResourceLimitError(
+            f"enumerate_trees, max_nodes={max_nodes}, labels={len(alphabet)}: "
+            f"{total} trees exceed the ceiling of {limit} (NAVEX_MAX_INSTANCES)")
     label_set = frozenset(alphabet)
     for seq in _level_sequences(max_nodes, len(alphabet), chains_only):
         names = [f"n{i}" for i in range(len(seq) + 1)]

@@ -588,7 +588,21 @@ def test_cached_streams_keep_the_ceiling(monkeypatch):
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", "143")
     assert path_equivalent(e, e, "labeled-tree", 5).checked == 143
     # the ceiling only admits a stream: one copy of its lanes serves every ceiling
-    assert cache.cache_info().misses == 5
+    assert cache.cache_info().misses == 1
+
+
+def test_ceiling_errors_name_the_stage_and_the_limit(monkeypatch):
+    monkeypatch.setenv("NAVEX_MAX_INSTANCES", "100")
+    e = parse("a . b")
+    with pytest.raises(ResourceLimitError, match=r"^path oracle on labeled-tree, max_nodes=5, "
+                       r"labels=2: 143 instances .* 100 \(NAVEX_MAX_INSTANCES\)$"):
+        path_equivalent(e, e, "labeled-tree", 5)
+    with pytest.raises(ResourceLimitError, match=r"^boolean oracle on unlabeled-chain, "
+                       r"max_nodes=101, labels=1: 101 instances .* 100 \(NAVEX_MAX"):
+        boolean_equivalent(a, a, "unlabeled-chain", 101)
+    with pytest.raises(ResourceLimitError, match=r"^enumerate_trees, max_nodes=10, labels=2: "
+                       r"\d+ trees .* 100 \(NAVEX_MAX_INSTANCES\)$"):
+        list(enumerate_trees(10, 2))
 
 
 @pytest.mark.parametrize("max_nodes,labels", [(0, 2), (-3, 2), (5, -1)])
@@ -609,38 +623,39 @@ def test_oracle_leaves_no_row_cache_behind(monkeypatch):
     assert path_equivalent(parse("(a . b)+ . a"), parse("a . (b . a)+"),
                            "labeled-tree", 5).equivalent
     assert not path_equivalent(a, b, "labeled-tree", 5).equivalent
-    # what is cached is a chunk's label lanes, immutable: 107 five-node
-    # trees over two labels, each label a relation of 5 * 5 lane masks
-    lanes, rels = ev._label_lanes(False, 5, 2, 0)
-    assert lanes == 143 - 36
+    # what is cached is a chunk's label lanes, immutable: the 143 trees of at
+    # most five nodes over two labels, each label a relation of 5 * 5 lane
+    # masks; the 107 five-node trees are the top lanes
+    exists, rels = ev._label_lanes(False, 5, 2, 0)
+    assert exists[0] == (1 << 143) - 1 and exists[4] == exists[0] >> 36 << 36
     assert type(rels) is tuple and all(type(r) is tuple and len(r) == 25 for r in rels)
 
 
 def test_streams_are_built_only_as_far_as_they_are_consumed(monkeypatch):
+    # 9,841 chains of at most 9 nodes over 3 labels fill three chunks
     cache = _fresh_lane_cache(monkeypatch)
     a_b, b_a = parse("a . b"), parse("b . a")
-    early = path_equivalent(a_b, b_a, "labeled-tree", 5)
-    assert not early.equivalent and early.checked < 143
-    # one chunk per node count, up to the witness's own
+    early = path_equivalent(a_b, b_a, "labeled-chain", 9, 3)
+    assert not early.equivalent and early.checked < ev._LANES
     assert len(early.witness.nodes) == 3
-    assert cache.cache_info().misses == 3
-    full = path_equivalent(a_b, a_b, "labeled-tree", 5)
-    assert full.checked == 143 and cache.cache_info().misses == 5
+    assert cache.cache_info().misses == 1
+    full = path_equivalent(a_b, a_b, "labeled-chain", 9, 3)
+    assert full.checked == 9841 and cache.cache_info().misses == 3
     # a later call sees what an uncached one would
-    assert path_equivalent(a_b, b_a, "labeled-tree", 5) == early
+    assert path_equivalent(a_b, b_a, "labeled-chain", 9, 3) == early
     uncached = _fresh_lane_cache(monkeypatch)
-    assert path_equivalent(a_b, a_b, "labeled-tree", 5) == full
-    assert uncached.cache_info().misses == 5
+    assert path_equivalent(a_b, a_b, "labeled-chain", 9, 3) == full
+    assert uncached.cache_info().misses == 3
 
 
 def test_a_stream_longer_than_the_cache_is_not_kept(monkeypatch):
-    cache = _fresh_lane_cache(monkeypatch, maxsize=4)
+    cache = _fresh_lane_cache(monkeypatch, maxsize=2)
     chains = 1 + 3 + 9 + 27 + 81 + 243 + 729 + 2187 + 6561
     v = path_equivalent(parse("(a | b | c)+"), parse("(a | b | c)+ \\ 0"), "labeled-chain", 9)
     assert (v.equivalent, v.checked) == (True, chains)
-    # ten chunks, the nine-node chains in two, of which the cache keeps four
-    assert cache.cache_info().misses == 10
-    assert cache.cache_info().currsize == 4
+    # three chunks, of which the cache keeps two
+    assert cache.cache_info().misses == 3
+    assert cache.cache_info().currsize == 2
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", str(chains - 1))
     with pytest.raises(ResourceLimitError):
         path_equivalent(parse("a . b"), parse("b . c"), "labeled-chain", 9)
@@ -648,22 +663,23 @@ def test_a_stream_longer_than_the_cache_is_not_kept(monkeypatch):
 
 def test_cache_evicts_the_least_recently_used_streams(monkeypatch):
     assert ev._label_lanes.cache_info().maxsize is not None    # bounded
-    cache = _fresh_lane_cache(monkeypatch, maxsize=6)
+    cache = _fresh_lane_cache(monkeypatch, maxsize=2)
     e = parse("a . b")
-    path_equivalent(e, e, "labeled-tree", 5)            # trees of 1-5 nodes
-    path_equivalent(e, e, "labeled-tree", 4)            # hits: 5 nodes is now oldest
-    path_equivalent(e, e, "labeled-chain", 4, 3)        # 4 new: evicts 5, 1, 2
-    assert cache.cache_info().currsize == 6
+    path_equivalent(e, e, "labeled-tree", 5)            # one chunk per size bound
+    path_equivalent(e, e, "labeled-tree", 4)
+    path_equivalent(e, e, "labeled-tree", 5)            # a hit: 4 nodes is now oldest
+    path_equivalent(e, e, "labeled-chain", 4, 3)        # evicts 4 nodes
+    assert cache.cache_info().currsize == 2
     misses = cache.cache_info().misses
-    path_equivalent(e, e, "labeled-chain", 4, 3)        # still kept
+    path_equivalent(e, e, "labeled-tree", 5)            # still kept
     assert cache.cache_info().misses == misses
-    path_equivalent(e, e, "labeled-tree", 1)            # evicted
+    path_equivalent(e, e, "labeled-tree", 4)            # evicted
     assert cache.cache_info().misses == misses + 1
     # a sweep over more label counts than the cache holds stays bounded
     for labels in range(1, 11):
         v = path_equivalent(a, Union(a, EMPTY), "labeled-chain", 2, labels)
         assert (v.equivalent, v.checked) == (True, 1 + labels)
-    assert cache.cache_info().currsize == 6
+    assert cache.cache_info().currsize == 2
 
 
 def test_threads_share_a_stream_without_losing_instances(monkeypatch):

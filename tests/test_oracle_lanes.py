@@ -1,8 +1,9 @@
-"""The bounded oracles evaluate every same-size instance at once on lane
-masks.  The reference here is the per-instance loop they replace: one
-`EvalContext` per graph of `instances()`, in stream order, where the first
-instance that tells the two expressions apart is the witness.  The lane
-oracle must reach the same verdict, count and witness.
+"""The bounded oracles evaluate up to 4,096 consecutive instances of the
+stream, of any node counts, at once on lane masks.  The reference here is
+the per-instance loop they replace: one `EvalContext` per graph of
+`instances()`, in stream order, where the first instance that tells the
+two expressions apart is the witness.  The lane oracle must reach the same
+verdict, count and witness.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -95,14 +96,16 @@ def _lane_runs(draw):
 
 def assert_slots_match(exprs, graph_class, n):
     """Every slot of the plan of `exprs` (over l0, l1) on the lanes of the
-    n-node instances relates in each lane what the slot's mask relates on
-    that instance."""
+    instances of 1..n nodes relates in each lane what the slot's mask
+    relates on that instance, and nothing at a node that instance lacks."""
     names = _LANE_LABELS[:1] if graph_class.startswith("unlabeled") else _LANE_LABELS
     code, _ = _compile(exprs)
-    graphs = [g for g in instances(graph_class, n, names) if len(g.nodes) == n]
-    lanes, label_rels = ev._label_lanes(graph_class.endswith("chain"), n, len(names), 0)
-    assert lanes == len(graphs)
-    rels = _run(code, ev._Lanes(n, (1 << lanes) - 1, dict(zip(names, label_rels))))
+    graphs = list(instances(graph_class, n, names))
+    exists, label_rels = ev._label_lanes(graph_class.endswith("chain"), n, len(names), 0)
+    assert exists[0] == (1 << len(graphs)) - 1 and len(exists) == n
+    rels = _run(code, ev._Lanes(exists, dict(zip(names, label_rels))))
+    for rel in rels:
+        assert all(m & ~(exists[k // n] & exists[k % n]) == 0 for k, m in enumerate(rel))
     for lane, g in enumerate(graphs):
         ctx = EvalContext(g)
         for rel, mask in zip(rels, _run(code, ctx)):
@@ -119,9 +122,8 @@ def test_every_slot_on_lanes_matches_the_per_instance_masks(run):
 
 
 def test_a_stream_of_several_chunks_matches_the_per_instance_loop():
-    # 9,841 labeled chains of at most 9 nodes over 3 labels, 6,561 of them
-    # with 9 nodes: more than one chunk of lanes
-    assert count_trees(9, 3, chains_only=True) - count_trees(8, 3, chains_only=True) > ev._LANES
+    # 9,841 labeled chains of at most 9 nodes over 3 labels: three chunks of lanes
+    assert count_trees(9, 3, chains_only=True) > 2 * ev._LANES
     any_step = "(a | b | c)"
     pairs = [
         # separated first by the 9-node chain c a a a a a a a, in the second chunk
@@ -139,18 +141,25 @@ def test_a_stream_of_several_chunks_matches_the_per_instance_loop():
 
 
 def test_label_lanes_list_the_instances_in_stream_order():
+    # 9-node chains over 3 labels fill three chunks, the first boundary
+    # falling inside the 9-node chains
     for graph_class, max_nodes, labels in (("labeled-tree", 5, 2), ("labeled-chain", 4, 3),
-                                           ("unlabeled-tree", 6, 1)):
+                                           ("unlabeled-tree", 6, 1), ("labeled-chain", 9, 3)):
         names = tuple(f"l{i}" for i in range(labels))
-        graphs = iter(instances(graph_class, max_nodes, names))
-        for n in range(1, max_nodes + 1):
-            lanes, rels = ev._label_lanes(graph_class.endswith("chain"), n, labels, 0)
-            for lane, g in zip(range(lanes), graphs):
-                edges = {(f"n{k // n}", names[lab], f"n{k % n}")
-                         for lab, rel in enumerate(rels)
-                         for k, mask in enumerate(rel) if mask >> lane & 1}
-                assert (len(g.nodes), edges) == (n, g.edges)
-        assert next(graphs, None) is None
+        graphs = list(instances(graph_class, max_nodes, names))
+        for chunk in range(-(-len(graphs) // ev._LANES)):
+            exists, rels = ev._label_lanes(graph_class.endswith("chain"), max_nodes, labels,
+                                           chunk)
+            n = len(exists)
+            sizes = [sum(mask >> lane & 1 for mask in exists)
+                     for lane in range(exists[0].bit_length())]
+            edges = [set() for _ in sizes]
+            for lab, rel in enumerate(rels):
+                for k, mask in enumerate(rel):
+                    for lane in ev._bits(mask):
+                        edges[lane].add((f"n{k // n}", names[lab], f"n{k % n}"))
+            stream = graphs[chunk * ev._LANES:(chunk + 1) * ev._LANES]
+            assert list(zip(sizes, edges)) == [(len(g.nodes), g.edges) for g in stream]
 
 
 def test_every_unary_operator_over_a_closure_with_converse():
