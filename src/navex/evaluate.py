@@ -26,10 +26,11 @@ The bounded oracles compile each pair of expressions once and run that plan
 on chunks of up to `_LANES` consecutive instances of the stream, of any node
 counts, not on one `EvalContext` per instance: a relation is n * n ints
 whose bit b holds instance b's pair.  The lowest lane where the results
-differ is the first instance that separates them, read back from
-`instances()` as the witness.  Label lanes depend on label positions only,
-so expressions over different names share them; a bounded cache keeps them
-by (chain or tree, size bound, label count, chunk).
+differ is the first instance that separates them; the witness is built
+from that instance's level sequence alone, and equals the graph
+`instances()` lists at that index.  Label lanes depend on label positions
+only, so expressions over different names share them; a bounded cache
+keeps them by (chain or tree, size bound, label count, chunk).
 
 `evaluate` and `evaluate_boolean` build a graph's `EvalContext` on their
 first call on that graph object and keep it while the object lives, so
@@ -49,9 +50,10 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
 from itertools import compress, islice
 from operator import and_, or_, xor
@@ -61,9 +63,10 @@ from .expr import (
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     _distinct_nodes, labels_used,
 )
+# instances is unused here but stays: the benchmark tracer wraps it by name
 from .graphs import (
     Graph, ResourceLimitError, _instance_count, _label_names, _level_sequences,
-    default_ceiling, instances,
+    _tree_graph, default_ceiling, instances,
 )
 
 __all__ = [
@@ -412,8 +415,9 @@ def _label_lanes(chains: bool, max_nodes: int, labels: int, chunk: int) -> tuple
     `labels` labels: `exists`, where exists[i] masks the lanes of the
     instances with more than i nodes, the top ones as the stream is by node
     count, and the lane masks of each label's relation over the chunk."""
-    lines = [[bytearray(_LANES // 8) for _ in range(max_nodes ** 2)] for _ in range(labels)]
-    sizes = []      # lines have stride max_nodes until the largest size n is known
+    # (label, i, j) -> lane bytes, made only for the entries some instance sets
+    lines = defaultdict(partial(bytearray, _LANES // 8))
+    sizes = []
     for lane, seq in enumerate(islice(_level_sequences(max_nodes, labels, chains),
                                       chunk * _LANES, (chunk + 1) * _LANES)):
         sizes.append(len(seq) + 1)
@@ -421,12 +425,12 @@ def _label_lanes(chains: bool, max_nodes: int, labels: int, chunk: int) -> tuple
         path = [0]                  # path[d]: the latest node at depth d
         for node, (depth, lab) in enumerate(seq, 1):
             del path[depth:]
-            lines[lab][path[-1] * max_nodes + node][byte] |= 1 << bit
+            lines[lab, path[-1], node][byte] |= 1 << bit
             path.append(node)
     n, full = sizes[-1], (1 << len(sizes)) - 1
     exists = tuple(full >> k << k for k in (bisect_right(sizes, i) for i in range(n)))
-    return exists, tuple(tuple(int.from_bytes(rel[i * max_nodes + j], "little")
-                               for i in range(n) for j in range(n)) for rel in lines)
+    return exists, tuple(tuple(int.from_bytes(lines.get((lab, i, j), b""), "little")
+                               for i in range(n) for j in range(n)) for lab in range(labels))
 
 
 class _Lanes:
@@ -516,7 +520,8 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
                   else reduce(or_, map(xor, x, y)))
         if differ:
             index = chunk * _LANES + (differ & -differ).bit_length() - 1
-            witness = next(islice(instances(graph_class, max_nodes, names), index, None))
+            seq = next(islice(_level_sequences(max_nodes, len(names), chains), index, None))
+            witness = _tree_graph(seq, names)
             return EquivVerdict(False, witness, index + 1, graph_class, max_nodes,
                                 len(names), semantics)
     return EquivVerdict(True, None, total, graph_class, max_nodes, len(names), semantics)

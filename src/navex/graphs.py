@@ -216,16 +216,21 @@ def enumerate_trees(max_nodes: int, labels=1, *, chains_only: bool = False):
         raise ResourceLimitError(
             f"enumerate_trees, max_nodes={max_nodes}, labels={len(alphabet)}: "
             f"{total} trees exceed the ceiling of {limit} (NAVEX_MAX_INSTANCES)")
-    label_set = frozenset(alphabet)
     for seq in _level_sequences(max_nodes, len(alphabet), chains_only):
-        names = [f"n{i}" for i in range(len(seq) + 1)]
-        path = names[:1]            # path[d]: the latest node at depth d
-        edges = []
-        for name, (depth, lab) in zip(names[1:], seq):
-            del path[depth:]
-            edges.append((path[-1], alphabet[lab], name))
-            path.append(name)
-        yield Graph(frozenset(names), label_set, frozenset(edges))
+        yield _tree_graph(seq, alphabet)
+
+
+def _tree_graph(seq, alphabet: tuple[str, ...]) -> Graph:
+    """The tree of level sequence `seq` over `alphabet`, its nodes named n0,
+    n1, ... in preorder from the root."""
+    names = [f"n{i}" for i in range(len(seq) + 1)]
+    path = names[:1]                # path[d]: the latest node at depth d
+    edges = []
+    for name, (depth, lab) in zip(names[1:], seq):
+        del path[depth:]
+        edges.append((path[-1], alphabet[lab], name))
+        path.append(name)
+    return Graph(frozenset(names), frozenset(alphabet), frozenset(edges))
 
 
 def _class_labels(graph_class: str, labels):

@@ -6,7 +6,10 @@ Three engines live here:
   so that a deepest projection condition is replaced by tracked runs of the
   condition body's automaton; repeating this yields a projection-free
   automaton that is nonemptiness-equivalent on labeled chains (and, for
-  second-projection conditions only, on labeled trees);
+  second-projection conditions only, on labeled trees).  A first projection
+  is tracked from the node where it holds along the main run's labels; a
+  second projection is tracked by the same construction on the reversed
+  automata, so its runs walk toward the root, where trees do not branch;
 * intersection/difference elimination on trees — a bottom-up translation
   through condition automata using the synchronized product and the downward
   complement;
@@ -85,19 +88,46 @@ def _condition_measure(a: ConditionAutomaton) -> tuple[int, int]:
     return depth, depths.count(depth)
 
 
-_BOT = _Endpoint("below")  # tracking-only state used beyond the main run's extent
+# The tracking-only state, held once the main run has ended while tracked runs
+# go on: below its last node for pi1, and for pi2, tracked on the reversed
+# automata, above its first node, toward the root, where a tree is a chain.
+_BOT = _Endpoint("below")
+
+
+def _reversed(a: ConditionAutomaton) -> ConditionAutomaton:
+    """`a` with every transition turned around and initials and finals
+    swapped; each condition stays on its state.  Its runs are the runs of
+    `a` read backwards, each state at the same node, and conditions are
+    node tests, so each one holds where it held."""
+    return ConditionAutomaton.build(
+        states=a.states,
+        alphabet=a.alphabet,
+        initials=a.finals,
+        finals=a.initials,
+        transitions=[(q, lab, p) for p, lab, q in a.transitions],
+        state_conditions=a.state_conditions,
+        check=False,
+    )
 
 
 def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     """Replace one deepest projection condition by explicit tracking of the
-    condition body's runs.  Nonemptiness is preserved on labeled chains; for
-    a second-projection condition it is preserved on labeled trees as well,
-    since the tracked runs then extend only toward ancestors, where trees do
-    not branch.
+    condition body's runs.
+
+    pi1(body) holds where a body run starts.  A state of the result pairs a
+    main-run state with the body states of the runs it tracks: a condition
+    state starts a run, tracked runs read the main run's labels, final ones
+    may retire, and after the main run ends the rest finish in `_BOT`.  On a
+    chain all runs from a node follow one path, so none is lost.  pi2(body)
+    holds where a body run ends, so it is removed by the same construction
+    on the reversed automata, and the result is reversed back.  Its tracked
+    runs then walk toward the root, where trees do not branch, so
+    nonemptiness is preserved on labeled trees too.
 
     The output is identity-transition free, its condition depth/weight is
     strictly smaller, and it stays acyclic and closure-free when the input
-    is.  Only the part reachable from the initial states is constructed.
+    is.  Only the part reachable from the initial states (the final states,
+    for pi2) is constructed.
     """
     if not a.identity_free:
         raise RewriteError("projection removal needs an identity-transition-free automaton")
@@ -105,55 +135,36 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     if not candidates:
         raise RewriteError("no projection conditions to remove")
     cond = max(candidates, key=lambda c: (condition_depth(c), render(c)))
-    side = 1 if isinstance(cond, Proj1) else 2
-    body = cond.child
-
     inner = trim_automaton(remove_identity_transitions(
-        expr_to_automaton(body, alphabet=a.alphabet | labels_used(body))))
+        expr_to_automaton(cond.child, alphabet=a.alphabet)))
+    second = isinstance(cond, Proj2)
+    if second:
+        a, inner = _reversed(a), _reversed(inner)
     i_prime = inner.initials
     f_prime = inner.finals
     gamma_prime = inner.gamma
     gamma = a.gamma
     s_cond = frozenset(q for q in a.states if cond in gamma[q])
-    anchor = i_prime if side == 1 else f_prime
 
     def member(q, tracked: frozenset) -> bool:
         if q is _BOT:
             return bool(tracked)
         if q in s_cond:
-            return bool(tracked & anchor)
+            return bool(tracked & i_prime)
         return True
 
-    initials = set()
-    for q in a.initials:
-        if q not in s_cond:
-            initials.add((q, frozenset()))
-    if side == 1:
-        for q in a.initials & s_cond:
-            for qp in i_prime:
-                initials.add((q, frozenset({qp})))
-    else:
-        spawnable = [r for r in _subsets(sorted(i_prime)) if r]
-        for q in a.initials:
-            for r in spawnable:
-                if q in s_cond:
-                    if r & f_prime:
-                        initials.add((q, r))
-                else:
-                    initials.add((q, r))
-        for r in spawnable:
-            initials.add((_BOT, r))
-    initials = {s for s in initials if member(*s)}
+    initials = {(q, frozenset()) for q in a.initials - s_cond}
+    initials |= {(q, frozenset({qp})) for q in a.initials & s_cond for qp in i_prime}
 
-    def continuations(tracked: frozenset, lab: str, may_retire: frozenset):
-        """Target sets for the tracked runs: states in `may_retire` may stop,
-        everything else advances along an edge of the body automaton; each
-        advanced-to state needs a predecessor among the advancing ones."""
+    def continuations(tracked: frozenset, lab: str):
+        """Target sets for the tracked runs: runs in a final body state may
+        stop, everything else advances along an edge of the body automaton;
+        each advanced-to state needs a predecessor among the advancing ones."""
         forced = frozenset(s for s in tracked if (s, lab) not in inner.moves)
-        if not forced <= may_retire:
+        if not forced <= f_prime:
             return
         seen = set()
-        for optional in _subsets(sorted(may_retire - forced)):
+        for optional in _subsets(sorted((tracked & f_prime) - forced)):
             reqs = [inner.moves[s, lab] for s in tracked - forced - optional]
             universe = sorted(frozenset().union(*reqs))
             for q_set in _subsets(universe):
@@ -162,34 +173,21 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
                     yield q_set
 
     i_singles = sorted(i_prime)
-    i_subsets = _subsets(i_singles)
 
     def moves(p, tracked: frozenset):
         """The (label, target) steps out of (p, tracked), members or not."""
         for lab in a.alphabet:
             main = () if p is _BOT else a.moves.get((p, lab), ())
-            if side == 1:
-                plain = list(continuations(tracked, lab, tracked & f_prime))
-                for q in main:
-                    for r2 in plain:
-                        yield lab, (q, r2)
-                        if q in s_cond:
-                            for qp in i_singles:
-                                yield lab, (q, r2 | {qp})
-                if p is _BOT or p in a.finals:
-                    for r2 in plain:
-                        yield lab, (_BOT, r2)
-            else:
-                q_sets = list(continuations(tracked, lab, frozenset()))
-                if p is _BOT:
-                    main = [*a.initials, _BOT]
-                elif p in s_cond:
-                    for pp in tracked & f_prime:
-                        q_sets.extend(continuations(tracked - {pp}, lab, frozenset()))
-                for q_set in q_sets:
-                    for spawn in i_subsets:
-                        for q in main:
-                            yield lab, (q, q_set | spawn)
+            plain = list(continuations(tracked, lab))
+            for q in main:
+                for r2 in plain:
+                    yield lab, (q, r2)
+                    if q in s_cond:
+                        for qp in i_singles:
+                            yield lab, (q, r2 | {qp})
+            if p is _BOT or p in a.finals:
+                for r2 in plain:
+                    yield lab, (_BOT, r2)
 
     transitions = set()
 
@@ -201,26 +199,9 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
 
     states = _reach(initials, step)
 
-    finals = set()
-    for st in states:
-        q, tracked = st
-        if side == 1:
-            if q is _BOT:
-                if tracked and tracked <= f_prime:
-                    finals.add(st)
-            elif q in a.finals:
-                if not tracked and q not in s_cond:
-                    finals.add(st)
-                elif tracked and tracked <= f_prime:
-                    finals.add(st)
-        else:
-            if q is _BOT or q not in a.finals:
-                continue
-            if q in s_cond:
-                if len(tracked) == 1 and tracked <= f_prime:
-                    finals.add(st)
-            elif not tracked:
-                finals.add(st)
+    # the main run has ended and every tracked run is in a final body state
+    finals = {(q, tracked) for q, tracked in states
+              if (q is _BOT or q in a.finals) and tracked <= f_prime}
 
     state_conditions = []
     for st in states:
@@ -230,7 +211,7 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
             attached |= gamma_prime[r]
         state_conditions.extend((st, x) for x in attached)
 
-    return ConditionAutomaton.build(
+    out = ConditionAutomaton.build(
         states=states,
         alphabet=a.alphabet | inner.alphabet,
         initials=initials,
@@ -239,6 +220,7 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
         state_conditions=state_conditions,
         check=False,
     )
+    return _reversed(out) if second else out
 
 
 # operators each graph class lets projection removal keep nonemptiness for
@@ -270,8 +252,7 @@ def remove_projections_boolean(e: Expr, graph_class: str,
                            f"{', '.join(sorted(allowed))} only, got {used}")
     if steps is None:
         steps = []
-    a = trim_automaton(remove_identity_transitions(
-        expr_to_automaton(e, alphabet=labels_used(e))))
+    a = trim_automaton(remove_identity_transitions(expr_to_automaton(e)))
     steps.append(f"translated to an automaton with {len(a.states)} states and "
                  f"{len(a.conditions)} conditions")
     measure = _condition_measure(a)

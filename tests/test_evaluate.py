@@ -4,6 +4,7 @@ reference implementation over plain pair sets."""
 import copy
 import functools
 import gc
+import itertools
 import pickle
 import random
 import re
@@ -26,6 +27,7 @@ from navex.expr import (
 )
 from navex.graphs import (
     GRAPH_CLASSES, Graph, GraphError, ResourceLimitError, chain_graph, enumerate_trees,
+    instances,
 )
 from navex.rewrite import run_pipeline
 
@@ -618,7 +620,7 @@ def test_oracles_refuse_bounds_that_check_nothing(max_nodes, labels):
 
 def test_oracle_leaves_no_row_cache_behind(monkeypatch):
     # the oracle runs on lane masks and builds no evaluation context, so no
-    # row cache; the witness is read from the instance stream
+    # row cache; the witness is built from its level sequence
     monkeypatch.setattr(ev, "EvalContext", None)
     assert path_equivalent(parse("(a . b)+ . a"), parse("a . (b . a)+"),
                            "labeled-tree", 5).equivalent
@@ -629,6 +631,23 @@ def test_oracle_leaves_no_row_cache_behind(monkeypatch):
     exists, rels = ev._label_lanes(False, 5, 2, 0)
     assert exists[0] == (1 << 143) - 1 and exists[4] == exists[0] >> 36 << 36
     assert type(rels) is tuple and all(type(r) is tuple and len(r) == 25 for r in rels)
+
+
+@pytest.mark.parametrize("e1, e2, graph_class, max_nodes, labels", [
+    ("pi1(c . (a | b | c)^7)", "0", "labeled-chain", 9, 3),
+    ("a . b . a . b . a . b", "0", "labeled-tree", 7, 2),
+])
+def test_witness_is_the_stream_instance_at_its_index(monkeypatch, e1, e2, graph_class,
+                                                     max_nodes, labels):
+    # the witness is built from its own level sequence, not by building
+    # every graph of the stream before it
+    monkeypatch.setattr(ev, "instances", None)
+    oracle = boolean_equivalent if graph_class.endswith("chain") else path_equivalent
+    v = oracle(parse(e1), parse(e2), graph_class, max_nodes, labels)
+    assert not v.equivalent and v.checked > ev._LANES // 2
+    expected = next(itertools.islice(
+        instances(graph_class, max_nodes, "abc"[:labels]), v.checked - 1, None))
+    assert v.witness == expected
 
 
 def test_streams_are_built_only_as_far_as_they_are_consumed(monkeypatch):

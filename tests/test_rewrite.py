@@ -59,27 +59,27 @@ def _subsets(items):
         yield frozenset(items[i] for i in range(len(items)) if bits >> i & 1)
 
 
-def _declarative_step(a):
-    """The defining equations of one projection-removal step, written as
-    direct quantification over every decomposition.  Builds the full state
-    space (exponential; tiny inputs only) and returns its pieces."""
+def _turned(a):
+    """`a` walked backwards: transitions turned around, initials and finals
+    swapped, conditions left on their states."""
+    return ConditionAutomaton.build(
+        a.states, a.alphabet, a.finals, a.initials,
+        [(q, lab, p) for p, lab, q in a.transitions], a.state_conditions)
+
+
+def _declarative_step(a, cond, inner):
+    """The defining equations of one first-projection removal step, written
+    as direct quantification over every decomposition.  Builds the full
+    state space (exponential; tiny inputs only) and returns its pieces."""
     gamma = a.gamma
-    candidates = [c for c in a.conditions if isinstance(c, (Proj1, Proj2))]
-    cond = max(candidates, key=lambda c: (condition_depth(c), render(c)))
-    side = 1 if isinstance(cond, Proj1) else 2
-    from navex.expr import labels_used
-    inner = trim_automaton(remove_identity_transitions(
-        expr_to_automaton(cond.child,
-                          alphabet=a.alphabet | labels_used(cond.child))))
     s_cond = frozenset(q for q in a.states if cond in gamma[q])
-    anchor = inner.initials if side == 1 else inner.finals
     all_r = list(_subsets(inner.states))
 
     def member(q, r):
         if q is _BOT:
             return bool(r)
         if q in s_cond:
-            return bool(r & anchor)
+            return bool(r & inner.initials)
         return True
 
     states = {(q, r) for q in a.states for r in all_r if member(q, r)}
@@ -99,89 +99,48 @@ def _declarative_step(a):
                     tps[lab].add((p_set, q_set))
 
     def main_clause_b(p, lab, q):
-        if side == 1:
-            return ((p, lab, q) in a.transitions and p is not _BOT) or \
-                ((p is _BOT or p in a.finals) and q is _BOT)
         return ((p, lab, q) in a.transitions and p is not _BOT) or \
-            (p is _BOT and (q is _BOT or q in a.initials))
+            ((p is _BOT or p in a.finals) and q is _BOT)
 
     transitions = set()
     for (p, r1) in states:
         for lab in sorted(a.alphabet):
             for (q, r2) in states:
-                if side == 1:
-                    # retire a final subset, advance the rest
-                    plain = any(r1 - p_set <= inner.finals
-                                and (p_set, r2) in tps[lab]
-                                for p_set in _subsets(r1))
-                    if plain and main_clause_b(p, lab, q):
+                # retire a final subset, advance the rest
+                plain = any(r1 - p_set <= inner.finals
+                            and (p_set, r2) in tps[lab]
+                            for p_set in _subsets(r1))
+                if plain and main_clause_b(p, lab, q):
+                    transitions.add(((p, r1), lab, (q, r2)))
+                # same, plus one spawned run at the target condition state
+                if (p is not _BOT and q is not _BOT
+                        and (p, lab, q) in a.transitions and q in s_cond):
+                    spawned = any(
+                        r1 - p_set <= inner.finals
+                        and (p_set, q_set) in tps[lab]
+                        and r2 == q_set | {qp}
+                        for p_set in _subsets(r1)
+                        for q_set in all_r
+                        for qp in inner.initials)
+                    if spawned:
                         transitions.add(((p, r1), lab, (q, r2)))
-                    # same, plus one spawned run at the target condition state
-                    if (p is not _BOT and q is not _BOT
-                            and (p, lab, q) in a.transitions and q in s_cond):
-                        spawned = any(
-                            r1 - p_set <= inner.finals
-                            and (p_set, q_set) in tps[lab]
-                            and r2 == q_set | {qp}
-                            for p_set in _subsets(r1)
-                            for q_set in all_r
-                            for qp in inner.initials)
-                        if spawned:
-                            transitions.add(((p, r1), lab, (q, r2)))
-                else:
-                    # every tracked run advances; new runs may start
-                    plain = any((r1, q_set) in tps[lab] and r2 >= q_set
-                                and r2 - q_set <= inner.initials
-                                for q_set in all_r)
-                    if plain and main_clause_b(p, lab, q):
-                        transitions.add(((p, r1), lab, (q, r2)))
-                    # one completed run may stop when leaving a condition state
-                    if (p is not _BOT and q is not _BOT
-                            and (p, lab, q) in a.transitions and p in s_cond):
-                        retired = any(
-                            pp in r1 and pp in inner.finals
-                            and (r1 - {pp}, q_set) in tps[lab]
-                            and r2 >= q_set and r2 - q_set <= inner.initials
-                            for pp in inner.states for q_set in all_r)
-                        if retired:
-                            transitions.add(((p, r1), lab, (q, r2)))
 
     initials = set()
     for q in a.initials:
         if q not in s_cond:
             initials.add((q, frozenset()))
-    if side == 1:
-        for q in a.initials & s_cond:
-            for qp in inner.initials:
-                initials.add((q, frozenset({qp})))
-    else:
-        for r in all_r:
-            if not r or not r <= inner.initials:
-                continue
-            for q in a.initials:
-                if q in s_cond:
-                    if r & inner.finals:
-                        initials.add((q, r))
-                else:
-                    initials.add((q, r))
-            initials.add((_BOT, r))
+    for q in a.initials & s_cond:
+        for qp in inner.initials:
+            initials.add((q, frozenset({qp})))
 
     finals = set()
     for (q, r) in states:
-        if side == 1:
-            if q is _BOT:
-                if r and r <= inner.finals:
-                    finals.add((q, r))
-            elif q in a.finals:
-                if (not r and q not in s_cond) or (r and r <= inner.finals):
-                    finals.add((q, r))
-        else:
-            if q is not _BOT and q in a.finals:
-                if q in s_cond:
-                    if len(r) == 1 and r <= inner.finals:
-                        finals.add((q, r))
-                elif not r:
-                    finals.add((q, r))
+        if q is _BOT:
+            if r and r <= inner.finals:
+                finals.add((q, r))
+        elif q in a.finals:
+            if (not r and q not in s_cond) or (r and r <= inner.finals):
+                finals.add((q, r))
 
     gammas = {}
     for (q, r) in states:
@@ -200,9 +159,18 @@ DUAL_ROUTE = [
 
 @pytest.mark.parametrize("text", DUAL_ROUTE)
 def test_projection_step_matches_declarative_equations(text):
+    """A second projection is checked against the first-projection equations
+    of the turned-around automata, turned back state for state."""
     a = _to_automaton(text)
     lazy = remove_projection_step(a)
-    states, initials, finals, transitions, gammas = _declarative_step(a)
+    cond = max((c for c in a.conditions if isinstance(c, (Proj1, Proj2))),
+               key=lambda c: (condition_depth(c), render(c)))
+    inner = trim_automaton(remove_identity_transitions(
+        expr_to_automaton(cond.child, alphabet=a.alphabet | labels_of(cond.child))))
+    second = isinstance(cond, Proj2)
+    if second:
+        a, inner = _turned(a), _turned(inner)
+    states, initials, finals, transitions, gammas = _declarative_step(a, cond, inner)
 
     # restrict the full construction to its reachable part
     succ = {}
@@ -217,13 +185,17 @@ def test_projection_step_matches_declarative_equations(text):
                 reach.add(t)
                 frontier.append(t)
 
-    assert lazy.states == frozenset(reach)
-    assert lazy.initials == frozenset(initials)
-    assert lazy.finals == frozenset(s for s in finals if s in reach)
-    assert lazy.transitions == frozenset(
-        t for t in transitions if t[0] in reach)
-    for s in reach:
-        assert lazy.gamma[s] == gammas[s]
+    expected = ConditionAutomaton.build(
+        reach, lazy.alphabet, initials, [s for s in finals if s in reach],
+        [t for t in transitions if t[0] in reach],
+        [(s, c) for s in reach for c in gammas[s]])
+    if second:
+        expected = _turned(expected)
+    assert lazy.states == expected.states
+    assert lazy.initials == expected.initials
+    assert lazy.finals == expected.finals
+    assert lazy.transitions == expected.transitions
+    assert lazy.state_conditions == expected.state_conditions
 
 
 @pytest.mark.parametrize("text", DUAL_ROUTE)
