@@ -5,7 +5,10 @@ evaluator keeps a relation on n nodes as a list of n ints, its rows: row i
 is node i's successor set, with bit j set when node i relates to node j.
 Nodes are numbered in topological order, so a downward relation on a tree
 or chain only relates nodes to later ones, and its closure is one pass from
-the last row to the first.
+the last row to the first.  Composition, closure and converse visit only
+the nonempty rows of their operand, picked out in C by `compress` (a leaf
+of a tree has an empty row), and composition and closure take a row with
+one successor j in one step, from row j, without a loop over its bits.
 
 Expressions are first compiled into a plan: one instruction per distinct
 subterm, children before parents.  Expressions are hash-consed, so a walk
@@ -76,7 +79,10 @@ __all__ = [
 
 
 class UnknownLabelError(KeyError):
-    """The expression mentions an edge label the graph does not carry."""
+    """The expression mentions an edge label the graph does not carry.  It
+    is a `KeyError` whose text is its message, not that message's repr."""
+
+    __str__ = Exception.__str__
 
 
 def _bits(mask: int):
@@ -181,6 +187,8 @@ class EvalContext:
         self.n = n = len(self.node_order)
         index = self.index
         self.identity = [1 << i for i in range(n)]
+        # below[i] masks the nodes before node i: a pair that points back
+        self.below = [bit - 1 for bit in self.identity]
         self.empty = [0] * n
         self.label_rows = {lab: [0] * n for lab in graph.labels}
         for s, lab, t in graph.edges:
@@ -191,27 +199,34 @@ class EvalContext:
         try:
             return self.label_rows[name]
         except KeyError:
-            raise UnknownLabelError(name) from None
+            raise UnknownLabelError(
+                f"label {name!r} is not among the graph's labels "
+                f"{sorted(self.label_rows)}") from None
 
     def compose_masks(self, a: list[int], b: list[int]) -> list[int]:
+        """Row i of the result ORs the rows of `b` at row i's successors in
+        `a`: that one row of `b` when there is one successor."""
         if not any(a) or not any(b):
             return self.empty
         if list(map(and_, b, self.identity)) == b:  # b is a test: keep a's columns on its nodes
-            nodes = reduce(or_, b)
-            return [row & nodes for row in a]
-        out = []
-        for row in a:
-            acc = 0
-            while row:
-                low = row & -row
-                acc |= b[low.bit_length() - 1]
-                row ^= low
-            out.append(acc)
+            return list(map(reduce(or_, b).__and__, a))
+        out = [0] * self.n
+        for i in compress(range(self.n), a):
+            row = a[i]
+            if row & (row - 1):
+                acc = 0
+                while row:
+                    low = row & -row
+                    acc |= b[low.bit_length() - 1]
+                    row ^= low
+                out[i] = acc
+            else:
+                out[i] = b[row.bit_length() - 1]
         return out
 
     def transpose_mask(self, a: list[int]) -> list[int]:
         out = [0] * self.n
-        for bit, row in zip(self.identity, a):
+        for bit, row in compress(zip(self.identity, a), a):
             while row:
                 low = row & -row
                 out[low.bit_length() - 1] |= bit
@@ -221,19 +236,25 @@ class EvalContext:
     def closure_mask(self, a: list[int]) -> list[int]:
         """The transitive closure of `a`.  If `a` only relates nodes to
         themselves or to later nodes, as a downward relation on a tree or
-        chain does, one pass from the last row to the first ORs into each
-        row the finished rows of its successors.  Otherwise `a` is squared
-        until a fixpoint."""
-        if any(row & (bit - 1) for row, bit in zip(a, self.identity)):
+        chain does, one pass over the nonempty rows from the last to the
+        first ORs into each row the finished rows of its successors: a row
+        with one successor j becomes `row | rows[j]`.  Whether some pair
+        points back is one C-level pass against `below`.  Otherwise `a` is
+        squared until a fixpoint."""
+        if any(map(and_, a, self.below)):
             return _squared_closure(self, a)
         rows = list(a)
-        for i in range(self.n - 1, -1, -1):
-            row = acc = rows[i]
-            while row:
-                low = row & -row
-                acc |= rows[low.bit_length() - 1]
-                row ^= low
-            rows[i] = acc
+        for i in compress(range(self.n - 1, -1, -1), reversed(a)):
+            row = rows[i]
+            if row & (row - 1):
+                acc = row
+                while row:
+                    low = row & -row
+                    acc |= rows[low.bit_length() - 1]
+                    row ^= low
+                rows[i] = acc
+            else:
+                rows[i] = row | rows[row.bit_length() - 1]
         return rows
 
     def _project(self, a: list[int], second: bool, complement: bool) -> list[int]:
@@ -246,7 +267,7 @@ class EvalContext:
             nodes = sum(compress(self.identity, a))
         if complement:
             nodes ^= (1 << self.n) - 1
-        return [bit & nodes for bit in self.identity]
+        return list(map(nodes.__and__, self.identity))
 
     def mask_of(self, e: Expr) -> list[int]:
         code, (root,) = _compile((e,))

@@ -45,6 +45,17 @@ def _then(r1, r2) -> set:
     return {(m, q) for m, n in r1 for q in successors.get(n, ())}
 
 
+def _closure(r) -> set:
+    """The transitive closure of the pair set `r`."""
+    total = set(r)
+    frontier = set(r)
+    while frontier:
+        step = _then(frontier, r)
+        frontier = step - total
+        total |= step
+    return total
+
+
 def reference_eval(e, g: Graph) -> frozenset:
     nodes = g.nodes
     if isinstance(e, Empty):
@@ -58,14 +69,7 @@ def reference_eval(e, g: Graph) -> frozenset:
     if isinstance(e, Converse):
         return frozenset((n, m) for m, n in reference_eval(e.child, g))
     if isinstance(e, TransClosure):
-        r = reference_eval(e.child, g)
-        total = set(r)
-        frontier = set(r)
-        while frontier:
-            step = _then(frontier, r)
-            frontier = step - total
-            total |= step
-        return frozenset(total)
+        return frozenset(_closure(reference_eval(e.child, g)))
     if isinstance(e, Proj1):
         r = reference_eval(e.child, g)
         return frozenset((m, m) for m, _ in r)
@@ -151,8 +155,11 @@ def test_every_operator_on_a_graph_without_nodes():
 
 
 def test_unknown_label(alt_chain):
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(UnknownLabelError,
+                       match=r"^label 'zz' is not among the graph's labels \['a', 'b'\]$"):
         evaluate(parse("zz"), alt_chain)
+    with pytest.raises(KeyError):
+        evaluate_boolean(parse("a . zz"), alt_chain)
 
 
 def test_boolean_and_holds_at(alt_chain):
@@ -451,6 +458,77 @@ def test_closure_of_a_downward_relation_takes_no_products():
             TransClosure(Union(a, Converse(a))), tree)
         squared += ctx.products > 0
     assert squared
+    # on labeled chains every row of these has one successor, or none
+    rng = random.Random(40)
+    for _ in range(5):
+        chain = chain_graph(40, [rng.choice("ab") for _ in range(39)])
+        ctx = _CountingContext(chain)
+        for e in (a, b, Union(a, b), Compose(a, b), Compose(Union(a, b), Union(a, b))):
+            mask = ctx.mask_of(e)
+            assert all(row & (row - 1) == 0 for row in mask)
+            ctx.products = 0
+            closed = ctx.closure_mask(mask)
+            assert ctx.products == 0
+            assert ctx.decode(closed) == reference_eval(TransClosure(e), chain)
+
+
+# Row kernels called directly, against pair sets.  Each row is drawn as
+# empty, as one successor or as several, and a few rows may get a bit
+# below the diagonal, so that both the one-step and the looping path of
+# each kernel run and closure takes both its one-pass and its squaring
+# branch.
+
+@st.composite
+def _kernel_rows(draw, n):
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kinds = draw(st.lists(st.sampled_from(("empty", "one", "several")), min_size=n, max_size=n))
+    rows = []
+    for i, kind in enumerate(kinds):
+        if kind == "empty":
+            rows.append(0)
+        elif kind == "several" and i < n - 1:
+            rows.append(sum(1 << j for j in rng.sample(range(i, n), rng.randint(2, n - i))))
+        else:
+            rows.append(1 << rng.randrange(i, n))
+    for i in draw(st.lists(st.integers(1, n - 1), max_size=3)) if n > 1 else ():
+        rows[i] |= 1 << rng.randrange(i)    # a pair that points back
+    return rows
+
+
+def _pairs(rows) -> set:
+    return {(i, j) for i, row in enumerate(rows) for j in range(row.bit_length()) if row >> j & 1}
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
+    x, y = draw(_kernel_rows(n)), draw(_kernel_rows(n))
+    if draw(st.booleans()):   # a test, composed on the right
+        y = [row & 1 << i for i, row in enumerate(y)]
+    return n, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+def test_row_kernels_match_pair_sets_and_change_nothing(case):
+    n, x, y = case
+    names = [f"v{i:03}" for i in range(n)]
+    ctx = EvalContext(Graph.build(names, ["a"], {(names[i], "a", names[i + 1]) for i in range(n - 1)}))
+    assert ctx.node_order == names
+    shared = [ctx.identity, ctx.below, ctx.empty, *ctx.label_rows.values()]
+    before = [list(r) for r in (x, y, *shared)]
+    px, py = _pairs(x), _pairs(y)
+    nodes = set(range(n))
+    assert _pairs(ctx.compose_masks(x, y)) == _then(px, py)
+    assert _pairs(ctx.compose_masks(y, x)) == _then(py, px)
+    assert _pairs(ctx.closure_mask(x)) == _closure(px)
+    assert _pairs(ctx.closure_mask(y)) == _closure(py)
+    assert _pairs(ctx.transpose_mask(x)) == {(j, i) for i, j in px}
+    firsts, seconds = {i for i, _ in px}, {j for _, j in px}
+    for second, complement, want in [(False, False, firsts), (True, False, seconds),
+                                     (False, True, nodes - firsts), (True, True, nodes - seconds)]:
+        assert _pairs(ctx._project(x, second, complement)) == {(i, i) for i in want}
+    assert [list(r) for r in (x, y, *shared)] == before
 
 
 def test_topological_order_puts_sources_first():
