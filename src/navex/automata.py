@@ -30,6 +30,10 @@ class AutomatonError(ValueError):
 def state_key(s):
     """A total order on the mixed values used as automaton states: strings,
     ints, expressions, tuples, frozensets, and opaque markers."""
+    if isinstance(s, tuple):        # the composite states, tested first
+        return ("t", tuple(map(state_key, s)))
+    if isinstance(s, frozenset):
+        return ("f", tuple(sorted(map(state_key, s))))
     if isinstance(s, bool):
         return ("b", str(s))
     if isinstance(s, int):
@@ -38,10 +42,6 @@ def state_key(s):
         return ("s", s)
     if isinstance(s, Expr):
         return ("e", render(s))
-    if isinstance(s, tuple):
-        return ("t", tuple(state_key(x) for x in s))
-    if isinstance(s, frozenset):
-        return ("f", tuple(sorted(state_key(x) for x in s)))
     return ("r", repr(s))
 
 

@@ -50,8 +50,8 @@ __all__ = [
 def renumber_states(a: ConditionAutomaton) -> ConditionAutomaton:
     """The same automaton with states renamed to 0..n-1 in canonical order;
     `a` itself when its states are those ints already."""
-    if (a.states == frozenset(range(len(a.states)))
-            and set(map(type, a.states)) <= {int}):
+    n = len(a.states)
+    if all(type(q) is int and 0 <= q < n for q in a.states):
         return a
     names = {q: i for i, q in enumerate(a.ordered_states)}
     return ConditionAutomaton.build(
@@ -415,12 +415,16 @@ def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condi
 
 def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """Keep the states reachable from an initial state and able to reach a
-    final state, with their conditions, numbered 0..n-1 in state_key order."""
+    final state, with their conditions, numbered 0..n-1 in state_key order.
+    When every state is kept, that is `renumber_states(a)`, which is `a`
+    itself if its states are numbered already."""
     predecessors: dict = {}
     for s, _, t in a.transitions:
         predecessors.setdefault(t, []).append(s)
     keep = (_reach(a.initials, lambda q: (t for _, t in a.successors[q]))
             & _reach(a.finals, lambda q: predecessors.get(q, ())))
+    if len(keep) == len(a.states):
+        return renumber_states(a)
     return renumber_states(ConditionAutomaton.build(
         states=keep,
         alphabet=a.alphabet,

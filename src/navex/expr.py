@@ -7,8 +7,10 @@ fragments and converse; the concrete grammar adds sugar (``*``, ``^k``,
 
 Expressions are hash-consed: every constructor call, parse, copy or unpickle
 returns the one live node for its expression, so equality is identity and a
-shared subterm is one object however often it occurs.  The walks here visit
-each distinct subterm once and never recurse.
+shared subterm is one object however often it occurs.  Each node keeps its
+operators and projection depth, fixed when it is built.  The walks here
+visit each distinct subterm once, `render` emits each occurrence in time
+linear in the text, and none of them recurse.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ __all__ = [
 class _Interned(type):
     """Builds each distinct expression once.  A constructor call returns the
     live node with the same type and fields (children compared by identity)
-    if there is one; otherwise it builds the node, computes its hash, and
-    enters it in a table that holds nodes weakly, so dead nodes drop out."""
+    if there is one; otherwise it builds the node, computes its hash, flags
+    and depth, and enters it in a table that holds nodes weakly, so dead
+    nodes drop out."""
 
     def __call__(cls, *fields):
         key = (cls, *fields)
@@ -49,12 +52,19 @@ class _Interned(type):
                     if len(fields) != len(names):
                         raise TypeError(f"{cls.__name__} takes {len(names)} "
                                         f"fields, got {len(fields)}")
+                    flags, depth = _BIT.get(cls, 0), 0
                     if cls is EdgeLabel:
                         _check_label(*fields)
+                    else:
+                        for kid in fields:
+                            flags |= kid._flags
+                            depth = max(depth, kid._depth)
                     node = object.__new__(cls)
                     d = node.__dict__
                     d.update(zip(names, fields))
                     d["_h"] = hash((cls.__name__, fields))
+                    d["_flags"] = flags
+                    d["_depth"] = depth + (cls is Proj1 or cls is Proj2)
                     _TABLE[key] = node
         return node
 
@@ -163,6 +173,16 @@ class Difference(Expr):
     left: Expr
     right: Expr
 
+
+# the non-basic operators; bit i of a node's _flags is set when it uses FLAGS[i]
+FLAGS = ("conv", "tc", "pi1", "pi2", "copi1", "copi2", "cap", "minus")
+
+_FLAG_OF = {
+    Converse: "conv", TransClosure: "tc",
+    Proj1: "pi1", Proj2: "pi2", Coproj1: "copi1", Coproj2: "copi2",
+    Intersect: "cap", Difference: "minus",
+}
+_BIT = {cls: 1 << FLAGS.index(flag) for cls, flag in _FLAG_OF.items()}
 
 EMPTY = Empty()
 IDENTITY = Identity()
@@ -278,15 +298,6 @@ def labels_used(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # fragments
 
-FLAGS = ("conv", "tc", "pi1", "pi2", "copi1", "copi2", "cap", "minus")
-
-_FLAG_OF = {
-    Converse: "conv", TransClosure: "tc",
-    Proj1: "pi1", Proj2: "pi2", Coproj1: "copi1", Coproj2: "copi2",
-    Intersect: "cap", Difference: "minus",
-}
-
-
 class FragmentError(ValueError):
     """An expression or flag set falls outside the fragment an operation handles."""
 
@@ -324,29 +335,31 @@ class Fragment:
         return ",".join(self) if self.flags else "(basic)"
 
 
+_FRAGMENTS: dict[int, Fragment] = {}   # by flag bits: at most 2^8 entries
+
+
 def operators_used(e: Expr) -> Fragment:
-    found = {_FLAG_OF.get(type(node)) for node in _distinct_nodes(e)}
-    found.discard(None)
-    return Fragment(frozenset(found))
+    fragment = _FRAGMENTS.get(e._flags)
+    if fragment is None:
+        fragment = _FRAGMENTS[e._flags] = Fragment(frozenset(
+            flag for i, flag in enumerate(FLAGS) if e._flags >> i & 1))
+    return fragment
 
 
 # ---------------------------------------------------------------------------
 # condition depth
 
+_DEPTH_FLAGS = _BIT[TransClosure] | _BIT[Proj1] | _BIT[Proj2]
+
+
 def condition_depth(e: Expr) -> int:
     """Projection nesting depth for expressions built from 0, id, labels,
     composition, union, transitive closure, and projections."""
-    def depth(node, *kids):
-        t = type(node)
-        if t in (Empty, Identity, EdgeLabel):
-            return 0
-        if t in (Proj1, Proj2):
-            return 1 + kids[0]
-        if t in (TransClosure, Compose, Union):
-            return max(kids)
+    if e._flags & ~_DEPTH_FLAGS:
+        node = next(n for n in _distinct_nodes(e) if n._flags & ~_DEPTH_FLAGS)
         raise FragmentError(
             f"condition depth is defined on the tc/pi fragment, got {render(node)}")
-    return _fold(e, depth)
+    return e._depth
 
 
 def is_condition(e: Expr) -> bool:
@@ -512,23 +525,39 @@ _ATOM_TEXT = {Empty: "0", Identity: "id"}
 
 def render(e: Expr) -> str:
     """Produce concrete syntax that parses back to the same tree (no sugar).
-    Each distinct subterm is rendered once, children first, so deep and
-    shared expressions render without recursion."""
-    def text(node, *kids):
+    The text is emitted left to right from a stack of nodes and literal
+    pieces, so deep expressions render without recursion, in time linear
+    in the length of the text."""
+    out: list[str] = []
+    stack: list = [e]
+    push, emit = stack.append, out.append
+    while stack:
+        node = stack.pop()
         t = type(node)
-        if t is EdgeLabel:
-            return node.name
-        if t in _BIN_SYM:
+        if t is str:
+            emit(node)
+        elif t is EdgeLabel:
+            emit(node.name)
+        elif t in _BIN_SYM:
             p = _PREC[t]
-            left, right = kids
-            if _PREC.get(type(node.left), 6) < p:
-                left = f"({left})"
             if _PREC.get(type(node.right), 6) <= p:
-                right = f"({right})"
-            return f"{left} {_BIN_SYM[t]} {right}"
-        if t in _FUN_SYM:
-            return f"{_FUN_SYM[t]}({kids[0]})"
-        if t is TransClosure:
-            return f"({kids[0]})+" if _PREC.get(type(node.child), 6) < 5 else kids[0] + "+"
-        return _ATOM_TEXT[t]
-    return _fold(e, text)
+                stack += (")", node.right, f" {_BIN_SYM[t]} (")
+            else:
+                stack += (node.right, f" {_BIN_SYM[t]} ")
+            if _PREC.get(type(node.left), 6) < p:
+                emit("(")
+                stack += (")", node.left)
+            else:
+                push(node.left)
+        elif t in _FUN_SYM:
+            emit(f"{_FUN_SYM[t]}(")
+            stack += (")", node.child)
+        elif t is TransClosure:
+            if _PREC.get(type(node.child), 6) < 5:
+                emit("(")
+                stack += (")+", node.child)
+            else:
+                stack += ("+", node.child)
+        else:
+            emit(_ATOM_TEXT[t])
+    return "".join(out)

@@ -25,6 +25,7 @@ automaton of each projection's body, which becomes a condition again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 from .automata import ConditionAutomaton
 # renumber_states is unused here but stays: the benchmark tracer wraps it by name
@@ -322,11 +323,27 @@ _HOMOMORPHISM_SAFE = frozenset({"conv", "tc", "pi1", "pi2", "cap"})
 _DISTANCE_SAFE = frozenset({"tc", "cap", "minus"})
 
 
+# the d of a distance-fragment node, from its children's: None when it
+# relates no pair, inf when its distances are unbounded
+_LARGEST_DISTANCE = {
+    Empty: lambda ds: None,
+    Identity: lambda ds: 0,
+    EdgeLabel: lambda ds: 1,
+    TransClosure: lambda ds: ds[0] if ds[0] in (0, None) else math.inf,
+    Compose: lambda ds: None if None in ds else sum(ds),
+    Union: lambda ds: max((x for x in ds if x is not None), default=None),
+    Intersect: lambda ds: ds[0] if None in ds else min(ds),
+    Difference: lambda ds: ds[0],
+}
+
+
 def witness_span(e: Expr) -> int:
     """An upper bound on the number of nodes a chain needs before `e` can
     first become nonempty.  Atoms span their endpoints; compositions add;
     intersections and differences multiply, covering the interleaving of the
-    two operands' eventual periods."""
+    two operands' eventual periods.  In the distance fragment a pair's
+    membership depends only on its distance, so a subterm relating no pair
+    farther apart than d spans at most d + 1."""
     def span(node, *kids):
         t = type(node)
         if t in (Empty, Identity):
@@ -343,7 +360,14 @@ def witness_span(e: Expr) -> int:
             a, b = kids
             return a * b + a + b
         raise RewriteError(f"no chain-span bound for {render(node)}")
-    return _fold(e, span)
+    if not operators_used(e).flags <= _DISTANCE_SAFE:
+        return _fold(e, span)
+
+    def capped(node, *kids):
+        s = span(node, *(k[0] for k in kids))
+        d = _LARGEST_DISTANCE[type(node)]([k[1] for k in kids])
+        return (s if d is None else min(s, d + 1)), d
+    return _fold(e, capped)[0]
 
 
 @dataclass(frozen=True)

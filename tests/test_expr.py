@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import gc
+import itertools
 import pickle
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -282,6 +284,46 @@ def test_render_parse_round_trip(e):
     assert parse(render(e)) == e
 
 
+_PREC = {Union: 1, Difference: 2, Intersect: 3, Compose: 4, TransClosure: 5}
+_SYM = {Union: "|", Difference: "\\", Intersect: "&", Compose: "."}
+_KEYWORD = {Converse: "conv", Proj1: "pi1", Proj2: "pi2", Coproj1: "copi1", Coproj2: "copi2"}
+
+
+def _reference_render(e):
+    """Concrete syntax by the precedence rules, each distinct subterm's text
+    built from its children's: the binary operators associate left, so a
+    left operand is parenthesized when it binds more loosely than its
+    parent, and a right one also when it binds as tightly."""
+    def text(node, *kids):
+        t = type(node)
+        if t is EdgeLabel:
+            return node.name
+        if t in _SYM:
+            left, right = kids
+            if _PREC.get(type(node.left), 6) < _PREC[t]:
+                left = f"({left})"
+            if _PREC.get(type(node.right), 6) <= _PREC[t]:
+                right = f"({right})"
+            return f"{left} {_SYM[t]} {right}"
+        if t in _KEYWORD:
+            return f"{_KEYWORD[t]}({kids[0]})"
+        if t is TransClosure:
+            return f"({kids[0]})+" if _PREC.get(type(node.child), 6) < 5 else kids[0] + "+"
+        return {Empty: "0", Identity: "id"}[t]
+    return _fold(e, text)
+
+
+# expressions in which one subterm object occurs several times
+_shared = st.builds(lambda x, y, op: op(op(x, y), Converse(op(x, y))),
+                    _exprs, _exprs, st.sampled_from([Compose, Union, Intersect, Difference]))
+
+
+@given(st.one_of(_exprs, _shared))
+def test_render_follows_the_precedence_rules(e):
+    assert render(e) == _reference_render(e)
+    assert parse(render(e)) is e
+
+
 @given(_exprs, _exprs)
 def test_equal_expressions_are_the_same_object(e1, e2):
     assert (e1 == e2) == (e1 is e2) == (render(e1) == render(e2))
@@ -346,6 +388,12 @@ def test_size_render_and_parse_handle_deep_input():
     assert repr(deep) == f"<{text}>"
     assert parse(text) is deep
     assert parse("(" * 2000 + "a" + ")" * 2000) is EdgeLabel("a")
+    chain = a
+    for _ in range(5000):
+        chain = TransClosure(Compose(chain, a))
+    text = render(chain)
+    assert text == "(" * 5000 + "a" + " . a)+" * 5000
+    assert parse(text) is chain
 
 
 def test_size_and_labels():
@@ -398,6 +446,56 @@ def test_condition_depth_rejects_other_operators():
     for text in ["a & b", "a \\ b", "conv(a)", "copi1(a)"]:
         with pytest.raises(FragmentError):
             condition_depth(parse(text))
+
+
+_FLAG_NAMES = {Converse: "conv", TransClosure: "tc", Proj1: "pi1", Proj2: "pi2",
+               Coproj1: "copi1", Coproj2: "copi2", Intersect: "cap", Difference: "minus"}
+
+
+def _reference_depth(e):
+    """Projection nesting depth by recursion; None outside the tc/pi fragment."""
+    t = type(e)
+    if t in (Empty, Identity, EdgeLabel):
+        return 0
+    kids = [_reference_depth(k) for k in _children(e)]
+    if None in kids or t not in (Proj1, Proj2, TransClosure, Compose, Union):
+        return None
+    return max(kids) + (t in (Proj1, Proj2))
+
+
+def _relabeled(e, name):
+    return _fold(e, lambda node, *kids:
+                 EdgeLabel(name) if type(node) is EdgeLabel else type(node)(*kids))
+
+
+_fresh = itertools.count()
+
+
+@given(_exprs)
+def test_nodes_carry_their_operators_and_projection_depth(e):
+    ops = Fragment(frozenset(_FLAG_NAMES[type(n)] for n in _tree(e) if type(n) in _FLAG_NAMES))
+    depth = _reference_depth(e)
+    # a node nothing else holds, so unpickling builds it anew; the union
+    # with a label adds no operator and no depth
+    name = f"fresh_{next(_fresh)}"
+    fresh = Union(_relabeled(e, name), EdgeLabel(name))
+    data, alive = pickle.dumps(fresh), weakref.ref(fresh)
+    del fresh
+    assert alive() is None
+    for x in (e, copy.copy(e), pickle.loads(data)):
+        assert operators_used(x) == ops
+        if depth is None:
+            with pytest.raises(FragmentError):
+                condition_depth(x)
+        else:
+            assert condition_depth(x) == depth
+
+
+def test_condition_depth_names_the_offending_subterm():
+    with pytest.raises(FragmentError, match=r"got pi1\(a\) & b$"):
+        condition_depth(parse("pi1(a) & b"))
+    with pytest.raises(FragmentError, match=r"got conv\(b\)$"):
+        condition_depth(parse("pi1(a . conv(b)+) | a"))
 
 
 def test_is_condition():

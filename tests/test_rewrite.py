@@ -502,7 +502,10 @@ def test_witness_span_bounds_first_nonemptiness(e):
 
 
 def test_witness_span_handles_deep_expressions():
-    assert witness_span(power(parse("a"), 5000)) == 2 * 5000
+    # in the distance fragment a word of 5,000 letters relates only pairs
+    # 5,000 apart, so 5,001 nodes suffice; under a projection compositions add
+    assert witness_span(power(parse("a"), 5000)) == 5001
+    assert witness_span(Proj1(power(parse("a"), 5000))) == 2 * 5000
 
 
 def _collapsible(leaves, unary, binary):
@@ -557,23 +560,28 @@ def test_collapse_evaluates_logarithmically_many_chains(text, built_chains):
 
 def test_collapse_refuses_chains_beyond_the_instance_ceiling(built_chains, monkeypatch):
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", "100")
-    # an empty query gallops to its bound of 1,155 nodes; 14 nodes have 105 pairs
+    # power 21 needs 22 nodes, 253 pairs; 14 nodes have 105
     with pytest.raises(ResourceLimitError) as exc:
-        normalize_unlabeled_boolean(parse("(a^3 & a^5) & (a^7)+"))
+        normalize_unlabeled_boolean(parse("(a^3)+ & (a^7)+"))
     assert "normalize_unlabeled_boolean" in str(exc.value)
     assert "NAVEX_MAX_INSTANCES" in str(exc.value)
     assert max(built_chains) * (max(built_chains) + 1) // 2 <= 100
     # a power found on small chains is still found
     assert normalize_unlabeled_boolean(parse("(a^2)+ & (a^3)+")).k == 6
 
-    # nested intersections multiply the span: 717,254 here, so the default
-    # ceiling, which admits chains of up to 1,999 nodes, must stop the search
+    # power 2,431 needs 2,432 nodes, and the default ceiling admits chains
+    # of up to 1,999 nodes, so it must stop the search
     monkeypatch.delenv("NAVEX_MAX_INSTANCES")
-    e = parse("(((a^3 & a^5) & (a^7)+) & (a^11)+) & (a^13)+")
-    assert witness_span(e) == 717_254
     with pytest.raises(ResourceLimitError):
-        normalize_unlabeled_boolean(e)
+        normalize_unlabeled_boolean(parse("((a^11)+ & (a^13)+) & (a^17)+"))
     assert max(built_chains) < 2000
+
+    # closure-free a^3 & a^5 relates no pair more than 3 apart, which bounds
+    # the whole intersection at 4 nodes; multiplying the operands' spans
+    # would give 717,254, far beyond the ceiling
+    e = parse("(((a^3 & a^5) & (a^7)+) & (a^11)+) & (a^13)+")
+    assert witness_span(e) == 4
+    assert normalize_unlabeled_boolean(e).kind == "empty"
 
 
 # --- the report driver ------------------------------------------------------
