@@ -4,7 +4,8 @@ Three engines live here:
 
 * projection removal for boolean queries — a condition automaton is rewritten
   so that a deepest projection condition is replaced by tracked runs of the
-  condition body's automaton; repeating this yields a projection-free
+  condition body's automaton, one body state per run, where a run in a
+  final state may stop; repeating this yields a projection-free
   automaton that is nonemptiness-equivalent on labeled chains (and, for
   second-projection conditions only, on labeled trees).  A first projection
   is tracked from the node where it holds along the main run's labels; a
@@ -45,7 +46,7 @@ from .expr import (
     power, render,
 )
 from .graphs import (
-    ResourceLimitError, _reach, _subsets, chain_graph, default_ceiling,
+    ResourceLimitError, _reach, chain_graph, default_ceiling,
 )
 
 __all__ = [
@@ -116,14 +117,29 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     condition body's runs.
 
     pi1(body) holds where a body run starts.  A state of the result pairs a
-    main-run state with the body states of the runs it tracks: a condition
-    state starts a run, tracked runs read the main run's labels, final ones
-    may retire, and after the main run ends the rest finish in `_BOT`.  On a
-    chain all runs from a node follow one path, so none is lost.  pi2(body)
-    holds where a body run ends, so it is removed by the same construction
-    on the reversed automata, and the result is reversed back.  Its tracked
-    runs then walk toward the root, where trees do not branch, so
-    nonemptiness is preserved on labeled trees too.
+    main-run state with the body states of the runs it tracks, one body
+    state per run: a condition state starts a run in an initial body state,
+    on each label every tracked run moves along one body transition or, in a
+    final state, may stop, and after the main run ends the rest finish in
+    `_BOT`.  On a chain all runs from a node follow one path, so none is
+    lost.  pi2(body) holds where a body run ends, so it is removed by the
+    same construction on the reversed automata, and the result is reversed
+    back.  Its tracked runs then walk toward the root, where trees do not
+    branch, so nonemptiness is preserved on labeled trees too.
+
+    A run never needs to split into several successors at once, as a
+    universal branch would.  The construction that lets it move to any
+    hitting set of its successors has the same nonemptiness as this one.
+    Each target set built here is such a hitting set in which every target
+    has a predecessor, so this result is a sub-automaton of that one.
+    Conversely, an accepting run of that one is shadowed by a run of this
+    one whose tracked set is, at each node, a subset of its set: each
+    shadow run picks one successor inside the other's target set, stops
+    where the other may stop it, and starts from the same initial body
+    state.  A subset carries fewer conditions and is final no later.  When
+    every shadow run stops as the main run goes to `_BOT`, the target
+    `(_BOT, {})` is not a state, but then the source state is already
+    final, and the shadow accepts there.
 
     The output is identity-transition free, its condition depth/weight is
     strictly smaller, and it stays acyclic and closure-free when the input
@@ -147,56 +163,37 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     gamma = a.gamma
     s_cond = frozenset(q for q in a.states if cond in gamma[q])
 
-    def member(q, tracked: frozenset) -> bool:
-        if q is _BOT:
-            return bool(tracked)
+    def entered(q, tracked: frozenset):
+        """(q, tracked), with one body run started where q needs the condition."""
         if q in s_cond:
-            return bool(tracked & i_prime)
-        return True
+            return [(q, tracked | {qp}) for qp in i_prime]
+        return [(q, tracked)]
 
-    initials = {(q, frozenset()) for q in a.initials - s_cond}
-    initials |= {(q, frozenset({qp})) for q in a.initials & s_cond for qp in i_prime}
+    initials = {st for q in a.initials for st in entered(q, frozenset())}
 
-    def continuations(tracked: frozenset, lab: str):
-        """Target sets for the tracked runs: runs in a final body state may
-        stop, everything else advances along an edge of the body automaton;
-        each advanced-to state needs a predecessor among the advancing ones."""
-        forced = frozenset(s for s in tracked if (s, lab) not in inner.moves)
-        if not forced <= f_prime:
-            return
-        seen = set()
-        for optional in _subsets(sorted((tracked & f_prime) - forced)):
-            reqs = [inner.moves[s, lab] for s in tracked - forced - optional]
-            universe = sorted(frozenset().union(*reqs))
-            for q_set in _subsets(universe):
-                if q_set not in seen and all(q_set & r for r in reqs):
-                    seen.add(q_set)
-                    yield q_set
-
-    i_singles = sorted(i_prime)
-
-    def moves(p, tracked: frozenset):
-        """The (label, target) steps out of (p, tracked), members or not."""
-        for lab in a.alphabet:
-            main = () if p is _BOT else a.moves.get((p, lab), ())
-            plain = list(continuations(tracked, lab))
-            for q in main:
-                for r2 in plain:
-                    yield lab, (q, r2)
-                    if q in s_cond:
-                        for qp in i_singles:
-                            yield lab, (q, r2 | {qp})
-            if p is _BOT or p in a.finals:
-                for r2 in plain:
-                    yield lab, (_BOT, r2)
+    def continuations(tracked: frozenset, lab: str) -> set[frozenset]:
+        """Target sets for the tracked runs: each run moves along one body
+        transition on `lab` or, in a final body state, stops."""
+        out = {frozenset()}
+        for s in tracked:
+            grown = {r | {t} for r in out for t in inner.moves.get((s, lab), ())}
+            out = grown | out if s in f_prime else grown
+        return out
 
     transitions = set()
 
     def step(src):
-        for lab, tgt in moves(*src):
-            if member(*tgt):
-                transitions.add((src, lab, tgt))
-                yield tgt
+        p, tracked = src
+        ends = p is _BOT or p in a.finals
+        for lab in a.alphabet:
+            main = () if p is _BOT else a.moves.get((p, lab), ())
+            for r2 in continuations(tracked, lab):
+                targets = [st for q in main for st in entered(q, r2)]
+                if r2 and ends:
+                    targets.append((_BOT, r2))
+                for tgt in targets:
+                    transitions.add((src, lab, tgt))
+                    yield tgt
 
     states = _reach(initials, step)
 

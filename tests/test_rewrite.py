@@ -5,7 +5,10 @@ agreement with the original on streams of instances) and structurally,
 against an independent transcription of its defining equations that builds
 the full product state space and quantifies over all run decompositions.
 The reachable part of the full construction must coincide exactly with what
-the incremental implementation builds.
+the incremental implementation builds.  The equations in which every
+tracked run moves to one successor are checked against those in which a
+run may move to any hitting set of its successors: the first must build a
+sub-automaton of the second.
 """
 
 import itertools
@@ -17,7 +20,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 import navex
 
@@ -31,7 +34,7 @@ from navex.expr import (
     Compose, Difference, Intersect, ParseError, Proj1, Proj2, TransClosure, Union,
     condition_depth, label_union, operators_used, parse, power, render, size,
 )
-from navex.graphs import Graph, ResourceLimitError, chain_graph, enumerate_trees
+from navex.graphs import ResourceLimitError, chain_graph, enumerate_trees, instances
 from navex.rewrite import (
     _BOT, NotCollapsibleError, RewriteError, RewriteReport,
     _condition_measure, eliminate_intersect_difference, normalize_unlabeled_boolean,
@@ -67,9 +70,33 @@ def _turned(a):
         [(q, lab, p) for p, lab, q in a.transitions], a.state_conditions)
 
 
-def _declarative_step(a, cond, inner):
+def _choice_moves(inner, lab, all_r):
+    """Synchronized moves of the tracked runs: every source takes one
+    transition, and the targets are the image of these choices."""
+    succ = {s: sorted(t for p, l, t in inner.transitions if (p, l) == (s, lab))
+            for s in inner.states}
+    return {(p_set, frozenset(image))
+            for p_set in all_r
+            for image in itertools.product(*(succ[s] for s in sorted(p_set)))}
+
+
+def _hitting_set_moves(inner, lab, all_r):
+    """Synchronized moves of the tracked runs: every source advances, every
+    target is reached.  A run may thus split into any hitting set of its
+    successors, which the choice equations never need."""
+    return {(p_set, q_set)
+            for p_set in all_r
+            for q_set in all_r
+            if all(any((s, lab, t) in inner.transitions for t in q_set)
+                   for s in p_set)
+            and all(any((s, lab, t) in inner.transitions for s in p_set)
+                    for t in q_set)}
+
+
+def _declarative_step(a, cond, inner, synchronized):
     """The defining equations of one first-projection removal step, written
-    as direct quantification over every decomposition.  Builds the full
+    as direct quantification over every decomposition, with the tracked
+    runs' moves on each label given by `synchronized`.  Builds the full
     state space (exponential; tiny inputs only) and returns its pieces."""
     gamma = a.gamma
     s_cond = frozenset(q for q in a.states if cond in gamma[q])
@@ -85,18 +112,7 @@ def _declarative_step(a, cond, inner):
     states = {(q, r) for q in a.states for r in all_r if member(q, r)}
     states |= {(_BOT, r) for r in all_r if r}
 
-    # synchronized moves of the tracked runs: every source advances, every
-    # target is reached
-    tps = {}
-    for lab in sorted(a.alphabet):
-        tps[lab] = set()
-        for p_set in all_r:
-            for q_set in all_r:
-                if (all(any((s, lab, t) in inner.transitions for t in q_set)
-                        for s in p_set)
-                        and all(any((s, lab, t) in inner.transitions for s in p_set)
-                                for t in q_set)):
-                    tps[lab].add((p_set, q_set))
+    tps = {lab: synchronized(inner, lab, all_r) for lab in sorted(a.alphabet)}
 
     def main_clause_b(p, lab, q):
         return ((p, lab, q) in a.transitions and p is not _BOT) or \
@@ -154,7 +170,29 @@ def _declarative_step(a, cond, inner):
 DUAL_ROUTE = [
     "pi1(a)", "pi2(a)", "a . pi1(b)", "pi2(a) . b", "pi1(a . b)",
     "(a . pi1(b))+", "a . pi2(a+)", "pi1(a) . pi2(b)", "(pi2(a) . a)+",
+    "pi1(a) . a . a", "a . a . pi2(a)",
 ]
+
+
+def _reachable_step(a, cond, inner, synchronized):
+    """The part of the full construction reachable from its initial states."""
+    states, initials, finals, transitions, gammas = _declarative_step(
+        a, cond, inner, synchronized)
+    succ = {}
+    for (p, lab, q) in transitions:
+        succ.setdefault(p, set()).add(q)
+    reach = set(initials)
+    frontier = list(initials)
+    while frontier:
+        s = frontier.pop()
+        for t in succ.get(s, ()):
+            if t not in reach:
+                reach.add(t)
+                frontier.append(t)
+    return ConditionAutomaton.build(
+        reach, a.alphabet | inner.alphabet, initials, [s for s in finals if s in reach],
+        [t for t in transitions if t[0] in reach],
+        [(s, c) for s in reach for c in gammas[s]])
 
 
 @pytest.mark.parametrize("text", DUAL_ROUTE)
@@ -170,45 +208,62 @@ def test_projection_step_matches_declarative_equations(text):
     second = isinstance(cond, Proj2)
     if second:
         a, inner = _turned(a), _turned(inner)
-    states, initials, finals, transitions, gammas = _declarative_step(a, cond, inner)
-
-    # restrict the full construction to its reachable part
-    succ = {}
-    for (p, lab, q) in transitions:
-        succ.setdefault(p, set()).add(q)
-    reach = set(initials)
-    frontier = list(initials)
-    while frontier:
-        s = frontier.pop()
-        for t in succ.get(s, ()):
-            if t not in reach:
-                reach.add(t)
-                frontier.append(t)
-
-    expected = ConditionAutomaton.build(
-        reach, lazy.alphabet, initials, [s for s in finals if s in reach],
-        [t for t in transitions if t[0] in reach],
-        [(s, c) for s in reach for c in gammas[s]])
+    expected = _reachable_step(a, cond, inner, _choice_moves)
+    hitting = _reachable_step(a, cond, inner, _hitting_set_moves)
     if second:
-        expected = _turned(expected)
+        expected, hitting = _turned(expected), _turned(hitting)
     assert lazy.states == expected.states
     assert lazy.initials == expected.initials
     assert lazy.finals == expected.finals
     assert lazy.transitions == expected.transitions
     assert lazy.state_conditions == expected.state_conditions
+    # every choice image is a hitting set whose targets all have predecessors
+    assert expected.states <= hitting.states
+    assert expected.initials <= hitting.initials
+    assert expected.finals <= hitting.finals
+    assert expected.transitions <= hitting.transitions
+
+
+def _agrees_on(a, stepped, graphs):
+    for g in graphs:
+        assert bool(eval_automaton(a, g)) == bool(eval_automaton(stepped, g)), g
 
 
 @pytest.mark.parametrize("text", DUAL_ROUTE)
 def test_projection_step_preserves_nonemptiness_on_chains(text):
+    """On chains, and for a second projection on labeled trees too."""
     a = _to_automaton(text)
     stepped = remove_projection_step(a)
-    for n in range(1, 7):
-        for labeling in itertools.product("ab", repeat=n - 1):
-            nodes = [f"n{i}" for i in range(n)]
-            g = Graph.build(nodes, ("a", "b"),
-                            [(nodes[i], labeling[i], nodes[i + 1])
-                             for i in range(n - 1)])
-            assert bool(eval_automaton(a, g)) == bool(eval_automaton(stepped, g))
+    _agrees_on(a, stepped, instances("labeled-chain", 6, 2))
+    if "pi1" not in text:
+        _agrees_on(a, stepped, instances("labeled-tree", 5, 2))
+
+
+def _expr_strategy():
+    atoms = st.sampled_from([parse(s) for s in ("a", "b", "id", "pi1(a)", "pi2(b)")])
+    return st.recursive(
+        atoms,
+        lambda kids: st.one_of(
+            st.builds(Compose, kids, kids),
+            st.builds(Union, kids, kids),
+            st.builds(TransClosure, kids),
+            st.builds(Proj1, kids),
+            st.builds(Proj2, kids),
+        ),
+        max_leaves=5)
+
+
+@seed(25)
+@settings(max_examples=40, deadline=None)
+@given(_expr_strategy())
+def test_projection_step_preserves_nonemptiness_on_random_inputs(e):
+    a = trim_automaton(remove_identity_transitions(
+        expr_to_automaton(e, alphabet=frozenset("ab"))))
+    assume(_condition_measure(a)[0] > 0)
+    stepped = remove_projection_step(a)
+    _agrees_on(a, stepped, instances("labeled-chain", 6, 2))
+    if "pi1" not in operators_used(e):
+        _agrees_on(a, stepped, instances("labeled-tree", 5, 2))
 
 
 def test_projection_step_requires_projection_conditions():
@@ -293,20 +348,6 @@ def test_chain_pipeline_rejects_foreign_operators():
     for text in ("a & b", "copi1(a)", "conv(a)", "a \\ b"):
         with pytest.raises(RewriteError):
             remove_projections_boolean(parse(text), "labeled-chain")
-
-
-def _expr_strategy():
-    atoms = st.sampled_from([parse(s) for s in ("a", "b", "id", "pi1(a)", "pi2(b)")])
-    return st.recursive(
-        atoms,
-        lambda kids: st.one_of(
-            st.builds(Compose, kids, kids),
-            st.builds(Union, kids, kids),
-            st.builds(TransClosure, kids),
-            st.builds(Proj1, kids),
-            st.builds(Proj2, kids),
-        ),
-        max_leaves=5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -625,6 +666,9 @@ def test_run_pipeline_rejects_unknown_names():
 # before minimization were 11,269, 634 and 1,814 operators; minimizing the
 # last case by determinization alone would give 766,079,320.  The
 # chain-projections family (a|b)+ . a . (a|b)^k rewrites to 2k + 6 operators.
+# The last three rows put such nondeterministic bodies under projections,
+# where moving a tracked run to every hitting set of its successors, not
+# to one successor, builds exponentially many states.
 @pytest.mark.parametrize("pipeline, text, most", [
     ("tree-set-operations", r"(a|b|c)+ \ ((a.b.c)+ | (c.b)+)", 46),
     ("tree-set-operations", r"(a | b)+ \ (a . b)+", 15),
@@ -632,6 +676,9 @@ def test_run_pipeline_rejects_unknown_names():
     ("tree-set-operations", "(a|b)+ . a" + " . (a|b)" * 5, 16),
     *[("chain-projections", f"(a|b)+ . a . (a|b)^{k}", most)
       for k, most in ((3, 12), (5, 16), (7, 20), (9, 24))],
+    ("chain-projections", "pi1((a|b)+ . a . (a|b)^9) . b", 23),
+    ("tree-pi2", "b . pi2((a|b)^9 . a . (a|b)+)", 30),
+    ("chain-projections", "pi2((a|b)^5 . a . (a|b)+) . pi1(b . (a|b)^5)", 27),
 ])
 def test_minimized_rewrites_stay_small_and_certify(pipeline, text, most):
     report = run_pipeline(pipeline, parse(text))
