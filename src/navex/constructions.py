@@ -5,7 +5,9 @@ minimize.
 
 minimize runs before state elimination, whose output grows with the state
 count: it quotients an automaton by bisimulation and, where no conditions
-remain, also takes the minimal deterministic automaton, keeping the smaller.
+remain and the automaton is not deterministic already, also takes the
+minimal deterministic automaton, keeping the smaller.  trim_automaton marks
+what it returns, so trimming it again walks nothing.
 State elimination builds through `_union` and `_compose` of `expr`, where 0
 and id are units, so its output carries no identity padding.
 The constructions build their results with ConditionAutomaton.build(...,
@@ -252,8 +254,9 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
     when such a walk reaches a final state, and steps on a label wherever
     the walk's states do, into every state headed by the target.  A run
     rests at a node for one identity walk, all of whose conditions hold
-    there, so only their union matters.  Already identity-free automata are
-    returned unchanged."""
+    there, so only their union matters.  Only states with an identity move
+    are walked; any other q gives the one state (q, its own conditions).
+    Already identity-free automata are returned unchanged."""
     if a.identity_free:
         return a
     gamma = a.gamma
@@ -264,7 +267,8 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
 
     finals, successors = set(), {}
     for q in a.states:
-        for r, conds in _reach([(q, gamma[q])], step):
+        start = [(q, gamma[q])]
+        for r, conds in _reach(start, step) if (q, ID) in a.moves else start:
             if r in a.finals:
                 finals.add((q, conds))
             successors.setdefault((q, conds), set()).update(
@@ -413,28 +417,37 @@ def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condi
     return intersect_automata(a1, downward_complement_automaton(a2))
 
 
+_TRIMMED = "_trimmed"   # the instance attribute that marks a trimmed automaton
+
+
 def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """Keep the states reachable from an initial state and able to reach a
     final state, with their conditions, numbered 0..n-1 in state_key order.
     When every state is kept, that is `renumber_states(a)`, which is `a`
-    itself if its states are numbered already."""
+    itself if its states are numbered already.  The result is marked in its
+    instance `__dict__`, so trimming it again returns it without a walk; a
+    rebuilt automaton, equal or not, carries no mark."""
+    if _TRIMMED in a.__dict__:
+        return a
     predecessors: dict = {}
     for s, _, t in a.transitions:
         predecessors.setdefault(t, []).append(s)
     keep = (_reach(a.initials, lambda q: (t for _, t in a.successors[q]))
             & _reach(a.finals, lambda q: predecessors.get(q, ())))
-    if len(keep) == len(a.states):
-        return renumber_states(a)
-    return renumber_states(ConditionAutomaton.build(
-        states=keep,
-        alphabet=a.alphabet,
-        initials=a.initials & keep,
-        finals=a.finals & keep,
-        transitions=[(s, lab, t) for s, lab, t in a.transitions
-                     if s in keep and t in keep],
-        state_conditions=[(q, c) for q, c in a.state_conditions if q in keep],
-        check=False,
-    ))
+    if len(keep) < len(a.states):
+        a = ConditionAutomaton.build(
+            states=keep,
+            alphabet=a.alphabet,
+            initials=a.initials & keep,
+            finals=a.finals & keep,
+            transitions=[(s, lab, t) for s, lab, t in a.transitions
+                         if s in keep and t in keep],
+            state_conditions=[(q, c) for q, c in a.state_conditions if q in keep],
+            check=False,
+        )
+    a = renumber_states(a)
+    a.__dict__[_TRIMMED] = True
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +513,18 @@ def minimize(a: ConditionAutomaton) -> ConditionAutomaton:
     condition-free `a` is also determinized, trimmed of its sink and
     quotiented, which on a deterministic automaton is Moore's (1956)
     minimization; the result is whichever of the two has fewer transitions,
-    then states.  A subset construction that outgrows the states and
-    transitions of `a` plus the sink is abandoned, since determinizing can
-    take exponentially many states where the quotient keeps few."""
+    then states.  A trimmed `a` that is deterministic already (one initial
+    state, no identity transition, at most one target per state and label)
+    skips the subset construction: its states ({q}, {}), in q's order, and
+    the sink, which trimming drops, give back `a` itself.  A subset
+    construction that outgrows the states and transitions of `a` plus the
+    sink is abandoned, since determinizing can take exponentially many
+    states where the quotient keeps few."""
     a = trim_automaton(a)
     quotient = _quotient(a)
-    if a.conditions or not a.states:
+    if (a.conditions or not a.states
+            or len(a.initials) == 1 and a.identity_free
+            and len(a.moves) == len(a.transitions)):
         return quotient
     try:
         d = determinize(a, limit=len(a.states) + len(a.transitions) + 1)

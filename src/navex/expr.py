@@ -36,13 +36,15 @@ __all__ = [
 
 class _Interned(type):
     """Builds each distinct expression once.  A constructor call returns the
-    live node with the same type and fields (children compared by identity)
-    if there is one; otherwise it builds the node, computes its hash, flags
-    and depth, and enters it in a table that holds nodes weakly, so dead
-    nodes drop out."""
+    live node with the same type and fields if there is one; otherwise it
+    builds the node, computes its hash, flags and depth, and enters it in a
+    table that holds nodes weakly, so dead nodes drop out.  The table keys a
+    label by its name and any other node by its type and its children's ids,
+    which hash in C: that is sound because a live node holds its children,
+    so no other object can have their ids while its entry is live."""
 
     def __call__(cls, *fields):
-        key = (cls, *fields)
+        key = (cls, *fields) if cls is EdgeLabel else (cls, *map(id, fields))
         node = _TABLE.get(key)
         if node is None:
             with _TABLE_LOCK:           # no two threads build one expression

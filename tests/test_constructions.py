@@ -6,11 +6,12 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import navex.constructions
 from navex.automata import ID, ConditionAutomaton, state_condition_expr, state_key
 from navex.constructions import (
     automaton_to_expr, compose_automata, condition_complement,
     determinize, difference_automata, downward_complement_automaton,
-    _quotient, expr_to_automaton, intersect_automata,
+    _quotient, _replace, expr_to_automaton, intersect_automata,
     minimize, plus_automaton, remove_identity_transitions, renumber_states,
     trim_automaton, union_automata,
 )
@@ -1015,3 +1016,89 @@ def test_minimize_merges_a_wide_union_into_two_states():
     a = expr_to_automaton(_wide_union(300))
     m = minimize(a)
     assert len(m.states) == 2 and len(m.transitions) == 300
+
+
+# ---------------------------------------------------------------------------
+# work the constructions skip
+
+def reference_minimize(a):
+    """minimize as it stood with two candidates on every condition-free
+    automaton: the quotient, and the quotient of the trimmed subset
+    construction unless it outgrows its bound, whichever has fewer
+    transitions, then states."""
+    t = trim_automaton(a)
+    quotient = _quotient(t)
+    if t.conditions or not t.states:
+        return quotient
+    try:
+        d = determinize(t, limit=len(t.states) + len(t.transitions) + 1)
+    except ResourceLimitError:
+        return quotient
+    return min(_quotient(trim_automaton(d)), quotient,
+               key=lambda m: (len(m.transitions), len(m.states)))
+
+
+def _deterministic(a):
+    """`a` without conditions or identity transitions, with its least
+    initial state only and one target per state and label."""
+    first = {}
+    for s, lab, t in sorted(a.transitions, key=state_key):
+        if lab != ID:
+            first.setdefault((s, lab), t)
+    return replace(a, initials=frozenset({min(a.initials, key=state_key)}),
+                   transitions=frozenset((s, lab, t) for (s, lab), t in first.items()),
+                   state_conditions=frozenset())
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_minimize_matches_the_two_candidate_reference(a):
+    a = replace(a, state_conditions=frozenset())
+    assert minimize(a) == reference_minimize(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_minimize_never_determinizes_a_deterministic_automaton(a):
+    a = _deterministic(a)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(navex.constructions, "determinize",
+                   lambda *args, **named: calls.append(args) or determinize(*args, **named))
+        m = minimize(a)
+    assert not calls
+    assert m == reference_minimize(a)
+
+
+def _counting_reach(mp):
+    """Record each call of the constructions' `_reach` in the list returned."""
+    calls = []
+    mp.setattr(navex.constructions, "_reach",
+               lambda *args: calls.append(args) or _reach(*args))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_trimming_a_trimmed_automaton_walks_nothing(a):
+    t = trim_automaton(a)
+    fewer = frozenset(sorted(t.finals)[1:])
+    with pytest.MonkeyPatch.context() as mp:
+        walks = _counting_reach(mp)
+        assert trim_automaton(t) is t
+        assert not walks
+        # a rebuilt automaton carries no mark, equal parts or not
+        assert trim_automaton(_replace(t, finals=t.finals)) == t
+        assert len(walks) == 2
+        assert trim_automaton(_replace(t, finals=fewer)) == trim_automaton(
+            replace(t, finals=fewer))
+        assert len(walks) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata())
+def test_identity_removal_walks_only_from_states_with_identity_moves(a):
+    with pytest.MonkeyPatch.context() as mp:
+        walks = _counting_reach(mp)
+        remove_identity_transitions(a)
+    assert len(walks) == len({s for s, lab, _ in a.transitions if lab == ID})

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import gc
 import itertools
 import pickle
@@ -157,6 +158,23 @@ def test_the_table_drops_dead_nodes():
     del nodes
     gc.collect()
     assert len(navex.expr._TABLE) == before
+
+
+def test_nodes_rebuilt_over_new_children_hold_those_children():
+    """The table keys a node by its children's ids: once the old children
+    are dead, new objects may take their ids, and a rebuilt node must still
+    be built over the new children."""
+    y = EdgeLabel("y")
+    nodes = [Compose(EdgeLabel(f"x{i}"), y) for i in range(1000)]
+    del nodes
+    gc.collect()
+    for kids in ([EdgeLabel(f"x{i}") for i in range(1000)],
+                 [Converse(EdgeLabel(f"z{i}")) for i in range(1000)]):
+        rebuilt = [Compose(kid, y) for kid in kids]
+        assert all(node.left is kid and node.right is y for node, kid in zip(rebuilt, kids))
+        assert all(Compose(kid, y) is node for node, kid in zip(rebuilt, kids))
+        e = functools.reduce(Union, rebuilt)
+        assert parse(render(e)) is e
 
 
 # ---------------------------------------------------------------------------
