@@ -1,7 +1,7 @@
 """Translations between navigational expressions and condition automata, and
 the automaton constructions that eliminate identity transitions, build
-intersections, determinize, take downward complements on trees, and
-minimize.
+intersections, determinize (each subset split on its own states' conditions
+only), take downward complements on trees, and minimize.
 
 minimize runs before state elimination, whose output grows with the state
 count: it quotients an automaton by bisimulation and, where no conditions
@@ -27,6 +27,7 @@ state and the condition set the state carries.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import count
 
 from .automata import (
@@ -345,52 +346,51 @@ def condition_complement(c: Expr) -> Expr:
 
 
 def determinize(a: ConditionAutomaton, *, limit: int | None = None) -> ConditionAutomaton:
-    """Subset construction refined by condition sets: states are pairs (Q, V)
-    with Q original states and V the conditions assumed to hold at the
-    current node.  On trees every node satisfies exactly one V, making the
-    result deterministic.  Only the states reachable from the initial ones
-    are built; with C the conditions attached to some state, there are at
-    most 2^|S| * 2^|C| of them, and more than the instance ceiling, or than
-    `limit`, raises ResourceLimitError, as every reachability walk does.
+    """Subset construction where a target subset p splits on its own states'
+    conditions: into a state (Q, L) for each way they can hold at a node,
+    with Q the states of p whose conditions hold and L, the state's
+    conditions, holding those conditions and the complements of the rest.
+    On trees every node satisfies exactly one split of p, making the result
+    deterministic; a p without conditions gives the one state (p, {}).
+    Only the states reachable from the initial set's splits are built; with
+    C the conditions attached to some state, there are at most 2^|S| * 3^|C|
+    of them, as L may leave a condition out, and more than the instance
+    ceiling, or than `limit`, raises ResourceLimitError, as every walk does.
 
     The result is complete: over a label none of its states move on, a
-    subset steps into the subsets (empty set, W), the sink.  A complement
-    needs the sink; trimming drops it, as it reaches no final state."""
+    subset steps into the sink ({}, {}).  A complement needs the sink;
+    trimming drops it, as it reaches no final state."""
     a = renumber_states(remove_identity_transitions(a))
-    conds = tuple(sorted(a.conditions, key=render))
-    for c in conds:
-        condition_complement(c)  # fail early on non-atomic conditions
-    subsets = _subsets(conds)
     gamma = a.gamma
     transitions = set()
 
+    @cache
+    def splits(p: frozenset) -> list:
+        conds = {c for x in p for c in gamma[x]}
+        return [(frozenset(x for x in p if gamma[x] <= w),
+                 w.union(map(condition_complement, conds - w)))
+                for w in _subsets(tuple(conds))]
+
     def step(state):
-        q_set, _ = state
         moves: dict = {}
-        for q in q_set:
+        for q in state[0]:
             for lab, t in a.successors[q]:
                 moves.setdefault(lab, set()).add(t)
         moves.update(dict.fromkeys(a.alphabet.difference(moves), ()))
         for lab, p in moves.items():
-            for w in subsets:
-                target = (frozenset(x for x in p if gamma[x] <= w), w)
+            for target in splits(frozenset(p)):
                 transitions.add((state, lab, target))
                 yield target
 
-    initials = [(frozenset(q for q in a.initials if gamma[q] <= v), v) for v in subsets]
+    initials = splits(a.initials)
     states = _reach(initials, step, limit)
-    assert len(states) <= 2 ** len(a.states) * 2 ** len(conds)
-    state_conditions = []
-    for q_set, v in states:
-        attached = set(v) | {condition_complement(c) for c in conds if c not in v}
-        state_conditions.extend(((q_set, v), c) for c in attached)
     return ConditionAutomaton.build(
         states=states,
         alphabet=a.alphabet,
         initials=initials,
-        finals=[(q_set, v) for q_set, v in states if q_set & a.finals],
+        finals=[s for s in states if s[0] & a.finals],
         transitions=transitions,
-        state_conditions=state_conditions,
+        state_conditions=[(s, c) for s in states for c in s[1]],
         check=False,
     )
 

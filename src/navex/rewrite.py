@@ -70,14 +70,14 @@ class NotCollapsibleError(RewriteError):
 # projection removal on condition automata
 
 def _projection_conditions(a: ConditionAutomaton) -> list[Expr]:
+    """The projection conditions of `a`; any other but id and 0 raises."""
     out = []
     for c in a.conditions:
-        if isinstance(c, (Coproj1, Coproj2)):
-            raise RewriteError(
-                "projection removal needs a coprojection-free automaton, "
-                f"found condition {render(c)}")
         if isinstance(c, (Proj1, Proj2)):
             out.append(c)
+        elif not isinstance(c, (Identity, Empty)):
+            raise RewriteError("projection removal needs atomic projection "
+                               f"conditions, found condition {render(c)}")
     return out
 
 

@@ -407,14 +407,23 @@ def test_determinize_initials_cover_every_condition_subset():
     assert len(d.initials) == 2
 
 
-def test_determinize_attaches_condition_or_complement_everywhere():
-    e = parse("pi1(a).a | copi2(b)")
-    a = expr_to_automaton(e, alphabet={"a", "b"})
+def test_determinize_attaches_each_split_condition_or_its_complement():
+    """A state splits a target subset p: it carries, for each condition on
+    a state of p, that condition or its complement, and no other condition."""
+    a = remove_identity_transitions(
+        expr_to_automaton(parse("pi1(a).a | copi2(b)"), alphabet={"a", "b"}))
+    a = renumber_states(a)
     d = determinize(a)
-    originals = sorted(a.conditions, key=render)
-    for q in d.states:
-        for c in originals:
-            assert (c in d.gamma[q]) != (condition_complement(c) in d.gamma[q])
+    splits = [(a.initials, s) for s in d.initials] + [
+        (frozenset().union(*(a.moves.get((q, lab), ()) for q in s[0])), t)
+        for s, lab, t in d.transitions]
+    assert {t for _, t in splits} == d.states
+    for p, t in splits:
+        conds = frozenset().union(*(a.gamma[x] for x in p))
+        for c in conds:
+            assert (c in d.gamma[t]) != (condition_complement(c) in d.gamma[t])
+        assert d.gamma[t] <= conds | set(map(condition_complement, conds))
+    assert not d.gamma[frozenset(), frozenset()]  # the sink tests nothing
 
 
 def test_determinize_respects_state_cap(monkeypatch):
@@ -893,32 +902,32 @@ def test_every_construction_output_passes_the_full_check(a1, a2):
 
 def reference_determinize(a):
     """The subset construction as it stood before it stepped only over the
-    labels with moves: every subset steps over the whole alphabet."""
+    labels with moves: every subset steps over the whole alphabet, into a
+    state for each subset of the conditions on the target's states."""
     a = renumber_states(remove_identity_transitions(a))
-    conds = tuple(sorted(a.conditions, key=render))
-    subsets = _subsets(conds)
     gamma = a.gamma
     transitions = set()
+
+    def splits(p):
+        conds = sorted(set().union(*(gamma[x] for x in p)), key=render)
+        for w in _subsets(conds):
+            yield (frozenset(x for x in p if gamma[x] <= w),
+                   w | {condition_complement(c) for c in conds if c not in w})
 
     def step(state):
         q_set, _ = state
         for lab in a.alphabet:
             p = set().union(*(a.moves.get((q, lab), ()) for q in q_set))
-            for w in subsets:
-                target = (frozenset(x for x in p if gamma[x] <= w), w)
+            for target in splits(p):
                 transitions.add((state, lab, target))
                 yield target
 
-    initials = [(frozenset(q for q in a.initials if gamma[q] <= v), v) for v in subsets]
+    initials = list(splits(a.initials))
     states = _reach(initials, step)
-    state_conditions = []
-    for q_set, v in states:
-        attached = set(v) | {condition_complement(c) for c in conds if c not in v}
-        state_conditions.extend(((q_set, v), c) for c in attached)
     return ConditionAutomaton.build(
         states, a.alphabet, initials,
         [(q_set, v) for q_set, v in states if q_set & a.finals],
-        transitions, state_conditions)
+        transitions, [(s, c) for s in states for c in s[1]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,7 +275,18 @@ def test_projection_step_requires_projection_conditions():
 
 def test_projection_step_rejects_coprojection_conditions():
     a = _to_automaton("copi1(a) . b")
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError, match=r"copi1\(a\)"):
+        remove_projection_step(a)
+
+
+def test_projection_step_names_a_composite_condition():
+    # the condition is counted at depth 1, but no single projection is it
+    c = parse("pi1(a) . pi1(b)")
+    a = ConditionAutomaton.build(
+        states={0, 1}, alphabet={"a", "b"}, initials={0}, finals={1},
+        transitions=[(0, "a", 1)], state_conditions=[(0, c)])
+    assert _condition_measure(a) == (1, 1)
+    with pytest.raises(RewriteError, match=re.escape(render(c))):
         remove_projection_step(a)
 
 
@@ -426,6 +438,8 @@ def test_setop_pipeline_handles_the_period_intersection():
 
 @pytest.mark.parametrize("text, want", [
     (r"pi1(a \ a)", "0"), (r"copi1(a \ a)", "id"), ("pi1(a) . b", "pi1(a) . b"),
+    # the complement splits only the subset after the a step on pi1(b)
+    (r"a \ (a . pi1(b))", "a . copi1(b)"),
 ])
 def test_setop_pipeline_folds_trivial_projections_and_tests_conditions_once(text, want):
     report = run_pipeline("tree-set-operations", parse(text))
@@ -679,6 +693,11 @@ def test_run_pipeline_rejects_unknown_names():
     ("chain-projections", "pi1((a|b)+ . a . (a|b)^9) . b", 23),
     ("tree-pi2", "b . pi2((a|b)^9 . a . (a|b)+)", 30),
     ("chain-projections", "pi2((a|b)^5 . a . (a|b)+) . pi1(b . (a|b)^5)", 27),
+    # complements split each subset on its own states' conditions only;
+    # splitting every subset on every condition gave 7, 825 and 465
+    ("tree-set-operations", r"a \ (a . pi1(b))", 2),
+    ("tree-set-operations", r"(a . (a . a . a))+ \ copi2(a)", 14),
+    ("tree-set-operations", r"a . (b . (a . a))+ \ copi1(a)", 13),
 ])
 def test_minimized_rewrites_stay_small_and_certify(pipeline, text, most):
     report = run_pipeline(pipeline, parse(text))
@@ -702,13 +721,14 @@ def test_normal_form_str():
     assert str(normalize_unlabeled_boolean(parse("a"))).startswith("power 1")
 
 
-# the README's example for each pipeline, and the ROADMAP's set-operation case
+# the README's examples for each pipeline, and the ROADMAP's set-operation case
 _README_CASES = [
     ("unlabeled-normal-form", "(b^3)+ & (b^7)+"),
     ("tree-set-operations", "a+ \\ a"),
     ("chain-projections", "pi1(a+ . pi1(b+ . pi1(c+)))"),
     ("tree-pi2", "a . pi2(b . a+) . b"),
     ("tree-set-operations", "(a|b|c)+ \\ ((a.b.c)+ | (c.b)+)"),
+    ("tree-set-operations", "a \\ (a . pi1(b))"),
 ]
 _REWRITE_SCRIPT = """
 import json, sys
