@@ -127,6 +127,7 @@ def plus_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
 
 _AUTOMATON_OPS = ("tc", "pi1", "pi2", "copi1", "copi2")
 _CONDITIONS = (Proj1, Proj2, Coproj1, Coproj2)
+_ATOMIC = (Identity, Empty, *_CONDITIONS)   # the conditions with a complement
 
 
 def expr_to_automaton(e: Expr, alphabet=None) -> ConditionAutomaton:
@@ -295,21 +296,27 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
 def intersect_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> ConditionAutomaton:
     """The part of the synchronized product reachable from the pairs of
     initial states: a pair (p, q) steps along a label when both p and q do,
-    and carries the conditions of both.  Evaluated on trees this is the
+    and carries the conditions of both, unless they hold a condition and
+    its complement, which hold at no node.  Evaluated on trees this is the
     intersection of the two automata; on graphs with parallel paths it can
     undershoot.  Identity transitions are removed from both operands first."""
     a1 = remove_identity_transitions(a1)
     a2 = remove_identity_transitions(a2)
     transitions = set()
 
+    def consistent(p, q) -> bool:
+        return not (a1.gamma[p] and a2.gamma[q]) or not _contradictory(
+            a1.gamma[p] | a2.gamma[q])
+
     def step(pair):
         p, q = pair
         for lab, p2 in a1.successors[p]:
             for q2 in a2.moves.get((q, lab), ()):
-                transitions.add((pair, lab, (p2, q2)))
-                yield p2, q2
+                if consistent(p2, q2):
+                    transitions.add((pair, lab, (p2, q2)))
+                    yield p2, q2
 
-    initials = {(p, q) for p in a1.initials for q in a2.initials}
+    initials = {(p, q) for p in a1.initials for q in a2.initials if consistent(p, q)}
     states = _reach(initials, step)
     return ConditionAutomaton.build(
         states=states,
@@ -325,6 +332,13 @@ def intersect_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condit
 
 # ---------------------------------------------------------------------------
 # determinization and downward complement (tree semantics)
+
+def _contradictory(conds) -> bool:
+    """Whether `conds` holds an atomic condition and its complement, which
+    hold at no node together."""
+    return any(type(c) in _ATOMIC and condition_complement(c) in conds
+               for c in conds)
+
 
 def condition_complement(c: Expr) -> Expr:
     """id <-> 0 and projection <-> coprojection; defined on the atomic
@@ -350,6 +364,8 @@ def determinize(a: ConditionAutomaton, *, limit: int | None = None) -> Condition
     conditions: into a state (Q, L) for each way they can hold at a node,
     with Q the states of p whose conditions hold and L, the state's
     conditions, holding those conditions and the complements of the rest.
+    An L holding a condition and its complement holds at no node, so that
+    split is not built; one that chooses between them always is.
     On trees every node satisfies exactly one split of p, making the result
     deterministic; a p without conditions gives the one state (p, {}).
     Only the states reachable from the initial set's splits are built; with
@@ -367,9 +383,10 @@ def determinize(a: ConditionAutomaton, *, limit: int | None = None) -> Condition
     @cache
     def splits(p: frozenset) -> list:
         conds = {c for x in p for c in gamma[x]}
-        return [(frozenset(x for x in p if gamma[x] <= w),
-                 w.union(map(condition_complement, conds - w)))
-                for w in _subsets(tuple(conds))]
+        out = [(frozenset(x for x in p if gamma[x] <= w),
+                w.union(map(condition_complement, conds - w)))
+               for w in _subsets(tuple(conds))]
+        return [s for s in out if not _contradictory(s[1])] if conds else out
 
     def step(state):
         moves: dict = {}

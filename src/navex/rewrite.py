@@ -17,6 +17,8 @@ Three engines live here:
 * the unlabeled collapse — fragments closed under homomorphisms (and the
   pure distance-set fragment) reduce, for boolean queries on unlabeled chains
   and trees, to the empty query or to a fixed-length reachability query.
+  The distance fragment is decided by arithmetic on ultimately periodic
+  sets of distances; the homomorphic one by searching chain lengths.
 
 The first two end in state elimination, and each automaton is minimized
 before it: the projection-free automaton, the tree automaton, and the
@@ -26,6 +28,7 @@ automaton of each projection's body, which becomes a condition again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 from .automata import ConditionAutomaton
@@ -37,7 +40,7 @@ from .constructions import (
     union_automata,
 )
 from .evaluate import (
-    EquivVerdict, boolean_equivalent, evaluate_boolean, path_equivalent,
+    EquivVerdict, _bits, boolean_equivalent, evaluate_boolean, path_equivalent,
 )
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
@@ -320,27 +323,11 @@ _HOMOMORPHISM_SAFE = frozenset({"conv", "tc", "pi1", "pi2", "cap"})
 _DISTANCE_SAFE = frozenset({"tc", "cap", "minus"})
 
 
-# the d of a distance-fragment node, from its children's: None when it
-# relates no pair, inf when its distances are unbounded
-_LARGEST_DISTANCE = {
-    Empty: lambda ds: None,
-    Identity: lambda ds: 0,
-    EdgeLabel: lambda ds: 1,
-    TransClosure: lambda ds: ds[0] if ds[0] in (0, None) else math.inf,
-    Compose: lambda ds: None if None in ds else sum(ds),
-    Union: lambda ds: max((x for x in ds if x is not None), default=None),
-    Intersect: lambda ds: ds[0] if None in ds else min(ds),
-    Difference: lambda ds: ds[0],
-}
-
-
 def witness_span(e: Expr) -> int:
     """An upper bound on the number of nodes a chain needs before `e` can
     first become nonempty.  Atoms span their endpoints; compositions add;
     intersections and differences multiply, covering the interleaving of the
-    two operands' eventual periods.  In the distance fragment a pair's
-    membership depends only on its distance, so a subterm relating no pair
-    farther apart than d spans at most d + 1."""
+    two operands' eventual periods."""
     def span(node, *kids):
         t = type(node)
         if t in (Empty, Identity):
@@ -357,14 +344,119 @@ def witness_span(e: Expr) -> int:
             a, b = kids
             return a * b + a + b
         raise RewriteError(f"no chain-span bound for {render(node)}")
-    if not operators_used(e).flags <= _DISTANCE_SAFE:
-        return _fold(e, span)
+    return _fold(e, span)
 
-    def capped(node, *kids):
-        s = span(node, *(k[0] for k in kids))
-        d = _LARGEST_DISTANCE[type(node)]([k[1] for k in kids])
-        return (s if d is None else min(s, d + 1)), d
-    return _fold(e, capped)[0]
+
+# In the distance fragment a pair belongs to `e` iff its distance lies in a
+# set D(e) of naturals, which is ultimately periodic, as every unary regular
+# language is (Chrobak, TCS 1986).  A set is kept as (t, p, bits): bits
+# covers [0, t + p), and n >= t is in the set iff bit t + (n - t) % p is.
+
+def _upto(s: tuple, n: int) -> int:
+    """The members of the distance set `s` below n, as bits."""
+    t, p, bits = s
+    if n <= t + p:
+        return bits & ((1 << n) - 1)
+    repeats = -(-(n - t) // p)
+    tail = (bits >> t) * ((1 << p * repeats) - 1) // ((1 << p) - 1)
+    return ((bits & ((1 << t) - 1)) | tail << t) & ((1 << n) - 1)
+
+
+def _normalized(t: int, p: int, bits: int) -> tuple:
+    """(t, p, bits) with its least period, then its least threshold."""
+    if p > 1:
+        block, mask = bits >> t, (1 << p) - 1
+        small = [d for d in range(1, math.isqrt(p) + 1) if p % d == 0]
+        for d in small + [p // d for d in reversed(small)]:
+            if (block >> d | block << (p - d)) & mask == block:
+                p = d
+                break
+    t = ((bits ^ bits >> p) & ((1 << t) - 1)).bit_length()
+    return t, p, bits & ((1 << (t + p)) - 1)
+
+
+_DISTANCE_ATOM = {Empty: (0, 1, 0), Identity: (1, 1, 1), EdgeLabel: (2, 1, 2)}
+_DISTANCE_BITWISE = {
+    Union: lambda x, y: x | y,
+    Intersect: lambda x, y: x & y,
+    Difference: lambda x, y: x & ~y,
+}
+
+
+@lru_cache(maxsize=1)    # `_normal_form` reads the last set again for its step
+def _distance_set(e: Expr, ceiling: int) -> tuple:
+    """D(e) for `e` in the distance fragment, bottom-up.  `|`, `&` and `\\`
+    act bitwise at the larger threshold and the lcm of the periods.  `.` is
+    the sumset, periodic with the lcm p from t1 + t2 + p on: a member of
+    the second set beyond t2 + p can trade p with a member of the first set
+    beyond t1.  `+` closes the positive members, all multiples of their gcd
+    g, under sums by doubling over a horizon that doubles, until they hold
+    a1 / g consecutive multiples of g, a1 the least of them; adding a1 then
+    gives every later multiple.  Raises ResourceLimitError when a set's
+    t + p, or the closure's horizon, would exceed `ceiling`."""
+
+    def room(n: int) -> int:
+        if n > ceiling:
+            raise ResourceLimitError(
+                "normalize_unlabeled_boolean: distance arithmetic needs "
+                f"{n} distances, more than {ceiling} (NAVEX_MAX_INSTANCES)")
+        return n
+
+    def sumset(s1, s2):
+        p = math.lcm(s1[1], s2[1])
+        t = s1[0] + s2[0] + p
+        n = room(t + p)
+        x, y = _upto(s1, n), _upto(s2, n)
+        if x.bit_count() > y.bit_count():
+            x, y = y, x
+        out = 0
+        for d in _bits(x):
+            out |= y << d
+        return _normalized(t, p, out & ((1 << n) - 1))
+
+    def plus(s):
+        n = room(s[0] + 2 * s[1])
+        closed = _upto(s, n) & ~1       # the positive members below n
+        if not closed:
+            return s
+        g = math.gcd(*_bits(closed))
+        least = (closed & -closed).bit_length() - 1
+        while True:
+            grown = None
+            while grown != closed:
+                grown = closed
+                for d in _bits(grown):
+                    if d + least >= n:
+                        break
+                    closed |= grown << d
+                closed &= (1 << n) - 1
+            run, length = closed, 1
+            while length < least // g:
+                step = min(length, least // g - length)
+                run &= run >> step * g
+                length += step
+            if run:
+                break
+            room(n + 1)         # the run, if any, ends beyond the horizon
+            n = min(2 * n, ceiling)
+            closed |= _upto(s, n) & ~1
+        m = (run & -run).bit_length() - 1
+        return _normalized(m, g, (closed & ((1 << m) - 1)) | 1 << m | s[2] & 1)
+
+    def value(node, *kids):
+        t = type(node)
+        if t in _DISTANCE_ATOM:
+            return _DISTANCE_ATOM[t]
+        if t is TransClosure:
+            return plus(*kids)
+        if t is Compose:
+            return sumset(*kids)
+        (t1, p1, _), (t2, p2, _) = kids
+        p = math.lcm(p1, p2)
+        n = room(max(t1, t2) + p)
+        x, y = (_upto(k, n) for k in kids)
+        return _normalized(n - p, p, _DISTANCE_BITWISE[t](x, y))
+    return _fold(e, value)
 
 
 @dataclass(frozen=True)
@@ -373,7 +465,8 @@ class NormalForm:
     k: int | None        # the power, when kind == "power"
     expr: Expr           # 0, or the k-step reachability expression
     searched: int        # the result is decided on chains of 1..searched nodes:
-                         # the first nonempty length, or the witness-span bound
+                         # the first nonempty length, or the witness-span bound;
+                         # 0 when distance-set arithmetic decided it, on no chain
     graph_class: str
 
     def __str__(self):
@@ -392,17 +485,24 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
     difference can express coprojection, which breaks the collapse, and is
     rejected.
 
-    k + 1 is the fewest nodes of a chain on which `e` is nonempty, and it
-    is found by exponential search up to the witness span: chains of 1, 2,
-    4, ... nodes until one is nonempty, then bisection between the last
-    empty length and that one.  This is exact because nonemptiness is
-    monotone in the chain length.  The homomorphism-safe queries are
-    positive, and the n-node chain maps homomorphically into the
-    (n+1)-node chain; in the distance fragment, whether a pair belongs to
-    `e` depends only on the distance between its nodes.  Either way,
-    nonempty on n nodes implies nonempty on n + 1.  Raises
-    ResourceLimitError before evaluating a chain whose n(n+1)/2 node pairs
-    exceed the instance ceiling."""
+    In the distance fragment, whether a pair belongs to `e` depends only on
+    the distance between its nodes, so `e` denotes a set D(e) of distances:
+    the result is empty when D(e) is, and power min D(e) otherwise.  D(e)
+    is computed by arithmetic on ultimately periodic sets, evaluating no
+    chain, and the result has searched = 0; its pipeline step reads
+    "decided by distance-set arithmetic (threshold t, period p)".  That
+    arithmetic raises ResourceLimitError when a set's threshold plus period
+    exceeds the instance ceiling.
+
+    Outside that fragment, k + 1 is the fewest nodes of a chain on which
+    `e` is nonempty, and it is found by exponential search up to the
+    witness span: chains of 1, 2, 4, ... nodes until one is nonempty, then
+    bisection between the last empty length and that one; the step reads
+    "searched chains of 1..N nodes".  This is exact because these queries
+    are positive and the n-node chain maps homomorphically into the
+    (n+1)-node chain, so nonempty on n nodes implies nonempty on n + 1.
+    Raises ResourceLimitError before evaluating a chain whose n(n+1)/2 node
+    pairs exceed the instance ceiling."""
     if graph_class not in ("unlabeled-chain", "unlabeled-tree"):
         raise RewriteError(f"no unlabeled normal form on {graph_class!r}")
     used = operators_used(e)
@@ -414,8 +514,15 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
         raise NotCollapsibleError(
             "expressions over several labels have no unlabeled reading")
     label = next(iter(labels)) if labels else "a"
-    bound = witness_span(e) + 1
     ceiling = default_ceiling()
+    if used.flags <= _DISTANCE_SAFE:
+        distances = _distance_set(e, ceiling)[2]
+        if not distances:
+            return NormalForm("empty", None, EMPTY, 0, graph_class)
+        k = (distances & -distances).bit_length() - 1
+        return NormalForm("power", k, power(EdgeLabel(label), k), 0, graph_class)
+
+    bound = witness_span(e) + 1
 
     def nonempty(n: int) -> bool:
         if n * (n + 1) // 2 > ceiling:
@@ -455,8 +562,12 @@ class RewriteReport:
 
 def _normal_form(e: Expr, steps: list[str]) -> Expr:
     form = normalize_unlabeled_boolean(e)
-    steps += [f"searched chains of 1..{form.searched} nodes",
-              f"normal form: {form}"]
+    if form.searched:
+        steps.append(f"searched chains of 1..{form.searched} nodes")
+    else:
+        t, p, _ = _distance_set(e, default_ceiling())
+        steps.append(f"decided by distance-set arithmetic (threshold {t}, period {p})")
+    steps.append(f"normal form: {form}")
     return form.expr
 
 

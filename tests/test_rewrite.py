@@ -38,7 +38,8 @@ from navex.expr import (
 from navex.graphs import ResourceLimitError, chain_graph, enumerate_trees, instances
 from navex.rewrite import (
     _BOT, NotCollapsibleError, RewriteError, RewriteReport,
-    _condition_measure, eliminate_intersect_difference, normalize_unlabeled_boolean,
+    _DISTANCE_SAFE, _condition_measure, _distance_set,
+    eliminate_intersect_difference, normalize_unlabeled_boolean,
     remove_projection_step, remove_projections_boolean, run_pipeline,
     witness_span,
 )
@@ -557,9 +558,8 @@ def test_witness_span_bounds_first_nonemptiness(e):
 
 
 def test_witness_span_handles_deep_expressions():
-    # in the distance fragment a word of 5,000 letters relates only pairs
-    # 5,000 apart, so 5,001 nodes suffice; under a projection compositions add
-    assert witness_span(power(parse("a"), 5000)) == 5001
+    # compositions add their operands' spans, 2 per letter
+    assert witness_span(power(parse("a"), 5000)) == 2 * 5000
     assert witness_span(Proj1(power(parse("a"), 5000))) == 2 * 5000
 
 
@@ -581,8 +581,11 @@ def _collapsible(leaves, unary, binary):
 def test_collapse_search_agrees_with_a_linear_scan(e):
     # the search is exact only if nonemptiness is monotone in the chain
     # length on both collapsible fragments; check that, and the result,
-    # against evaluating every chain of 1..bound nodes
-    bound = witness_span(e) + 1
+    # against evaluating every chain of 1..bound nodes.  The distance
+    # fragment is decided by arithmetic, on no chain, so there the scan
+    # runs over a fixed horizon instead
+    distance = operators_used(e).flags <= _DISTANCE_SAFE
+    bound = 61 if distance else witness_span(e) + 1
     assume(bound <= 61)
     label = next(iter(labels_of(e)), "a")
     seen = [evaluate_boolean(e, chain_graph(n, label)) for n in range(1, bound + 1)]
@@ -590,9 +593,51 @@ def test_collapse_search_agrees_with_a_linear_scan(e):
     form = normalize_unlabeled_boolean(e)
     if True in seen:
         first = seen.index(True) + 1
-        assert (form.kind, form.k, form.searched) == ("power", first - 1, first)
+        assert (form.kind, form.k) == ("power", first - 1)
+        assert form.searched == (0 if distance else first)
+    elif distance:
+        assert form.kind == "empty" or form.k >= bound
+        assert form.searched == 0
     else:
         assert (form.kind, form.k, form.searched) == ("empty", None, bound)
+
+
+def _distances(e, horizon):
+    """The distances below `horizon` of the pairs `e` relates on a chain,
+    one operator at a time over plain sets; exact below the horizon, as
+    distances only add."""
+    t = type(e)
+    if t is Compose:
+        x, y = _distances(e.left, horizon), _distances(e.right, horizon)
+        return {i + j for i in x for j in y if i + j < horizon}
+    if t is TransClosure:
+        body = _distances(e.child, horizon)
+        out, new = set(body), set(body)
+        while new:
+            new = {i + j for i in new for j in body if i + j < horizon} - out
+            out |= new
+        return out
+    if t in (Union, Intersect, Difference):
+        x, y = _distances(e.left, horizon), _distances(e.right, horizon)
+        return {Union: x | y, Intersect: x & y, Difference: x - y}[t]
+    return {"0": set(), "id": {0}, "a": {1}}[render(e)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_collapsible(("a", "id", "0", "a^3", "a^5"), (TransClosure,),
+                    (Compose, Union, Intersect, Difference)))
+def test_distance_arithmetic_matches_a_per_distance_reference(e):
+    t, p, bits = _distance_set(e, 10 ** 6)
+    horizon = 3 * (t + p) + 60
+    members = {n for n in range(horizon)
+               if (bits >> (n if n < t else t + (n - t) % p)) & 1}
+    assert members == _distances(e, horizon)
+    # the least threshold, and the least period: no divisor of p repeats
+    assert t == 0 or (bits >> (t - 1) & 1) != (bits >> (t - 1 + p) & 1)
+    block = bits >> t
+    for d in range(1, p):
+        if p % d == 0:      # rotating the periodic block by d changes it
+            assert (block >> d | block << (p - d)) & ((1 << p) - 1) != block
 
 
 @pytest.fixture
@@ -606,36 +651,47 @@ def built_chains(monkeypatch):
 
 @pytest.mark.parametrize("text", ["(a^3)+ & (a^7)+", "a^3 & (a . (a^3)+)"])
 def test_collapse_evaluates_logarithmically_many_chains(text, built_chains):
-    e = parse(text)
+    e = Proj1(parse(text))      # the distance fragment alone searches no chain
     form = normalize_unlabeled_boolean(e)
     assert len(built_chains) <= 2 * math.ceil(math.log2(form.searched)) + 2
     bound = witness_span(e) + 1
     assert form.searched == (_first_nonempty_chain(e, bound) or bound)
 
 
+@pytest.mark.parametrize("text, k", [("(a^3)+ & (a^7)+", 21), ("a^3 & (a . (a^3)+)", None)])
+def test_collapse_decides_the_distance_fragment_on_no_chain(text, k, built_chains):
+    form = normalize_unlabeled_boolean(parse(text))
+    assert (form.k, form.searched) == (k, 0)
+    assert built_chains == []
+
+
 def test_collapse_refuses_chains_beyond_the_instance_ceiling(built_chains, monkeypatch):
     monkeypatch.setenv("NAVEX_MAX_INSTANCES", "100")
     # power 21 needs 22 nodes, 253 pairs; 14 nodes have 105
     with pytest.raises(ResourceLimitError) as exc:
-        normalize_unlabeled_boolean(parse("(a^3)+ & (a^7)+"))
+        normalize_unlabeled_boolean(parse("pi1((a^3)+ & (a^7)+)"))
     assert "normalize_unlabeled_boolean" in str(exc.value)
     assert "NAVEX_MAX_INSTANCES" in str(exc.value)
     assert max(built_chains) * (max(built_chains) + 1) // 2 <= 100
     # a power found on small chains is still found
-    assert normalize_unlabeled_boolean(parse("(a^2)+ & (a^3)+")).k == 6
+    assert normalize_unlabeled_boolean(parse("pi1((a^2)+ & (a^3)+)")).k == 6
+    # the arithmetic keeps sets of period 143 past this ceiling too
+    built_chains.clear()
+    with pytest.raises(ResourceLimitError) as exc:
+        normalize_unlabeled_boolean(parse("(a^11)+ & (a^13)+"))
+    assert "normalize_unlabeled_boolean: distance arithmetic" in str(exc.value)
+    assert "NAVEX_MAX_INSTANCES" in str(exc.value)
+    assert built_chains == []
 
     # power 2,431 needs 2,432 nodes, and the default ceiling admits chains
-    # of up to 1,999 nodes, so it must stop the search
+    # of up to 1,999 nodes, so it must stop the search; the arithmetic
+    # needs a set of period 2,431 only
     monkeypatch.delenv("NAVEX_MAX_INSTANCES")
     with pytest.raises(ResourceLimitError):
-        normalize_unlabeled_boolean(parse("((a^11)+ & (a^13)+) & (a^17)+"))
+        normalize_unlabeled_boolean(parse("pi1(((a^11)+ & (a^13)+) & (a^17)+)"))
     assert max(built_chains) < 2000
-
-    # closure-free a^3 & a^5 relates no pair more than 3 apart, which bounds
-    # the whole intersection at 4 nodes; multiplying the operands' spans
-    # would give 717,254, far beyond the ceiling
+    assert normalize_unlabeled_boolean(parse("((a^11)+ & (a^13)+) & (a^17)+")).k == 2431
     e = parse("(((a^3 & a^5) & (a^7)+) & (a^11)+) & (a^13)+")
-    assert witness_span(e) == 4
     assert normalize_unlabeled_boolean(e).kind == "empty"
 
 
@@ -698,6 +754,11 @@ def test_run_pipeline_rejects_unknown_names():
     ("tree-set-operations", r"a \ (a . pi1(b))", 2),
     ("tree-set-operations", r"(a . (a . a . a))+ \ copi2(a)", 14),
     ("tree-set-operations", r"a . (b . (a . a))+ \ copi1(a)", 13),
+    # neither complements nor products build a state holding a condition
+    # and its complement; building them gave 14, 15 and 3
+    ("tree-set-operations", r"a+ \ (a | (a \ pi1(a)))", 9),
+    ("tree-set-operations", r"copi2(a) \ (pi1(a) \ pi2(a & a))", 3),
+    ("tree-set-operations", r"id \ (pi1(a) | copi1(a))", 0),
 ])
 def test_minimized_rewrites_stay_small_and_certify(pipeline, text, most):
     report = run_pipeline(pipeline, parse(text))
