@@ -68,8 +68,8 @@ from .expr import (
 )
 # instances is unused here but stays: the benchmark tracer wraps it by name
 from .graphs import (
-    Graph, ResourceLimitError, _instance_count, _label_names, _level_sequences,
-    _tree_graph, default_ceiling, instances,
+    Graph, ResourceLimitError, _instance_count, _level_sequences, _tree_graph,
+    default_ceiling, instances,
 )
 
 __all__ = [
@@ -397,6 +397,9 @@ def evaluate_boolean(e: Expr, graph: Graph) -> bool:
 
 @dataclass(frozen=True)
 class EquivVerdict:
+    """An oracle's verdict: `checked` counts the instances evaluated, up to
+    and including the witness, and `labels` the labels the instances carry,
+    those the two expressions name, or 1 when they name none."""
     equivalent: bool
     witness: Graph | None
     checked: int
@@ -407,19 +410,6 @@ class EquivVerdict:
 
     def __bool__(self) -> bool:
         return self.equivalent
-
-
-def _required_labels(exprs, labels):
-    """Label names for the instance stream: every label the expressions
-    mention, padded up to the requested count with the default label
-    names, skipping names already used."""
-    used = {lab for e in exprs for lab in labels_used(e)}
-    names = set(used)
-    for c in _label_names():
-        if len(names) >= labels:
-            break
-        names.add(c)
-    return tuple(sorted(names)), used
 
 
 # A chunk is up to _LANES consecutive instances of the stream, of any node
@@ -515,16 +505,19 @@ class _Lanes:
         return [p for i in range(n) for p in a[i::n]]
 
 
-def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
+def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int,
            semantics: str) -> EquivVerdict:
-    if max_nodes < 1 or labels < 0:
-        raise ValueError(f"need max_nodes >= 1, labels >= 0; got {max_nodes}, {labels}")
-    names, used = _required_labels((e1, e2), labels)
-    if graph_class.startswith("unlabeled"):
-        if len(used) > 1:
-            raise ValueError(
-                "expressions mention several labels; unlabeled classes carry one")
-        names = tuple(sorted(used)) or ("a",)
+    """Streams the instances over exactly the labels that e1 and e2 name, or
+    `a` when they name none.  An edge with any other label is invisible to
+    both, and cutting such edges leaves smaller instances over the named
+    labels, each relating what it related in the whole: those come first in
+    a stream over more labels, so more labels would change no verdict and
+    no witness."""
+    if max_nodes < 1:
+        raise ValueError(f"need max_nodes >= 1; got {max_nodes}")
+    names = tuple(sorted(labels_used(e1) | labels_used(e2))) or ("a",)
+    if graph_class.startswith("unlabeled") and len(names) > 1:
+        raise ValueError("expressions mention several labels; unlabeled classes carry one")
     total = _instance_count(graph_class, max_nodes, names)
     limit = default_ceiling()
     if total > limit:
@@ -549,13 +542,14 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int, labels: int,
 
 
 def path_equivalent(e1: Expr, e2: Expr, graph_class: str = "labeled-tree",
-                    max_nodes: int = 5, labels: int = 2) -> EquivVerdict:
-    """Exhaustively compare the relations of e1 and e2 over the instance
-    stream of a graph class; first difference becomes the witness."""
-    return _check(e1, e2, graph_class, max_nodes, labels, "path")
+                    max_nodes: int = 5) -> EquivVerdict:
+    """Exhaustively compare the relations of e1 and e2 on every instance of
+    a graph class up to `max_nodes` nodes over the labels they name; the
+    first instance that separates them becomes the witness."""
+    return _check(e1, e2, graph_class, max_nodes, "path")
 
 
 def boolean_equivalent(e1: Expr, e2: Expr, graph_class: str = "labeled-chain",
-                       max_nodes: int = 8, labels: int = 2) -> EquivVerdict:
+                       max_nodes: int = 8) -> EquivVerdict:
     """Like path_equivalent but compares nonemptiness only."""
-    return _check(e1, e2, graph_class, max_nodes, labels, "boolean")
+    return _check(e1, e2, graph_class, max_nodes, "boolean")

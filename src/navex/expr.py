@@ -15,7 +15,6 @@ linear in the text, and none of them recurse.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 import re
@@ -274,16 +273,14 @@ def _fold(e: Expr, f, children=_children):
     its children).  Each distinct subterm is valued once, children first,
     and its value is dropped once its last parent has used it, so large
     values (automata, text) do not pile up along deep expressions."""
-    nodes = _distinct_nodes(e, children=children)
-    uses = Counter(id(k) for node in nodes for k in children(node))
+    pairs = [(node, children(node)) for node in _distinct_nodes(e, children=children)]
+    last = {id(k): node for node, kids in pairs for k in kids}     # each child's last parent
     value: dict[int, object] = {}
-    for node in nodes:
-        kids = children(node)
+    for node, kids in pairs:
         value[id(node)] = f(node, *[value[id(k)] for k in kids])
         for k in kids:
-            uses[id(k)] -= 1
-            if not uses[id(k)]:
-                del value[id(k)]
+            if last[id(k)] is node:
+                value.pop(id(k), None)      # None: the child's second use, as in a . a
     return value[id(e)]
 
 

@@ -28,7 +28,6 @@ automaton of each projection's body, which becomes a condition again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 from .automata import ConditionAutomaton
@@ -383,8 +382,7 @@ _DISTANCE_BITWISE = {
 }
 
 
-@lru_cache(maxsize=1)    # `_normal_form` reads the last set again for its step
-def _distance_set(e: Expr, ceiling: int) -> tuple:
+def _distance_set(e: Expr) -> tuple:
     """D(e) for `e` in the distance fragment, bottom-up.  `|`, `&` and `\\`
     act bitwise at the larger threshold and the lcm of the periods.  `.` is
     the sumset, periodic with the lcm p from t1 + t2 + p on: a member of
@@ -393,7 +391,8 @@ def _distance_set(e: Expr, ceiling: int) -> tuple:
     g, under sums by doubling over a horizon that doubles, until they hold
     a1 / g consecutive multiples of g, a1 the least of them; adding a1 then
     gives every later multiple.  Raises ResourceLimitError when a set's
-    t + p, or the closure's horizon, would exceed `ceiling`."""
+    t + p, or the closure's horizon, would exceed the instance ceiling."""
+    ceiling = default_ceiling()
 
     def room(n: int) -> int:
         if n > ceiling:
@@ -467,7 +466,7 @@ class NormalForm:
     searched: int        # the result is decided on chains of 1..searched nodes:
                          # the first nonempty length, or the witness-span bound;
                          # 0 when distance-set arithmetic decided it, on no chain
-    graph_class: str
+    step: str            # how it was decided, as the pipeline's step reads
 
     def __str__(self):
         if self.kind == "empty":
@@ -475,7 +474,7 @@ class NormalForm:
         return f"power {self.k} ({render(self.expr)})"
 
 
-def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -> NormalForm:
+def normalize_unlabeled_boolean(e: Expr) -> NormalForm:
     """The empty-or-power normal form of `e` as a boolean query on unlabeled
     chains or trees: `e` is either never nonempty, or nonempty exactly on
     instances of depth at least k, matching a k-step reachability query.
@@ -489,8 +488,8 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
     the distance between its nodes, so `e` denotes a set D(e) of distances:
     the result is empty when D(e) is, and power min D(e) otherwise.  D(e)
     is computed by arithmetic on ultimately periodic sets, evaluating no
-    chain, and the result has searched = 0; its pipeline step reads
-    "decided by distance-set arithmetic (threshold t, period p)".  That
+    chain, and the result has searched = 0; its step reads "decided by
+    distance-set arithmetic (threshold t, period p)" with D(e)'s t and p.  That
     arithmetic raises ResourceLimitError when a set's threshold plus period
     exceeds the instance ceiling.
 
@@ -503,26 +502,25 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
     (n+1)-node chain, so nonempty on n nodes implies nonempty on n + 1.
     Raises ResourceLimitError before evaluating a chain whose n(n+1)/2 node
     pairs exceed the instance ceiling."""
-    if graph_class not in ("unlabeled-chain", "unlabeled-tree"):
-        raise RewriteError(f"no unlabeled normal form on {graph_class!r}")
     used = operators_used(e)
     if not (used.flags <= _HOMOMORPHISM_SAFE or used.flags <= _DISTANCE_SAFE):
         raise NotCollapsibleError(
-            f"operators [{used}] have no empty-or-power collapse on {graph_class}")
+            f"operators [{used}] have no empty-or-power collapse on unlabeled chains and trees")
     labels = labels_used(e)
     if len(labels) > 1:
         raise NotCollapsibleError(
             "expressions over several labels have no unlabeled reading")
     label = next(iter(labels)) if labels else "a"
-    ceiling = default_ceiling()
     if used.flags <= _DISTANCE_SAFE:
-        distances = _distance_set(e, ceiling)[2]
+        t, p, distances = _distance_set(e)
+        step = f"decided by distance-set arithmetic (threshold {t}, period {p})"
         if not distances:
-            return NormalForm("empty", None, EMPTY, 0, graph_class)
+            return NormalForm("empty", None, EMPTY, 0, step)
         k = (distances & -distances).bit_length() - 1
-        return NormalForm("power", k, power(EdgeLabel(label), k), 0, graph_class)
+        return NormalForm("power", k, power(EdgeLabel(label), k), 0, step)
 
     bound = witness_span(e) + 1
+    ceiling = default_ceiling()
 
     def nonempty(n: int) -> bool:
         if n * (n + 1) // 2 > ceiling:
@@ -534,7 +532,8 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
     empty, n = 0, 1  # a chain of `empty` nodes is empty; `n` is the length tried
     while not nonempty(n):
         if n == bound:
-            return NormalForm("empty", None, EMPTY, bound, graph_class)
+            return NormalForm("empty", None, EMPTY, bound,
+                              f"searched chains of 1..{bound} nodes")
         empty, n = n, min(2 * n, bound)
     while n - empty > 1:
         mid = (empty + n) // 2
@@ -542,7 +541,8 @@ def normalize_unlabeled_boolean(e: Expr, graph_class: str = "unlabeled-chain") -
             n = mid
         else:
             empty = mid
-    return NormalForm("power", n - 1, power(EdgeLabel(label), n - 1), n, graph_class)
+    return NormalForm("power", n - 1, power(EdgeLabel(label), n - 1), n,
+                      f"searched chains of 1..{n} nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +562,7 @@ class RewriteReport:
 
 def _normal_form(e: Expr, steps: list[str]) -> Expr:
     form = normalize_unlabeled_boolean(e)
-    if form.searched:
-        steps.append(f"searched chains of 1..{form.searched} nodes")
-    else:
-        t, p, _ = _distance_set(e, default_ceiling())
-        steps.append(f"decided by distance-set arithmetic (threshold {t}, period {p})")
-    steps.append(f"normal form: {form}")
+    steps.extend((form.step, f"normal form: {form}"))
     return form.expr
 
 

@@ -163,7 +163,7 @@ def test_to_expr_on_branchy_matches_known_expression(branchy):
         "l1 . pi2(l1^2) . pi1(l2^3) . (l1 . pi2(l1^2) . pi1(l2^3))* . l2"
         " | l3 | id")
     e = automaton_to_expr(branchy)
-    verdict = path_equivalent(e, known, "labeled-tree", max_nodes=4, labels=3)
+    verdict = path_equivalent(e, known, "labeled-tree", max_nodes=4)
     assert verdict, verdict.witness
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from navex.evaluate import _required_labels, path_equivalent
+from navex.evaluate import path_equivalent
 from navex.expr import parse
 from navex.graphs import (
-    GRAPH_CLASSES, Graph, GraphError, ResourceLimitError, _instance_count,
+    GRAPH_CLASSES, Graph, GraphError, ResourceLimitError, _alphabet, _instance_count,
     chain_graph, count_trees, enumerate_trees, instances,
 )
 
@@ -43,7 +43,8 @@ def test_tree_counts_pinned():
 def test_default_label_names_continue_past_z():
     assert count_trees(2, 28) == 29
     assert len(list(instances("labeled-chain", 2, 27))) == 28
-    names, _ = _required_labels((), 28)
+    names = _alphabet(28)
+    assert names[25:] == ("z", "a1", "a2")
     assert {g.labels for g in instances("labeled-chain", 2, 28)} == {frozenset(names)}
     with pytest.raises(GraphError):
         count_trees(2, -1)

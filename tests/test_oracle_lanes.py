@@ -4,27 +4,33 @@ the per-instance loop they replace: one `EvalContext` per graph of
 `instances()`, in stream order, where the first instance that tells the
 two expressions apart is the witness.  The lane oracle must reach the same
 verdict, count and witness.
+
+The stream is over the labels the two expressions name.  The reference can
+also stream over extra names that neither uses: an edge with such a label is
+invisible to both, so the verdict and the witness must stay the same.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import navex.evaluate as ev
 from navex.evaluate import (
-    EquivVerdict, EvalContext, _compile, _required_labels, _run, boolean_equivalent,
+    EquivVerdict, EvalContext, _compile, _run, boolean_equivalent, evaluate,
     path_equivalent,
 )
 from navex.expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
-    Intersect, Proj1, Proj2, TransClosure, Union, EMPTY, IDENTITY, parse,
+    Intersect, Proj1, Proj2, TransClosure, Union, EMPTY, IDENTITY, labels_used, parse,
 )
 from navex.graphs import GRAPH_CLASSES, Graph, count_trees, instances
 
 
-def per_instance_check(e1, e2, graph_class, max_nodes, labels, semantics):
-    """The oracle as a loop over the instance stream, one context each."""
-    names, used = _required_labels((e1, e2), labels)
-    if graph_class.startswith("unlabeled"):
-        names = tuple(sorted(used)) or ("a",)
+def per_instance_check(e1, e2, graph_class, max_nodes, semantics, extra=0):
+    """The oracle as a loop over the instance stream, one context each, over
+    the labels e1 and e2 name, or `a`, and on labeled classes `extra` more
+    names that neither uses."""
+    names = tuple(sorted(labels_used(e1) | labels_used(e2))) or ("a",)
+    if not graph_class.startswith("unlabeled"):
+        names = tuple(sorted(names + tuple(f"x{i}" for i in range(extra))))
     stream_labels = tuple(f"l{i}" for i in range(len(names)))
     rename = dict(zip(names, stream_labels))
     code, (r1, r2) = _compile((e1, e2))
@@ -43,9 +49,9 @@ def per_instance_check(e1, e2, graph_class, max_nodes, labels, semantics):
     return EquivVerdict(True, None, checked, graph_class, max_nodes, len(names), semantics)
 
 
-def lane_check(e1, e2, graph_class, max_nodes, labels, semantics):
+def lane_check(e1, e2, graph_class, max_nodes, semantics):
     oracle = boolean_equivalent if semantics == "boolean" else path_equivalent
-    return oracle(e1, e2, graph_class, max_nodes, labels)
+    return oracle(e1, e2, graph_class, max_nodes)
 
 
 def _exprs_over(*names):
@@ -67,13 +73,13 @@ _LABELED, _UNLABELED = _exprs_over("a", "b", "c"), _exprs_over("a")
 
 
 @st.composite
-def _cases(draw):
-    graph_class = draw(st.sampled_from(GRAPH_CLASSES))
+def _cases(draw, classes=GRAPH_CLASSES, max_nodes=6):
+    graph_class = draw(st.sampled_from(classes))
     exprs = _UNLABELED if graph_class.startswith("unlabeled") else _LABELED
     e1, e2 = draw(exprs), draw(exprs)
     if draw(st.booleans()):     # equivalent by absorption: the whole stream is checked
         e2 = Union(e1, Intersect(e1, e2))
-    return (e1, e2, graph_class, draw(st.integers(1, 6)), draw(st.integers(0, 3)),
+    return (e1, e2, graph_class, draw(st.integers(1, max_nodes)),
             draw(st.sampled_from(["path", "boolean"])))
 
 
@@ -81,6 +87,30 @@ def _cases(draw):
 @given(_cases())
 def test_lane_verdicts_match_the_per_instance_loop(case):
     assert lane_check(*case) == per_instance_check(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cases(("labeled-tree", "labeled-chain"), max_nodes=5), st.integers(1, 2))
+def test_label_names_neither_expression_uses_change_no_verdict(case, extra):
+    plain, padded = lane_check(*case), per_instance_check(*case, extra=extra)
+    assert padded.equivalent == plain.equivalent
+    assert padded.checked >= plain.checked
+    if not plain.equivalent:
+        assert (padded.witness.nodes, padded.witness.edges) == (
+            plain.witness.nodes, plain.witness.edges)
+
+
+_CUT_GRAPHS = [*instances("labeled-tree", 5, "abc"), *instances("labeled-chain", 6, "abc")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exprs_over("a", "b"), st.lists(st.sampled_from(_CUT_GRAPHS), min_size=1, max_size=20))
+def test_edges_with_labels_an_expression_does_not_name_are_invisible_to_it(e, graphs):
+    # cutting the c edges of a tree or chain leaves a forest of smaller
+    # instances over a and b, which relates what the whole related
+    for g in graphs:
+        cut = Graph(g.nodes, g.labels, frozenset(x for x in g.edges if x[1] != "c"))
+        assert evaluate(e, g) == evaluate(e, cut)
 
 
 _LANE_LABELS = ("l0", "l1")
@@ -131,9 +161,9 @@ def test_a_stream_of_several_chunks_matches_the_per_instance_loop():
         (parse(f"{any_step}+"), parse(f"{any_step} | {any_step}+ . {any_step}"), "path"),
     ]
     for e1, e2, semantics in pairs:
-        case = (e1, e2, "labeled-chain", 9, 3, semantics)
+        case = (e1, e2, "labeled-chain", 9, semantics)
         assert lane_check(*case) == per_instance_check(*case)
-    first, full = (lane_check(e1, e2, "labeled-chain", 9, 3, s) for e1, e2, s in pairs)
+    first, full = (lane_check(e1, e2, "labeled-chain", 9, s) for e1, e2, s in pairs)
     assert first.checked == 3280 + 2 * 3 ** 7 + 1 > 3280 + ev._LANES
     assert first.witness.edges == {("n0", "c", "n1")} | {
         (f"n{i}", "a", f"n{i + 1}") for i in range(1, 8)}
