@@ -250,15 +250,17 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
 
 def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
     """Path-equivalent identity-transition-free automaton, with a state
-    (q, C) for each state q and each condition set C that a walk of identity
+    (q, C) for each head q and each condition set C that a walk of identity
     transitions from q collects, q's own included: epsilon removal closing
-    over labels, not states (Mohri, CIAA 2000).  (q, C) carries C, is final
-    when such a walk reaches a final state, and steps on a label wherever
-    the walk's states do, into every state headed by the target.  A run
-    rests at a node for one identity walk, all of whose conditions hold
-    there, so only their union matters.  Only states with an identity move
-    are walked; any other q gives the one state (q, its own conditions).
-    Already identity-free automata are returned unchanged."""
+    over labels, not states (Mohri, CIAA 2000).  The heads are the initial
+    states and, started when first reached, the label targets of the states
+    built, so every state is reachable.  (q, C) carries C, is final when
+    such a walk reaches a final state, and steps on a label wherever the
+    walk's states do, into every state headed by the target.  A run rests
+    at a node for one identity walk, all of whose conditions hold there, so
+    only their union matters.  Only heads with an identity move are walked;
+    any other q gives the one state (q, its own conditions).  Already
+    identity-free automata are returned unchanged."""
     if a.identity_free:
         return a
     gamma = a.gamma
@@ -268,13 +270,19 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
         return ((t, conds | gamma[t]) for t in a.moves.get((r, ID), ()))
 
     finals, successors = set(), {}
-    for q in a.states:
-        start = [(q, gamma[q])]
+
+    def head(q):
+        """Build the states headed by q; return the heads they step to."""
+        start, targets = [(q, gamma[q])], set()
         for r, conds in _reach(start, step) if (q, ID) in a.moves else start:
             if r in a.finals:
                 finals.add((q, conds))
-            successors.setdefault((q, conds), set()).update(
-                (lab, t) for lab, t in a.successors[r] if lab != ID)
+            pairs = [(lab, t) for lab, t in a.successors[r] if lab != ID]
+            successors.setdefault((q, conds), set()).update(pairs)
+            targets.update(t for _, t in pairs)
+        return targets
+
+    _reach(a.initials, head)
     by_head: dict = {}
     for q, conds in successors:
         by_head.setdefault(q, []).append((q, conds))

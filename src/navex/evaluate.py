@@ -18,6 +18,13 @@ number of graphs.  Neither compiling nor running hashes, compares or
 recurses over expressions, so deep expressions evaluate as well as shallow
 ones.
 
+Compiling settles two facts the kernels would otherwise check per call.
+A composition whose right operand is a test, a subterm inside the identity
+on every graph (Kozen 1997), runs as one mask over the columns of its left
+operand.  Only converse or a cycle puts a pair below the diagonal, so a
+closure without converse, on a graph without a cycle, takes the one-pass
+kernel without scanning for pairs that point back.
+
 One interpreter, `_run`, runs every plan on a relation algebra: an
 `EvalContext` for one graph, or a `_Lanes` chunk for the bounded oracles.
 A relation is a list of ints in both, so union, intersection and difference
@@ -56,13 +63,13 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from heapq import heappop, heappush
 from itertools import compress, islice
 from operator import and_, or_, xor
 
 from .expr import (
-    Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
+    FLAGS, Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     _distinct_nodes, labels_used,
 )
@@ -97,10 +104,11 @@ def _bits(mask: int):
 #
 # An instruction is (opcode, x, y): x and y are the slots of the operands,
 # the label name for _LABEL, and for _PROJECT x is the operand's slot and y
-# says which side is projected and whether the result is complemented.
+# says which side is projected and whether the result is complemented.  For
+# _CONVERSE and _CLOSURE, y is set when the operand uses converse.
 
 (_EMPTY, _IDENTITY, _LABEL, _CONVERSE, _CLOSURE, _PROJECT,
- _COMPOSE, _UNION, _INTERSECT, _DIFFERENCE) = range(10)
+ _COMPOSE, _UNION, _INTERSECT, _DIFFERENCE, _THEN_TEST) = range(11)
 
 _ATOM_OP = {Empty: _EMPTY, Identity: _IDENTITY}
 _UNARY_OP = {Converse: _CONVERSE, TransClosure: _CLOSURE}
@@ -109,27 +117,39 @@ _PROJECTION = {Proj1: (False, False), Proj2: (True, False),
                Coproj1: (False, True), Coproj2: (True, True)}
 _BINARY_OP = {Compose: _COMPOSE, Union: _UNION, Intersect: _INTERSECT,
               Difference: _DIFFERENCE}
+_USES_CONVERSE = 1 << FLAGS.index("conv")
 
 
 def _compile(roots) -> tuple[list[tuple], list[int]]:
-    """The plan of `roots`: its instructions and the slot of each root."""
+    """The plan of `roots`: its instructions and the slot of each root.  A
+    test is `id`, `0`, a (co)projection, or an operator that keeps a test
+    inside the identity; composing with one on the right is _THEN_TEST."""
     code: list[tuple] = []
     slot: dict[int, int] = {}
+    tests: list[bool] = []
     for node in _distinct_nodes(*roots):
         t = type(node)
+        test = t in _ATOM_OP or t in _PROJECTION
         if t is EdgeLabel:
             code.append((_LABEL, node.name, None))
         elif t in _BINARY_OP:
-            code.append((_BINARY_OP[t], slot[id(node.left)], slot[id(node.right)]))
+            x, y = slot[id(node.left)], slot[id(node.right)]
+            code.append((_THEN_TEST if t is Compose and tests[y] else _BINARY_OP[t], x, y))
+            # t \ r is inside t, and t & r inside either side
+            test = (tests[x] and tests[y] if t is Compose or t is Union
+                    else tests[x] or t is Intersect and tests[y])
         elif t in _PROJECTION:
             code.append((_PROJECT, slot[id(node.child)], _PROJECTION[t]))
         elif t in _UNARY_OP:
-            code.append((_UNARY_OP[t], slot[id(node.child)], None))
+            x = slot[id(node.child)]
+            code.append((_UNARY_OP[t], x, node.child._flags & _USES_CONVERSE))
+            test = tests[x]     # the converse and the closure of a test are that test
         elif t in _ATOM_OP:
             code.append((_ATOM_OP[t], None, None))
         else:  # pragma: no cover - exhaustive over the syntax
             raise TypeError(f"cannot evaluate {t.__name__}")
         slot[id(node)] = len(code) - 1
+        tests.append(test)
     return code, [slot[id(r)] for r in roots]
 
 
@@ -149,9 +169,11 @@ def _run(code: list[tuple], alg) -> list:
         elif op == _LABEL:
             push(alg.label(x))
         elif op == _CLOSURE:
-            push(alg.closure_mask(rels[x]))
+            push(alg.closure_mask(rels[x]) if y or alg.cyclic else alg.forward_closure(rels[x]))
         elif op == _IDENTITY:
             push(alg.identity)
+        elif op == _THEN_TEST:
+            push(alg.then_test(rels[x], rels[y]))
         elif op == _DIFFERENCE:
             push([p & ~q for p, q in zip(rels[x], rels[y])])
         elif op == _INTERSECT:
@@ -180,19 +202,24 @@ class EvalContext:
     Nodes are indexed in topological order (every edge's source before its
     target, ties by name), or in name order if the graph has a cycle other
     than a self-loop.  A relation is a list of n ints: row i is node i's
-    successor set, with bit j set when node i relates to node j."""
+    successor set, with bit j set when node i relates to node j.  `cyclic`
+    says whether some edge points back, which only a cycle makes."""
 
     def __init__(self, graph: Graph):
         self.node_order, self.index = _topological(graph)
         self.n = n = len(self.node_order)
         index = self.index
         self.identity = [1 << i for i in range(n)]
-        # below[i] masks the nodes before node i: a pair that points back
-        self.below = [bit - 1 for bit in self.identity]
         self.empty = [0] * n
         self.label_rows = {lab: [0] * n for lab in graph.labels}
         for s, lab, t in graph.edges:
             self.label_rows[lab][index[s]] |= 1 << index[t]
+        self.cyclic = any(index[s] > index[t] for s, _, t in graph.edges)
+
+    @cached_property
+    def below(self) -> list[int]:
+        """below[i] masks the nodes before node i: a pair that points back."""
+        return [bit - 1 for bit in self.identity]
 
     # --- relation algebra on rows --------------------------------------
     def label(self, name: str) -> list[int]:
@@ -205,11 +232,10 @@ class EvalContext:
 
     def compose_masks(self, a: list[int], b: list[int]) -> list[int]:
         """Row i of the result ORs the rows of `b` at row i's successors in
-        `a`: that one row of `b` when there is one successor."""
+        `a`: that one row of `b` when there is one successor.  Plans send a
+        `b` that is a test to `then_test` instead."""
         if not any(a) or not any(b):
             return self.empty
-        if list(map(and_, b, self.identity)) == b:  # b is a test: keep a's columns on its nodes
-            return list(map(reduce(or_, b).__and__, a))
         out = [0] * self.n
         for i in compress(range(self.n), a):
             row = a[i]
@@ -224,6 +250,11 @@ class EvalContext:
                 out[i] = b[row.bit_length() - 1]
         return out
 
+    def then_test(self, a: list[int], t: list[int]) -> list[int]:
+        """`a` composed with the test `t`, a relation inside the identity:
+        a's rows keep the columns of t's nodes."""
+        return list(map(reduce(or_, t, 0).__and__, a))
+
     def transpose_mask(self, a: list[int]) -> list[int]:
         out = [0] * self.n
         for bit, row in compress(zip(self.identity, a), a):
@@ -234,15 +265,20 @@ class EvalContext:
         return out
 
     def closure_mask(self, a: list[int]) -> list[int]:
-        """The transitive closure of `a`.  If `a` only relates nodes to
-        themselves or to later nodes, as a downward relation on a tree or
-        chain does, one pass over the nonempty rows from the last to the
-        first ORs into each row the finished rows of its successors: a row
-        with one successor j becomes `row | rows[j]`.  Whether some pair
-        points back is one C-level pass against `below`.  Otherwise `a` is
-        squared until a fixpoint."""
+        """The transitive closure of `a`: squared until a fixpoint if some
+        pair points back, which is one C-level pass against `below`, and
+        otherwise `forward_closure`, which plans call directly when neither
+        converse nor a cycle can make such a pair."""
         if any(map(and_, a, self.below)):
             return _squared_closure(self, a)
+        return self.forward_closure(a)
+
+    def forward_closure(self, a: list[int]) -> list[int]:
+        """The transitive closure of `a`, which only relates nodes to
+        themselves or to later nodes, as a downward relation on a tree or
+        chain does: one pass over the nonempty rows from the last to the
+        first ORs into each row the finished rows of its successors, and a
+        row with one successor j becomes `row | rows[j]`."""
         rows = list(a)
         for i in compress(range(self.n - 1, -1, -1), reversed(a)):
             row = rows[i]
@@ -448,6 +484,8 @@ class _Lanes:
     """The relation algebra of a chunk on lane masks: exists[i] masks the
     lanes that have node i, and `labels` maps each label to its lane masks."""
 
+    cyclic = False      # its instances are forests
+
     def __init__(self, exists: tuple, labels: dict):
         self.n, self.exists, self.labels = len(exists), exists, labels
         self.empty = [0] * self.n ** 2
@@ -470,13 +508,24 @@ class _Lanes:
                             out[k] |= x & y
         return out
 
+    def then_test(self, a, t) -> list[int]:
+        """`a` composed with the test `t`, which is zero off the diagonal:
+        entry (i, k) is a's (i, k) AND t's (k, k)."""
+        return list(map(and_, a, t[::self.n + 1] * self.n))
+
     def closure_mask(self, a) -> list[int]:
-        """The transitive closure of `a`.  With no bit below the diagonal, one
-        pass from the last row to the first ORs into each row the finished
-        rows of its successors; otherwise `a` is squared until a fixpoint."""
+        """The transitive closure of `a`: squared until a fixpoint if some
+        bit lies below the diagonal, and otherwise `forward_closure`."""
         n = self.n
         if any(a[i * n + j] for i in range(n) for j in range(i)):
             return _squared_closure(self, a)
+        return self.forward_closure(a)
+
+    def forward_closure(self, a) -> list[int]:
+        """The transitive closure of `a`, which has no bit below the
+        diagonal: one pass from the last row to the first ORs into each row
+        the finished rows of its successors."""
+        n = self.n
         out = list(a)
         for row in range(n - 1, -1, -1):
             i = row * n

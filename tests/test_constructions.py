@@ -741,6 +741,23 @@ def reference_visited_pairs(a):
             for _, visited in _reach([(q, frozenset({q}))], step)}
 
 
+def reference_heads(a):
+    """The heads that identity removal builds states for, by fixpoints over
+    the transitions: the initial states, and every label target of a state
+    that an identity walk from a head visits."""
+    def walked(q):
+        seen = {q}
+        while more := {t for s, lab, t in a.transitions if lab == ID and s in seen} - seen:
+            seen |= more
+        return seen
+
+    heads = set(a.initials)
+    while more := {t for q in heads for s, lab, t in a.transitions
+                   if lab != ID and s in walked(q)} - heads:
+        heads |= more
+    return heads
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_automata())
 def test_identity_removal_closes_over_condition_sets(a):
@@ -749,8 +766,10 @@ def test_identity_removal_closes_over_condition_sets(a):
     for g in TREES:
         assert eval_automaton(b, g) == eval_automaton(a, g)
     assert len(b.states) <= len(reference_visited_pairs(a))
+    if not a.identity_free:
+        assert {q for q, _ in b.states} == reference_heads(a)
     if not a.conditions and not a.identity_free:
-        assert b.states == {(q, frozenset()) for q in a.states}
+        assert b.states == {(q, frozenset()) for q in reference_heads(a)}
 
 
 def reference_intersect(a1, a2):
@@ -1110,4 +1129,6 @@ def test_identity_removal_walks_only_from_states_with_identity_moves(a):
     with pytest.MonkeyPatch.context() as mp:
         walks = _counting_reach(mp)
         remove_identity_transitions(a)
-    assert len(walks) == len({s for s, lab, _ in a.transitions if lab == ID})
+    # one walk over the heads, and one from each head with an identity move
+    assert len(walks) == (0 if a.identity_free else
+                          1 + len({q for q in reference_heads(a) if (q, ID) in a.moves}))

@@ -1,6 +1,7 @@
 """Evaluator semantics, checked clause by clause and against an independent
 reference implementation over plain pair sets."""
 
+import collections
 import copy
 import functools
 import gc
@@ -472,6 +473,81 @@ def test_closure_of_a_downward_relation_takes_no_products():
             assert ctx.decode(closed) == reference_eval(TransClosure(e), chain)
 
 
+class _ScanCountingContext(EvalContext):
+    """Counts, from outside, the scans for pairs that point back (reads of
+    `below`) and the tests for a diagonal operand inside a product (reads of
+    `identity` during `compose_masks`)."""
+
+    def __init__(self, graph):
+        self.reads, self.in_product = collections.Counter(), False
+        super().__init__(graph)
+
+    def __getattribute__(self, name):
+        if name == "below" or name == "identity" and object.__getattribute__(self, "in_product"):
+            object.__getattribute__(self, "reads")[name] += 1
+        return object.__getattribute__(self, name)
+
+    def compose_masks(self, x, y):
+        self.in_product = True
+        try:
+            return super().compose_masks(x, y)
+        finally:
+            self.in_product = False
+
+
+def test_only_plans_with_converse_or_graphs_with_a_cycle_scan_for_pairs_pointing_back():
+    plans = [TransClosure(Compose(a, Proj1(a))), Compose(TransClosure(Union(a, b)), Proj2(a)),
+             TransClosure(Compose(Union(a, b), Union(IDENTITY, Coproj1(b)))),
+             Compose(a, TransClosure(Compose(b, Intersect(Proj1(b), a)))),
+             Compose(TransClosure(Difference(a, Compose(a, Coproj2(b)))), Converse(Proj1(a)))]
+    back = TransClosure(Union(a, Converse(a)))
+    for tree in enumerate_trees(5, 2):
+        ctx = _ScanCountingContext(tree)
+        for e in plans:
+            assert ctx.decode(ctx.mask_of(e)) == reference_eval(e, tree)
+        assert not ctx.reads and "below" not in vars(ctx)
+        assert ctx.decode(ctx.mask_of(back)) == reference_eval(back, tree)
+        assert ctx.reads == {"below": 1}
+    cycle = Graph.build(["x", "y", "z"], ["a", "b"],
+                        {("x", "a", "y"), ("y", "a", "z"), ("z", "a", "x"), ("y", "b", "y")})
+    ctx = _ScanCountingContext(cycle)
+    assert ctx.cyclic
+    for e in plans:
+        ctx.reads.clear()
+        assert ctx.decode(ctx.mask_of(e)) == reference_eval(e, cycle)
+        assert ctx.reads == {"below": sum(type(x) is TransClosure for x in _distinct_nodes(e))}
+
+
+def _compiled_as_tests(exprs) -> list[bool]:
+    """Whether each expression is compiled as a test: composing on its
+    right makes a _THEN_TEST instruction."""
+    code, roots = _compile([Compose(a, x) for x in exprs])
+    return [code[root][0] == ev._THEN_TEST for root in roots]
+
+
+def test_compile_marks_tests_by_syntax():
+    tests = [IDENTITY, EMPTY, Proj1(a), Coproj2(b), Compose(Proj1(a), Coproj2(b)),
+             Union(IDENTITY, Proj2(a)), Intersect(a, IDENTITY), Intersect(Proj1(b), b),
+             Difference(IDENTITY, a), Converse(Proj1(a)), TransClosure(Coproj1(a))]
+    others = [a, Converse(a), TransClosure(a), Compose(a, IDENTITY), Compose(IDENTITY, a),
+              Union(a, IDENTITY), Difference(a, IDENTITY), Intersect(a, b)]
+    assert _compiled_as_tests(tests + others) == [True] * len(tests) + [False] * len(others)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs, _sized_graphs())
+def test_every_slot_compiled_as_a_test_lies_inside_the_identity(e, g):
+    nodes = _distinct_nodes(e)
+    for x, test in zip(nodes, _compiled_as_tests(nodes)):
+        if test:
+            assert all(s == t for s, t in evaluate(x, g)), x
+    # a closure's flag is set when its operand uses converse
+    code, _ = _compile((e,))
+    for (op, _, flag), node in zip(code, nodes):
+        if op == ev._CLOSURE:
+            assert bool(flag) == any(type(x) is Converse for x in _distinct_nodes(node.child))
+
+
 # Row kernels called directly, against pair sets.  Each row is drawn as
 # empty, as one successor or as several, and a few rows may get a bit
 # below the diagonal, so that both the one-step and the looping path of
@@ -524,11 +600,30 @@ def test_row_kernels_match_pair_sets_and_change_nothing(case):
     assert _pairs(ctx.closure_mask(x)) == _closure(px)
     assert _pairs(ctx.closure_mask(y)) == _closure(py)
     assert _pairs(ctx.transpose_mask(x)) == {(j, i) for i, j in px}
+    if all(row & ~(1 << i) == 0 for i, row in enumerate(y)):
+        assert _pairs(ctx.then_test(x, y)) == _then(px, py)
+    for r in (x, y):
+        if all(i <= j for i, j in _pairs(r)):
+            assert _pairs(ctx.forward_closure(r)) == _closure(_pairs(r))
     firsts, seconds = {i for i, _ in px}, {j for _, j in px}
     for second, complement, want in [(False, False, firsts), (True, False, seconds),
                                      (False, True, nodes - firsts), (True, True, nodes - seconds)]:
         assert _pairs(ctx._project(x, second, complement)) == {(i, i) for i in want}
     assert [list(r) for r in (x, y, *shared)] == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_lane_kernels_for_tests_and_forward_relations_match_the_general_ones(n, seed):
+    rng = random.Random(seed)
+    lanes = ev._Lanes((255,) * n, {})
+    x = [rng.getrandbits(8) if rng.random() < 0.5 else 0 for _ in range(n * n)]
+    y = [rng.getrandbits(8) if rng.random() < 0.5 else 0 for _ in range(n * n)]
+    test = [m if k % (n + 1) == 0 else 0 for k, m in enumerate(y)]
+    assert lanes.then_test(x, test) == lanes.compose_masks(x, test)
+    forward = [m if k // n <= k % n else 0 for k, m in enumerate(x)]
+    assert lanes.forward_closure(forward) == ev._squared_closure(lanes, forward)
+    assert lanes.closure_mask(forward) == ev._squared_closure(lanes, forward)
 
 
 def test_topological_order_puts_sources_first():
