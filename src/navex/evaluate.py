@@ -22,8 +22,8 @@ Compiling settles two facts the kernels would otherwise check per call.
 A composition whose right operand is a test, a subterm inside the identity
 on every graph (Kozen 1997), runs as one mask over the columns of its left
 operand.  Only converse or a cycle puts a pair below the diagonal, so a
-closure without converse, on a graph without a cycle, takes the one-pass
-kernel without scanning for pairs that point back.
+closure without converse, on a graph without a cycle, runs the one-pass
+kernel, and every other closure squares to a fixpoint.
 
 One interpreter, `_run`, runs every plan on a relation algebra: an
 `EvalContext` for one graph, or a `_Lanes` chunk for the bounded oracles.
@@ -63,7 +63,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
 from itertools import compress, islice
 from operator import and_, or_, xor
@@ -105,7 +105,7 @@ def _bits(mask: int):
 # An instruction is (opcode, x, y): x and y are the slots of the operands,
 # the label name for _LABEL, and for _PROJECT x is the operand's slot and y
 # says which side is projected and whether the result is complemented.  For
-# _CONVERSE and _CLOSURE, y is set when the operand uses converse.
+# _CLOSURE, y is set when the operand uses converse; _run reads it there only.
 
 (_EMPTY, _IDENTITY, _LABEL, _CONVERSE, _CLOSURE, _PROJECT,
  _COMPOSE, _UNION, _INTERSECT, _DIFFERENCE, _THEN_TEST) = range(11)
@@ -169,7 +169,7 @@ def _run(code: list[tuple], alg) -> list:
         elif op == _LABEL:
             push(alg.label(x))
         elif op == _CLOSURE:
-            push(alg.closure_mask(rels[x]) if y or alg.cyclic else alg.forward_closure(rels[x]))
+            push(_squared_closure(alg, rels[x]) if y or alg.cyclic else alg.closure_mask(rels[x]))
         elif op == _IDENTITY:
             push(alg.identity)
         elif op == _THEN_TEST:
@@ -216,11 +216,6 @@ class EvalContext:
             self.label_rows[lab][index[s]] |= 1 << index[t]
         self.cyclic = any(index[s] > index[t] for s, _, t in graph.edges)
 
-    @cached_property
-    def below(self) -> list[int]:
-        """below[i] masks the nodes before node i: a pair that points back."""
-        return [bit - 1 for bit in self.identity]
-
     # --- relation algebra on rows --------------------------------------
     def label(self, name: str) -> list[int]:
         try:
@@ -265,20 +260,12 @@ class EvalContext:
         return out
 
     def closure_mask(self, a: list[int]) -> list[int]:
-        """The transitive closure of `a`: squared until a fixpoint if some
-        pair points back, which is one C-level pass against `below`, and
-        otherwise `forward_closure`, which plans call directly when neither
-        converse nor a cycle can make such a pair."""
-        if any(map(and_, a, self.below)):
-            return _squared_closure(self, a)
-        return self.forward_closure(a)
-
-    def forward_closure(self, a: list[int]) -> list[int]:
-        """The transitive closure of `a`, which only relates nodes to
+        """The transitive closure of `a`, which relates nodes only to
         themselves or to later nodes, as a downward relation on a tree or
         chain does: one pass over the nonempty rows from the last to the
         first ORs into each row the finished rows of its successors, and a
-        row with one successor j becomes `row | rows[j]`."""
+        row with one successor j becomes `row | rows[j]`.  Plans send every
+        other relation to `_squared_closure`."""
         rows = list(a)
         for i in compress(range(self.n - 1, -1, -1), reversed(a)):
             row = rows[i]
@@ -514,17 +501,10 @@ class _Lanes:
         return list(map(and_, a, t[::self.n + 1] * self.n))
 
     def closure_mask(self, a) -> list[int]:
-        """The transitive closure of `a`: squared until a fixpoint if some
-        bit lies below the diagonal, and otherwise `forward_closure`."""
-        n = self.n
-        if any(a[i * n + j] for i in range(n) for j in range(i)):
-            return _squared_closure(self, a)
-        return self.forward_closure(a)
-
-    def forward_closure(self, a) -> list[int]:
         """The transitive closure of `a`, which has no bit below the
         diagonal: one pass from the last row to the first ORs into each row
-        the finished rows of its successors."""
+        the finished rows of its successors.  Plans send every other
+        relation to `_squared_closure`."""
         n = self.n
         out = list(a)
         for row in range(n - 1, -1, -1):
