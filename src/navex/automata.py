@@ -12,7 +12,7 @@ leads from an initial state at m to a final state at n.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
+from functools import reduce
 
 from .expr import Expr, IDENTITY, _compose, is_condition, render
 from .graphs import ID
@@ -21,6 +21,25 @@ __all__ = [
     "ID", "AutomatonError", "ConditionAutomaton", "state_key",
     "state_condition_expr",
 ]
+
+
+class _cached:
+    """A derived attribute, computed on first access and stored in the
+    instance `__dict__`, where later look-ups find it before this non-data
+    descriptor.  Unlike `functools.cached_property` before Python 3.12, it
+    takes no lock: two threads may both compute it, to equal values."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class AutomatonError(ValueError):
@@ -90,19 +109,19 @@ class ConditionAutomaton:
             object.__setattr__(a, name, frozenset(part))
         return a
 
-    @cached_property
+    @_cached
     def conditions(self) -> frozenset[Expr]:
         """The condition set C: every condition attached to some state."""
         return frozenset(c for _, c in self.state_conditions)
 
-    @cached_property
+    @_cached
     def gamma(self) -> dict:
         out: dict = {q: set() for q in self.states}
         for q, c in self.state_conditions:
             out[q].add(c)
         return {q: frozenset(cs) for q, cs in out.items()}
 
-    @cached_property
+    @_cached
     def successors(self) -> dict:
         """Each state's outgoing (label, target) pairs, in no specified
         order: every reader collects them into a set or counts them."""
@@ -111,7 +130,7 @@ class ConditionAutomaton:
             out[src].append((lab, dst))
         return {q: tuple(pairs) for q, pairs in out.items()}
 
-    @cached_property
+    @_cached
     def moves(self) -> dict:
         """{(state, label): targets} over the transitions; a pair without
         transitions is absent."""
@@ -120,7 +139,7 @@ class ConditionAutomaton:
             out.setdefault((src, lab), set()).add(dst)
         return {key: frozenset(targets) for key, targets in out.items()}
 
-    @cached_property
+    @_cached
     def ordered_states(self) -> tuple:
         return tuple(sorted(self.states, key=state_key))
 

@@ -7,7 +7,9 @@ minimize runs before state elimination, whose output grows with the state
 count: it quotients an automaton by bisimulation and, where no conditions
 remain and the automaton is not deterministic already, also takes the
 minimal deterministic automaton, keeping the smaller.  trim_automaton marks
-what it returns, so trimming it again walks nothing.
+what it returns, so trimming it again walks nothing; identity removal,
+intersection and determinize mark theirs as built by a walk from the
+initials, so trimming them walks only backward from the finals.
 State elimination builds through `_union` and `_compose` of `expr`, where 0
 and id are units, so its output carries no identity padding.
 The constructions build their results with ConditionAutomaton.build(...,
@@ -18,7 +20,9 @@ compose_automata, union_automata and plus_automaton number their states
 0..n-1: the first operand keeps its numbers, the second is placed after it,
 and the fresh endpoints of `+` come last.  That is the numbering
 renumber_states gives the tagged disjoint union, and renumber_states returns
-an operand already numbered that way as it is.  trim_automaton, and so
+an operand already numbered that way as it is.  expr_to_automaton numbers
+its states the same way, folding each subterm to plain parts and building
+one automaton at the end, not one per subterm.  trim_automaton, and so
 minimize, number the states they keep 0..n-1 in state_key order.
 remove_identity_transitions names its states (q, C) instead, by an input
 state and the condition set the state carries.
@@ -133,44 +137,57 @@ _ATOMIC = (Identity, Empty, *_CONDITIONS)   # the conditions with a complement
 def expr_to_automaton(e: Expr, alphabet=None) -> ConditionAutomaton:
     """Translate an expression over labels, id, 0, composition, union,
     transitive closure, projections, and coprojections into a path-equivalent
-    condition automaton.  Projection subterms become state conditions."""
+    condition automaton over `alphabet` and the labels `e` names.
+    Projection subterms become state conditions.
+
+    One fold builds each subterm's parts as plain lists, numbered as
+    compose_automata, union_automata and plus_automaton number theirs, and
+    one build makes the automaton: the automaton those combinators give
+    node by node, without one per subterm.  The fold collects the labels
+    outside conditions; only condition bodies are walked for theirs."""
     used = operators_used(e)
     for flag in used:
         if flag not in _AUTOMATON_OPS:
             raise FragmentError(
                 f"no automaton translation for the {flag} operator in {render(e)}")
-    sigma = frozenset(alphabet) if alphabet is not None else frozenset()
-    sigma |= labels_used(e)
-
-    def two_state(transitions):
-        return ConditionAutomaton.build(
-            {0, 1}, sigma, {0}, {1}, transitions, [], check=False)
-
-    def condition_state(cond):
-        return ConditionAutomaton.build(
-            {0}, sigma, {0}, {0}, [], [(0, cond)], check=False)
+    labels = set(alphabet) if alphabet is not None else set()
 
     def translate(node, *kids):
+        """(state count, initials, finals, transitions, state conditions)."""
         t = type(node)
-        if t is Empty:
-            return two_state([])
-        if t is Identity:
-            return two_state([(0, ID, 1)])
         if t is EdgeLabel:
-            return two_state([(0, node.name, 1)])
+            labels.add(node.name)
+            return 2, [0], [1], [(0, node.name, 1)], []
+        if t is Identity:
+            return 2, [0], [1], [(0, ID, 1)], []
+        if t is Empty:
+            return 2, [0], [1], [], []
         if t in _CONDITIONS:
-            return condition_state(node)
-        if t is Compose:
-            return compose_automata(*kids)
-        if t is Union:
-            return union_automata(*kids)
+            labels.update(labels_used(node.child))
+            return 1, [0], [0], [], [(0, node)]
         if t is TransClosure:
-            return plus_automaton(*kids)
+            (n, initials, finals, transitions, conds), = kids
+            return (n + 2, [n], [n + 1],
+                    transitions + [(n, ID, q) for q in initials]
+                    + [(q, ID, n + 1) for q in finals] + [(n + 1, ID, n)], conds)
+        if t is Compose or t is Union:
+            (n1, i1, f1, t1, c1), (n2, i2, f2, t2, c2) = kids
+            # the second operand's states are placed after the first's
+            i2, f2 = [q + n1 for q in i2], [q + n1 for q in f2]
+            transitions = t1 + [(s + n1, lab, q + n1) for s, lab, q in t2]
+            conds = c1 + [(q + n1, c) for q, c in c2]
+            if t is Union:
+                return n1 + n2, i1 + i2, f1 + f2, transitions, conds
+            return (n1 + n2, i1, f2,
+                    transitions + [(f, ID, i) for f in f1 for i in i2], conds)
         raise FragmentError(f"no automaton translation for {render(node)}")
 
     # a condition's body is not translated: it stays inside the condition
-    return _fold(e, translate,
-                 children=lambda node: () if type(node) in _CONDITIONS else _children(node))
+    n, initials, finals, transitions, conds = _fold(
+        e, translate,
+        children=lambda node: () if type(node) in _CONDITIONS else _children(node))
+    return ConditionAutomaton.build(range(n), labels, initials, finals,
+                                    transitions, conds, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +265,17 @@ def automaton_to_expr(a: ConditionAutomaton) -> Expr:
 # ---------------------------------------------------------------------------
 # identity-transition removal
 
+# the instance attributes that mark an automaton as trimmed already, and as
+# built by a walk from its initial states, so that every state is reachable
+_TRIMMED, _REACHABLE = "_trimmed", "_reachable"
+
+
+def _reachable(a: ConditionAutomaton) -> ConditionAutomaton:
+    """`a`, marked as holding only states reachable from its initials."""
+    a.__dict__[_REACHABLE] = True
+    return a
+
+
 def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
     """Path-equivalent identity-transition-free automaton, with a state
     (q, C) for each head q and each condition set C that a walk of identity
@@ -286,7 +314,7 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
     by_head: dict = {}
     for q, conds in successors:
         by_head.setdefault(q, []).append((q, conds))
-    return ConditionAutomaton.build(
+    return _reachable(ConditionAutomaton.build(
         states=successors,
         alphabet=a.alphabet,
         initials=[(q, conds) for q, conds in successors if q in a.initials],
@@ -295,7 +323,7 @@ def remove_identity_transitions(a: ConditionAutomaton) -> ConditionAutomaton:
                      for lab, t in pairs for target in by_head[t]],
         state_conditions=[((q, conds), c) for q, conds in successors for c in conds],
         check=False,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +354,7 @@ def intersect_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condit
 
     initials = {(p, q) for p in a1.initials for q in a2.initials if consistent(p, q)}
     states = _reach(initials, step)
-    return ConditionAutomaton.build(
+    return _reachable(ConditionAutomaton.build(
         states=states,
         alphabet=a1.alphabet | a2.alphabet,
         initials=initials,
@@ -335,7 +363,7 @@ def intersect_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condit
         state_conditions=[((p, q), c) for p, q in states
                           for c in a1.gamma[p] | a2.gamma[q]],
         check=False,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +437,7 @@ def determinize(a: ConditionAutomaton, *, limit: int | None = None) -> Condition
 
     initials = splits(a.initials)
     states = _reach(initials, step, limit)
-    return ConditionAutomaton.build(
+    return _reachable(ConditionAutomaton.build(
         states=states,
         alphabet=a.alphabet,
         initials=initials,
@@ -417,7 +445,7 @@ def determinize(a: ConditionAutomaton, *, limit: int | None = None) -> Condition
         transitions=transitions,
         state_conditions=[(s, c) for s in states for c in s[1]],
         check=False,
-    )
+    ))
 
 
 def _replace(a: ConditionAutomaton, **parts) -> ConditionAutomaton:
@@ -442,23 +470,23 @@ def difference_automata(a1: ConditionAutomaton, a2: ConditionAutomaton) -> Condi
     return intersect_automata(a1, downward_complement_automaton(a2))
 
 
-_TRIMMED = "_trimmed"   # the instance attribute that marks a trimmed automaton
-
-
 def trim_automaton(a: ConditionAutomaton) -> ConditionAutomaton:
     """Keep the states reachable from an initial state and able to reach a
     final state, with their conditions, numbered 0..n-1 in state_key order.
     When every state is kept, that is `renumber_states(a)`, which is `a`
     itself if its states are numbered already.  The result is marked in its
     instance `__dict__`, so trimming it again returns it without a walk; a
-    rebuilt automaton, equal or not, carries no mark."""
+    rebuilt automaton, equal or not, carries no mark.  The constructions
+    that build their states by a walk from the initials mark their results
+    too, and trimming those walks only backward from the finals."""
     if _TRIMMED in a.__dict__:
         return a
     predecessors: dict = {}
     for s, _, t in a.transitions:
         predecessors.setdefault(t, []).append(s)
-    keep = (_reach(a.initials, lambda q: (t for _, t in a.successors[q]))
-            & _reach(a.finals, lambda q: predecessors.get(q, ())))
+    keep = _reach(a.finals, lambda q: predecessors.get(q, ()))
+    if _REACHABLE not in a.__dict__:
+        keep &= _reach(a.initials, lambda q: (t for _, t in a.successors[q]))
     if len(keep) < len(a.states):
         a = ConditionAutomaton.build(
             states=keep,

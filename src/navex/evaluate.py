@@ -73,7 +73,8 @@ from .expr import (
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
     _distinct_nodes, labels_used,
 )
-# instances is unused here but stays: the benchmark tracer wraps it by name
+# instances, like labels_used above, is unused here but stays: the
+# benchmark tracer wraps both by name
 from .graphs import (
     Graph, ResourceLimitError, _instance_count, _level_sequences, _tree_graph,
     default_ceiling, instances,
@@ -537,14 +538,16 @@ class _Lanes:
 def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int,
            semantics: str) -> EquivVerdict:
     """Streams the instances over exactly the labels that e1 and e2 name, or
-    `a` when they name none.  An edge with any other label is invisible to
-    both, and cutting such edges leaves smaller instances over the named
-    labels, each relating what it related in the whole: those come first in
-    a stream over more labels, so more labels would change no verdict and
-    no witness."""
+    `a` when they name none; the names are read off the plan's label
+    instructions, one per distinct label.  An edge with any other label is
+    invisible to both, and cutting such edges leaves smaller instances over
+    the named labels, each relating what it related in the whole: those
+    come first in a stream over more labels, so more labels would change no
+    verdict and no witness."""
     if max_nodes < 1:
         raise ValueError(f"need max_nodes >= 1; got {max_nodes}")
-    names = tuple(sorted(labels_used(e1) | labels_used(e2))) or ("a",)
+    code, (r1, r2) = _compile((e1, e2))
+    names = tuple(sorted(x for op, x, _ in code if op == _LABEL)) or ("a",)
     if graph_class.startswith("unlabeled") and len(names) > 1:
         raise ValueError("expressions mention several labels; unlabeled classes carry one")
     total = _instance_count(graph_class, max_nodes, names)
@@ -553,7 +556,6 @@ def _check(e1: Expr, e2: Expr, graph_class: str, max_nodes: int,
         raise ResourceLimitError(
             f"{semantics} oracle on {graph_class}, max_nodes={max_nodes}, labels={len(names)}: "
             f"{total} instances exceed the ceiling of {limit} (NAVEX_MAX_INSTANCES)")
-    code, (r1, r2) = _compile((e1, e2))
     chains = graph_class.endswith("chain")
     for chunk in range(-(-total // _LANES)):
         exists, label_rels = _label_lanes(chains, max_nodes, len(names), chunk)

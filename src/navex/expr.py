@@ -87,12 +87,12 @@ class Expr(metaclass=_Interned):
         # every distinct subterm once, children first, each as its type and
         # its label name or its children's positions in the list, so that
         # pickling a deep expression does not recurse
-        nodes = _distinct_nodes(self)
-        slot = {id(node): i for i, node in enumerate(nodes)}
+        pairs = _walk(self)
+        slot = {id(node): i for i, (node, _) in enumerate(pairs)}
         return _rebuild, ([
             (EdgeLabel, node.name) if type(node) is EdgeLabel
-            else (type(node), *[slot[id(kid)] for kid in _children(node)])
-            for node in nodes],)
+            else (type(node), *[slot[id(kid)] for kid in kids])
+            for node, kids in pairs],)
 
     def __deepcopy__(self, memo):
         return self     # its own deep copy; no walk, so deep nodes copy too
@@ -242,22 +242,31 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-def _distinct_nodes(*roots: Expr, children=_children) -> list[Expr]:
-    """Every distinct subterm of `roots`, once each, children before parents.
-    `children` gives the subterms to descend into.  Iterative, so depth is
-    bounded by memory, not by the recursion limit."""
-    out: list[Expr] = []
+def _walk(*roots: Expr, children=_children) -> list[tuple]:
+    """(node, its children) for every distinct subterm of `roots`, once
+    each, children before parents.  `children` gives the subterms to
+    descend into.  Iterative, so depth is bounded by memory, not by the
+    recursion limit."""
+    out: list[tuple] = []
     seen: set[int] = set()
-    stack: list = [(r, False) for r in reversed(roots)]
+    stack: list = [(r, None) for r in reversed(roots)]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            out.append(node)
+        node, kids = pop()
+        if kids is not None:
+            out.append((node, kids))
         elif id(node) not in seen:
             seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((kid, False) for kid in reversed(children(node)))
+            kids = children(node)
+            push((node, kids))
+            for kid in reversed(kids):
+                push((kid, None))
     return out
+
+
+def _distinct_nodes(*roots: Expr, children=_children) -> list[Expr]:
+    """Every distinct subterm of `roots`, once each, children before parents."""
+    return [node for node, _ in _walk(*roots, children=children)]
 
 
 def _rebuild(records) -> Expr:
@@ -273,7 +282,7 @@ def _fold(e: Expr, f, children=_children):
     its children).  Each distinct subterm is valued once, children first,
     and its value is dropped once its last parent has used it, so large
     values (automata, text) do not pile up along deep expressions."""
-    pairs = [(node, children(node)) for node in _distinct_nodes(e, children=children)]
+    pairs = _walk(e, children=children)
     last = {id(k): node for node, kids in pairs for k in kids}     # each child's last parent
     value: dict[int, object] = {}
     for node, kids in pairs:

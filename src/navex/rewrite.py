@@ -33,7 +33,7 @@ import math
 from .automata import ConditionAutomaton
 # renumber_states is unused here but stays: the benchmark tracer wraps it by name
 from .constructions import (
-    _Endpoint, automaton_to_expr, compose_automata, difference_automata,
+    _Endpoint, _reachable, automaton_to_expr, compose_automata, difference_automata,
     expr_to_automaton, intersect_automata, minimize, plus_automaton,
     remove_identity_transitions, renumber_states, trim_automaton,
     union_automata,
@@ -44,8 +44,8 @@ from .evaluate import (
 from .expr import (
     Compose, Converse, Coproj1, Coproj2, Difference, EdgeLabel,
     Empty, Expr, Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, _fold, condition_depth, labels_used, operators_used,
-    power, render,
+    EMPTY, FLAGS, IDENTITY, _children, _fold, condition_depth, labels_used,
+    operators_used, power, render,
 )
 from .graphs import (
     ResourceLimitError, _reach, chain_graph, default_ceiling,
@@ -146,7 +146,8 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
     The output is identity-transition free, its condition depth/weight is
     strictly smaller, and it stays acyclic and closure-free when the input
     is.  Only the part reachable from the initial states (the final states,
-    for pi2) is constructed.
+    for pi2) is constructed, and a pi1 result is marked so for
+    trim_automaton.
     """
     if not a.identity_free:
         raise RewriteError("projection removal needs an identity-transition-free automaton")
@@ -220,7 +221,7 @@ def remove_projection_step(a: ConditionAutomaton) -> ConditionAutomaton:
         state_conditions=state_conditions,
         check=False,
     )
-    return _reversed(out) if second else out
+    return _reversed(out) if second else _reachable(out)
 
 
 # operators each graph class lets projection removal keep nonemptiness for
@@ -269,6 +270,12 @@ def remove_projections_boolean(e: Expr, graph_class: str,
 # ---------------------------------------------------------------------------
 # intersection and difference elimination on trees
 
+# the operators the set-operation fold handles node by node: conditions,
+# whose bodies it rewrites, and the products and complements
+_FOLDED = sum(1 << FLAGS.index(flag)
+              for flag in ("pi1", "pi2", "copi1", "copi2", "cap", "minus"))
+
+
 def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> Expr:
     """An intersection- and difference-free expression path-equivalent to `e`
     on every tree.  Works bottom-up through condition automata: products for
@@ -285,7 +292,7 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
 
     def translate(node, *kids) -> ConditionAutomaton:
         t = type(node)
-        if t in (Empty, Identity, EdgeLabel):
+        if not node._flags & _FOLDED:
             return expr_to_automaton(node, alphabet=sigma)
         if t is Compose:
             return compose_automata(*kids)
@@ -310,7 +317,10 @@ def eliminate_intersect_difference(e: Expr, steps: list[str] | None = None) -> E
             return trim_automaton(diff)
         raise RewriteError(f"no tree rewrite for {render(node)}")
 
-    out = automaton_to_expr(minimize(_fold(e, translate)))
+    # any subterm without a condition or set operation is translated whole
+    out = automaton_to_expr(minimize(_fold(
+        e, translate,
+        children=lambda node: _children(node) if node._flags & _FOLDED else ())))
     assert not operators_used(out).flags & {"cap", "minus"}
     return out
 

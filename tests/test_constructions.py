@@ -19,7 +19,8 @@ from navex.evaluate import evaluate, path_equivalent
 from navex.expr import (
     Compose, Coproj1, Coproj2, Difference, EdgeLabel, Empty, FragmentError,
     Identity, Intersect, Proj1, Proj2, TransClosure, Union,
-    EMPTY, IDENTITY, _distinct_nodes, labels_used, parse, power, render, size, star,
+    EMPTY, IDENTITY, _distinct_nodes, condition_depth, labels_used, parse, power,
+    render, size, star,
 )
 from navex.graphs import (
     Graph, ResourceLimitError, _reach, _subsets, chain_graph, enumerate_trees,
@@ -130,6 +131,49 @@ def _frag_exprs():
         ),
         max_leaves=6,
     )
+
+
+def reference_translation(e, sigma):
+    """Thompson's construction node by node: one automaton per subterm
+    occurrence, combined by compose_automata, union_automata and
+    plus_automaton; a condition is one state carrying it."""
+    t = type(e)
+    if t in (Proj1, Proj2, Coproj1, Coproj2):
+        return ConditionAutomaton.build({0}, sigma, {0}, {0}, [], [(0, e)])
+    if t is Compose:
+        return compose_automata(*map(reference_translation, (e.left, e.right), (sigma,) * 2))
+    if t is Union:
+        return union_automata(*map(reference_translation, (e.left, e.right), (sigma,) * 2))
+    if t is TransClosure:
+        return plus_automaton(reference_translation(e.child, sigma))
+    steps = ([] if t is Empty else [(0, ID, 1)] if t is Identity
+             else [(0, e.name, 1)])
+    return ConditionAutomaton.build({0, 1}, sigma, {0}, {1}, steps, [])
+
+
+def _shared_frag_exprs():
+    """_frag_exprs, some of whose subterms occur twice."""
+    return st.recursive(
+        _frag_atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: Compose(*t)),
+            st.tuples(inner, inner).map(lambda t: Union(*t)),
+            inner.map(lambda e: Compose(e, e)),
+            inner.map(lambda e: Union(TransClosure(e), Compose(e, IDENTITY))),
+            inner.map(TransClosure),
+            inner.map(lambda e: Proj2(Compose(e, e))),
+            inner.map(Coproj1),
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_frag_exprs(),
+       st.sampled_from([None, (), ("a",), ("c",), ("a", "b", "c")]))
+def test_one_pass_translation_is_the_node_by_node_fold(e, alphabet):
+    sigma = frozenset(alphabet or ()) | labels_used(e)
+    assert expr_to_automaton(e, alphabet=alphabet) == reference_translation(e, sigma)
 
 
 @settings(max_examples=60, deadline=None)
@@ -879,7 +923,7 @@ def test_translating_a_wide_union_never_renumbers(monkeypatch):
         return build(cls, *parts, **named)
     monkeypatch.setattr(ConditionAutomaton, "build", classmethod(counted))
     a = expr_to_automaton(_wide_union(200))
-    assert len(builds) == 200 + 199, "one build per label and per union, no copies"
+    assert len(builds) == 1, "one build for the whole translation"
     assert a.states == frozenset(range(400))
     assert renumber_states(a) is a
     builds.clear()
@@ -1121,6 +1165,31 @@ def test_trimming_a_trimmed_automaton_walks_nothing(a):
         assert trim_automaton(_replace(t, finals=fewer)) == trim_automaton(
             replace(t, finals=fewer))
         assert len(walks) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_automata(), random_automata(), _pipeline_inputs("chain-projections"))
+def test_trimming_a_walk_built_automaton_skips_only_the_forward_walk(a1, a2, e):
+    """The constructions that build their states by a walk from the
+    initials mark what they return, and trimming it walks only backward;
+    the result is the trim of an unmarked copy."""
+    built = [intersect_automata(a1, a2), determinize(a1)]
+    if not a1.identity_free:
+        built.append(remove_identity_transitions(a1))
+    assert all("_reachable" in out.__dict__ for out in built)
+    a = trim_automaton(remove_identity_transitions(expr_to_automaton(e)))
+    if a.conditions:
+        step = remove_projection_step(a)
+        # pi2 is removed on the reversed automata, whose walk runs backward
+        deepest = max(a.conditions, key=lambda c: (condition_depth(c), render(c)))
+        assert ("_reachable" in step.__dict__) == (type(deepest) is Proj1)
+        built.append(step)
+    for out in built:
+        with pytest.MonkeyPatch.context() as mp:
+            walks = _counting_reach(mp)
+            trimmed = trim_automaton(out)
+        assert len(walks) == (1 if "_reachable" in out.__dict__ else 2)
+        assert trimmed == trim_automaton(_replace(out))
 
 
 @settings(max_examples=200, deadline=None)

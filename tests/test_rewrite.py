@@ -815,3 +815,52 @@ def test_rewrites_do_not_depend_on_the_hash_seed():
     first = _rewrites_under_hash_seed(0)
     assert len(first) == len(_README_CASES)
     assert first == _rewrites_under_hash_seed(1)
+
+
+# The rewrites of the README cases and of the inputs CI renders under two
+# hash seeds, with their steps, as the node-by-node automaton translation
+# gave them: building automata in fewer steps must change no output.
+_PINNED_REWRITES = {
+    ("unlabeled-normal-form", "(b^3)+ & (b^7)+"): (
+        "b . (b . (b . (b . (b . (b . (b . (b . (b . (b . (b . (b . (b . (b . "
+        "(b . (b . (b . (b . (b . (b . b)))))))))))))))))))",
+        ["decided by distance-set arithmetic (threshold 1, period 21)",
+         "normal form: power 21 (b . (b . (b . (b . (b . (b . (b . (b . (b . "
+         "(b . (b . (b . (b . (b . (b . (b . (b . (b . (b . (b . b))))))))))))))))))))"]),
+    ("tree-set-operations", "a+ \\ a"): (
+        "a . (a . (id | a+))", ["difference via complement: 3 states"]),
+    ("chain-projections", "pi1(a+ . pi1(b+ . pi1(c+)))"): (
+        "a . ((id | a+) . b) . ((id | b+) . c) . (id | c+)",
+        ["translated to an automaton with 1 states and 1 conditions",
+         "condition removed; depth 2, weight 1, 3 states",
+         "condition removed; depth 1, weight 1, 5 states",
+         "condition removed; depth 0, weight 0, 6 states"]),
+    ("tree-pi2", "a . pi2(b . a+) . b"): (
+        "b . a . ((id | a+) . b)",
+        ["translated to an automaton with 3 states and 1 conditions",
+         "condition removed; depth 0, weight 0, 7 states"]),
+    ("tree-set-operations", "(a|b|c)+ \\ ((a.b.c)+ | (c.b)+)"): (
+        "c . (id | (b . c)+) | (b | c . ((id | (b . c)+) . (a | c | b . (a | b)))) "
+        ". (id | (a | b | c)+) | a . ((id | (b . (c . a))+) . (id | (a | c) . "
+        "(id | (a | b | c)+) | b . (id | (a | b | c . (b | c)) . (id | (a | b | c)+))))",
+        ["difference via complement: 9 states"]),
+    ("tree-set-operations", "a \\ (a . pi1(b))"): (
+        "a . copi1(b)", ["difference via complement: 3 states"]),
+    ("tree-set-operations", "(a | b)+ \\ (a . b)+"): (
+        "(id | (a . b)+) . (b . (id | (a | b)+) | a . (id | a . (id | (a | b)+)))",
+        ["difference via complement: 5 states"]),
+    ("tree-pi2", "pi2(pi2(pi2(pi2(d+) . c+) . b+) . a)"): (
+        "d . ((id | d+) . (c . ((id | c+) . (b . ((id | b+) . a)))))",
+        ["translated to an automaton with 1 states and 1 conditions",
+         "condition removed; depth 3, weight 1, 2 states",
+         "condition removed; depth 2, weight 1, 4 states",
+         "condition removed; depth 1, weight 1, 6 states",
+         "condition removed; depth 0, weight 0, 8 states"]),
+}
+
+
+def test_readme_and_ci_rewrites_keep_their_results_and_steps():
+    assert set(_README_CASES) <= set(_PINNED_REWRITES)
+    for (name, text), (result, steps) in _PINNED_REWRITES.items():
+        report = run_pipeline(name, parse(text), certify=False)
+        assert (render(report.result), list(report.steps)) == (result, steps), text
